@@ -66,21 +66,25 @@ def _load_tuple(path: str):
     return parse_tuple_document(_load_json(path))
 
 
-def _write(doc: dict, output: str | None) -> None:
+def _write(doc: dict, args) -> None:
+    """Emit ``doc`` to --output or stdout, stamping --timing at this moment."""
+    if getattr(args, "timing", False):
+        doc["timing"] = time.perf_counter() - args.started
     text = dumps_canonical(doc) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _report(command: str, tol: Tolerance, started: float, timing: bool) -> dict:
+def _report(command: str, tol: Tolerance) -> dict:
+    # "timing" stays null unless --timing, which `_write` fills in
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "tolerance": tol.eps,
-        "timing": (time.perf_counter() - started) if timing else None,
+        "timing": None,
     }
 
 
@@ -111,11 +115,10 @@ def _partition_json(partition) -> dict:
 
 
 def cmd_verify(args) -> int:
-    started = time.perf_counter()
     tol = _tolerance(args)
     t, _ = _load_tuple(args.input)
-    result = verify_twisted(t, tol, jobs=args.jobs)
-    doc = _report("verify", tol, started, args.timing)
+    result = verify_twisted(t, tol)
+    doc = _report("verify", tol)
     worst_key, worst_value = result.worst()
     doc.update(
         {
@@ -125,12 +128,11 @@ def cmd_verify(args) -> int:
             "residuals": _residual_rows(result),
         }
     )
-    _write(doc, args.output)
+    _write(doc, args)
     return 0 if result.passed else 1
 
 
 def cmd_hw(args) -> int:
-    started = time.perf_counter()
     tol = _tolerance(args)
     t, names = _load_tuple(args.input)
     if args.op is None:
@@ -142,18 +144,18 @@ def cmd_hw(args) -> int:
             raise SchemaError(f"no operator named {args.op!r}; available: {', '.join(names)}")
         selected = names.index(args.op)
     v = t.ops[selected]
-    doc = _report("hw", tol, started, args.timing)
+    doc = _report("hw", tol)
     doc["operator"] = names[selected]
     ok, first_failing = is_power_partial_isometry(v, tol)
     if not ok:
         doc.update({"pass": False, "first_failing_power": first_failing})
-        _write(doc, args.output)
+        _write(doc, args)
         return 1
     try:
         hw = hw_decompose(v, tol)
     except DecompositionError as exc:
         doc.update({"pass": False, "error": str(exc)})
-        _write(doc, args.output)
+        _write(doc, args)
         return 1
     doc.update(
         {
@@ -167,16 +169,15 @@ def cmd_hw(args) -> int:
     )
     if args.emit_intertwiner:
         doc["intertwiner"] = matrix_to_json(hw.intertwiner)
-    _write(doc, args.output)
+    _write(doc, args)
     return 0
 
 
 def cmd_decompose(args) -> int:
-    started = time.perf_counter()
     tol = _tolerance(args)
     t, _ = _load_tuple(args.input)
-    doc = _report("decompose", tol, started, args.timing)
-    verification = verify_twisted(t, tol, jobs=args.jobs)
+    doc = _report("decompose", tol)
+    verification = verify_twisted(t, tol)
     if not verification.passed:
         worst_key, worst_value = verification.worst()
         doc.update(
@@ -186,13 +187,13 @@ def cmd_decompose(args) -> int:
                 "worst": {"kind": worst_key[0], "indices": list(worst_key[1:]), "value": worst_value},
             }
         )
-        _write(doc, args.output)
+        _write(doc, args)
         return 1
     try:
-        tree = decompose_tuple(t, tol, jobs=args.jobs)
+        tree = decompose_tuple(t, tol)
     except DecompositionError as exc:
         doc.update({"pass": False, "stage": "decompose", "error": str(exc)})
-        _write(doc, args.output)
+        _write(doc, args)
         return 1
     leaves = []
     for leaf in tree.leaves:
@@ -219,7 +220,7 @@ def cmd_decompose(args) -> int:
     )
     if args.emit_intertwiner:
         doc["global_intertwiner"] = matrix_to_json(tree.global_intertwiner)
-    _write(doc, args.output)
+    _write(doc, args)
     return 0
 
 
@@ -268,18 +269,17 @@ def cmd_generate(args) -> int:
         raise SchemaError(
             f"generated tuple failed self-verification (max residual {check.max_residual:.3e})"
         )
-    _write(tuple_document(t, metadata=metadata), args.output)
+    _write(tuple_document(t, metadata=metadata), args)
     return 0
 
 
 def cmd_commutant(args) -> int:
-    started = time.perf_counter()
     tol = _tolerance(args)
     t, _ = _load_tuple(args.input)
     verification = verify_twisted(t, tol)
     # the star-closed commutant is the one that decides reducibility
     dimension = commutant_dimension(t.ops, tol, include_adjoints=True)
-    doc = _report("commutant", tol, started, args.timing)
+    doc = _report("commutant", tol)
     doc.update(
         {
             "verify_pass": verification.passed,
@@ -287,16 +287,15 @@ def cmd_commutant(args) -> int:
             "irreducible": dimension == 1,
         }
     )
-    _write(doc, args.output)
+    _write(doc, args)
     return 0
 
 
 def cmd_equiv(args) -> int:
-    started = time.perf_counter()
     tol = _tolerance(args)
     t1, _ = _load_tuple(args.input1)
     t2, _ = _load_tuple(args.input2)
-    doc = _report("equiv", tol, started, args.timing)
+    doc = _report("equiv", tol)
     for label, t in (("first", t1), ("second", t2)):
         verification = verify_twisted(t, tol)
         if not verification.passed:
@@ -308,13 +307,13 @@ def cmd_equiv(args) -> int:
                     "max_residual": verification.max_residual,
                 }
             )
-            _write(doc, args.output)
+            _write(doc, args)
             return 1
     try:
         result = equivalence_check(t1, t2, tol)
     except DecompositionError as exc:
         doc.update({"pass": False, "stage": "decompose", "error": str(exc)})
-        _write(doc, args.output)
+        _write(doc, args)
         return 1
     doc.update(
         {
@@ -325,7 +324,7 @@ def cmd_equiv(args) -> int:
     )
     if args.emit_intertwiner and result.intertwiner is not None:
         doc["intertwiner"] = matrix_to_json(result.intertwiner)
-    _write(doc, args.output)
+    _write(doc, args)
     return 0
 
 
@@ -334,7 +333,8 @@ def _add_common(parser: argparse.ArgumentParser, jobs: bool = False) -> None:
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
     parser.add_argument("--timing", action="store_true", help="include wall-clock timing in the report")
     if jobs:
-        parser.add_argument("--jobs", type=int, default=1, help="worker threads for independent checks")
+        parser.add_argument("--jobs", type=int, default=1,
+                            help="accepted and ignored, so older command lines still parse")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except SchemaError as exc:

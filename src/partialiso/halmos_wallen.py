@@ -20,14 +20,13 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _require_square,
     adjoint,
-    as_matrix,
     identity,
     kron,
     op_norm,
     op_norm_diff,
     orthonormal_range,
-    projection_onto,
 )
 from .operators import _block_diag, truncated_shift
 
@@ -45,13 +44,6 @@ __all__ = [
 
 class DecompositionError(RuntimeError):
     """A decomposition step failed its certificate at tolerance."""
-
-
-def _require_square(v: np.ndarray) -> np.ndarray:
-    v = as_matrix(v)
-    if v.shape[0] != v.shape[1]:
-        raise ValueError("expected a square matrix")
-    return v
 
 
 def _range_source_projections(v: np.ndarray, n_max: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -126,25 +118,29 @@ def multiplicity_space(v: np.ndarray, p: int, tol: Tolerance = DEFAULT_TOL) -> S
     return orthonormal_range(mat, tol)
 
 
+def _check_no_shift_parts(p_mat: np.ndarray, q_mat: np.ndarray, tol: Tolerance) -> None:
+    """Raise unless the ranges of (1 - P) Q and (1 - Q) P are zero at the rank tolerance."""
+    eye = identity(p_mat.shape[0])
+    shift_dim = orthonormal_range((eye - p_mat) @ q_mat, tol).dim
+    backshift_dim = orthonormal_range((eye - q_mat) @ p_mat, tol).dim
+    if shift_dim or backshift_dim:
+        raise DecompositionError(
+            f"nonzero shift part (dims {shift_dim}, {backshift_dim}) in finite dimension"
+        )
+
+
 def assert_no_shift_parts(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Confirm the shift and backward-shift parts vanish.
 
     Returns True when the ranges of (1 - P) Q and (1 - Q) P are zero at the
     rank tolerance. A nonzero value is impossible in finite dimensions, so
-    it is raised as a `DecompositionError` (a rank misdecision), never
-    truncated away.
+    it is raised as a `DecompositionError` (a rank misdecision or an invalid
+    input), never truncated away.
     """
     v = _require_square(v)
-    d = v.shape[0]
     p_mat, _ = stable_range_projection(v, tol)
     q_mat, _ = stable_range_projection(adjoint(v), tol)
-    shift_dim = orthonormal_range((identity(d) - p_mat) @ q_mat, tol).dim
-    backshift_dim = orthonormal_range((identity(d) - q_mat) @ p_mat, tol).dim
-    if shift_dim or backshift_dim:
-        raise DecompositionError(
-            f"nonzero shift part detected (dims {shift_dim}, {backshift_dim}); "
-            "this indicates a rank misdecision or an invalid input"
-        )
+    _check_no_shift_parts(p_mat, q_mat, tol)
     return True
 
 
@@ -225,12 +221,7 @@ def hw_decompose(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HWDecomposition
             "the input is not a power partial isometry at this tolerance"
         )
 
-    shift_dim = orthonormal_range((identity(d) - p_mat) @ q_mat, tol).dim
-    backshift_dim = orthonormal_range((identity(d) - q_mat) @ p_mat, tol).dim
-    if shift_dim or backshift_dim:
-        raise DecompositionError(
-            f"nonzero shift part (dims {shift_dim}, {backshift_dim}) in finite dimension"
-        )
+    _check_no_shift_parts(p_mat, q_mat, tol)
 
     unitary_basis = orthonormal_range(p_mat @ q_mat, tol)
     b_u = unitary_basis.basis

@@ -69,6 +69,14 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _require_square(a) -> np.ndarray:
+    """`as_matrix`, then reject a non-square result."""
+    m = as_matrix(a)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("expected a square matrix")
+    return m
+
+
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
 

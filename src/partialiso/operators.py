@@ -14,6 +14,7 @@ the residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import prod
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _require_square,
     adjoint,
     as_matrix,
     identity,
@@ -83,9 +85,7 @@ def diag_twist(
     where k_j in {1, ..., p_j} indexes slot j and E = C^{aux_dim}. The result
     is unitary whenever ``u`` is.
     """
-    u = as_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        raise ValueError("twist symbol must be square")
+    u = _require_square(u)
     if aux_dim is not None and u.shape[0] != aux_dim:
         raise ValueError(f"symbol is {u.shape[0]}-dimensional, expected {aux_dim}")
     if not 1 <= j <= len(p_list):
@@ -118,11 +118,17 @@ def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
 
 def is_partial_isometry(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """Test ||V V* V - V|| <= eps; the residual is always returned."""
-    v = as_matrix(v)
-    if v.shape[0] != v.shape[1]:
-        raise ValueError("expected a square matrix")
+    v = _require_square(v)
     residual = op_norm(v @ adjoint(v) @ v - v)
     return residual <= tol.eps, residual
+
+
+def _power_residuals(v: np.ndarray):
+    """Partial-isometry residuals of V, V^2, V^3, ..., computed on demand."""
+    vp = v.copy()
+    while True:
+        yield op_norm(vp @ adjoint(vp) @ vp - vp)
+        vp = vp @ v
 
 
 def power_isometry_residual(v: np.ndarray, max_power: int | None = None) -> float:
@@ -131,15 +137,9 @@ def power_isometry_residual(v: np.ndarray, max_power: int | None = None) -> floa
     Defaults to max_power = d + 1 for a d x d input.
     """
     v = as_matrix(v)
-    d = v.shape[0]
     if max_power is None:
-        max_power = d + 1
-    worst = 0.0
-    vp = v.copy()
-    for _ in range(max_power):
-        worst = max(worst, op_norm(vp @ adjoint(vp) @ vp - vp))
-        vp = vp @ v
-    return worst
+        max_power = v.shape[0] + 1
+    return max([0.0, *islice(_power_residuals(v), max_power)])
 
 
 def is_power_partial_isometry(
@@ -152,16 +152,18 @@ def is_power_partial_isometry(
     decomposition round-trip in `partialiso.halmos_wallen` turns it into a
     certificate.
     """
-    v = as_matrix(v)
-    if v.shape[0] != v.shape[1]:
-        raise ValueError("expected a square matrix")
-    d = v.shape[0]
-    vp = v.copy()
-    for n in range(1, d + 2):
-        if op_norm(vp @ adjoint(vp) @ vp - vp) > tol.eps:
+    v = _require_square(v)
+    for n, residual in enumerate(islice(_power_residuals(v), v.shape[0] + 1), 1):
+        if residual > tol.eps:
             return False, n
-        vp = vp @ v
     return True, None
+
+
+def _pair_lookup(half: dict[tuple[int, int], np.ndarray], i: int, j: int) -> np.ndarray:
+    """U_ij from a family stored as its i < j half, reading U_ji as U_ij*."""
+    if i < j:
+        return half[(i, j)]
+    return adjoint(half[(j, i)])
 
 
 @dataclass
@@ -209,9 +211,7 @@ class TwistedTuple:
         """U_ij for any ordered pair i != j, reading U_ji as U_ij*."""
         if i == j:
             raise ValueError("twist indices must differ")
-        if i < j:
-            return self.twists[(i, j)]
-        return adjoint(self.twists[(j, i)])
+        return _pair_lookup(self.twists, i, j)
 
     def pair_keys(self) -> list[tuple[int, int]]:
         return sorted(self.twists.keys())
@@ -296,9 +296,7 @@ class ModelSpec:
 
     def symbol(self, slot: int, op: int) -> np.ndarray:
         """Twist symbol placed at ``slot`` inside operator ``op``."""
-        if slot < op:
-            return self.twist_data[(slot, op)]
-        return adjoint(self.twist_data[(op, slot)])
+        return _pair_lookup(self.twist_data, slot, op)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
         """Raise ValueError on any relation violation above tolerance."""
@@ -341,6 +339,37 @@ class ModelSpec:
                     )
 
 
+def _model_operator(
+    kinds: list[object],
+    twists: dict[tuple[int, int], np.ndarray],
+    unit_ops: dict[int, np.ndarray],
+    mult: int,
+    n: int,
+    tol: Tolerance,
+) -> np.ndarray:
+    """Operator ``n`` of the tensor model on (x_{shift slots} C^p) x C^mult.
+
+    ``kinds`` holds one int p (truncated shift slot) or "u" per operator.
+    The operator is the product of a diagonal twist at each shift slot m
+    with (m, n) in ``twists``, then the truncated shift at its own slot or,
+    for a "u" slot, I_K x unit_ops[n].
+    """
+    shift_slots = [i for i, kind in enumerate(kinds, 1) if kind != "u"]
+    k_dims = [kinds[i - 1] for i in shift_slots]
+    k_total = prod(k_dims)
+    op = identity(k_total * mult)
+    for rank, m in enumerate(shift_slots, 1):
+        if (m, n) in twists:
+            op = op @ diag_twist(k_dims, rank, twists[(m, n)], mult, tol)
+    kind = kinds[n - 1]
+    if kind == "u":
+        return op @ kron(identity(k_total), unit_ops[n])
+    rank = shift_slots.index(n)
+    pre = prod(k_dims[:rank])
+    post = prod(k_dims[rank + 1 :])
+    return op @ kron(kron(identity(pre), truncated_shift(kind)), identity(post * mult))
+
+
 def build_model_tuple(spec: ModelSpec, tol: Tolerance = DEFAULT_TOL) -> TwistedTuple:
     """Assemble the tuple on (x_{shift slots} C^{p_i}) x E from a ModelSpec.
 
@@ -353,31 +382,23 @@ def build_model_tuple(spec: ModelSpec, tol: Tolerance = DEFAULT_TOL) -> TwistedT
     are not representable here by design.
     """
     spec.validate(tol)
+    kinds = spec.slot_kinds
     shift_slots = spec.shift_slots()
-    k_dims = [spec.slot_kinds[i - 1] for i in shift_slots]
-    k_total = prod(k_dims)
-    aux = spec.aux_dim
-    dim = k_total * aux
-    ops: list[np.ndarray] = []
-    for n, kind in enumerate(spec.slot_kinds, 1):
-        op = identity(dim)
-        for rank, m in enumerate(shift_slots, 1):
-            carries = (m < n) if kind != "u" else True
-            if m == n or not carries:
-                continue
-            op = op @ diag_twist(k_dims, rank, spec.symbol(m, n), aux, tol)
-        if kind == "u":
-            op = op @ kron(identity(k_total), spec.slot_unitaries[n])
-        else:
-            rank = shift_slots.index(n)
-            pre = prod(k_dims[:rank])
-            post = prod(k_dims[rank + 1 :])
-            op = op @ kron(kron(identity(pre), truncated_shift(kind)), identity(post * aux))
-        ops.append(op)
+    carried = {
+        (m, n): spec.symbol(m, n)
+        for n, kind in enumerate(kinds, 1)
+        for m in shift_slots
+        if kind == "u" or m < n
+    }
+    ops = [
+        _model_operator(kinds, carried, spec.slot_unitaries, spec.aux_dim, n, tol)
+        for n in range(1, spec.n_ops + 1)
+    ]
+    k_total = prod(kinds[i - 1] for i in shift_slots)
     twists = {
         (i, j): kron(identity(k_total), u) for (i, j), u in spec.twist_data.items()
     }
-    return TwistedTuple(dim=dim, ops=ops, twists=twists)
+    return TwistedTuple(dim=k_total * spec.aux_dim, ops=ops, twists=twists)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator | int) -> np.ndarray:

@@ -14,12 +14,10 @@ against tolerance; violations raise instead of being projected away.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .halmos_wallen import DecompositionError, _block_columns, hw_decompose, stable_range_projection, truncated_block_projection
 from .linalg import (
@@ -37,9 +35,10 @@ from .linalg import (
 from .operators import (
     TwistedTuple,
     _block_diag,
+    _model_operator,
+    _pair_lookup,
     diag_twist,
     power_isometry_residual,
-    truncated_shift,
     unitarity_residual,
 )
 
@@ -88,15 +87,7 @@ class TwistReport:
         return {k: v for k, v in self.residuals.items() if k[0] == kind}
 
 
-def _run_items(items: list[tuple[tuple, object]], jobs: int) -> list[tuple[tuple, float]]:
-    if jobs <= 1 or len(items) <= 1:
-        return [(key, fn()) for key, fn in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(fn) for _, fn in items]
-        return [(key, f.result()) for (key, _), f in zip(items, futures)]
-
-
-def verify_twisted(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL, jobs: int = 1) -> TwistReport:
+def verify_twisted(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> TwistReport:
     """Residuals of every defining relation of a twisted tuple.
 
     Covers, for all ordered pairs i != j: the star relation
@@ -108,44 +99,30 @@ def verify_twisted(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL, jobs: int = 1)
     """
     n = t.n_ops
     pairs = t.pair_keys()
-    items: list[tuple[tuple, object]] = []
+    residuals: dict[tuple, float] = {}
 
-    def _unitary(u):
-        return lambda: unitarity_residual(u)
-
-    def _commutator(a, b):
-        return lambda: op_norm(a @ b - b @ a)
-
-    def _star(i, j):
-        vi, vj, u = t.ops[i - 1], t.ops[j - 1], t.twist(i, j)
-        return lambda: op_norm(adjoint(vi) @ vj - u @ vj @ adjoint(vi))
-
-    def _plain(i, j):
-        vi, vj, u = t.ops[i - 1], t.ops[j - 1], t.twist(j, i)
-        return lambda: op_norm(vi @ vj - u @ vj @ vi)
-
-    def _ppi(i):
-        return lambda: power_isometry_residual(t.ops[i - 1])
+    def commutator(a, b):
+        return op_norm(a @ b - b @ a)
 
     for i, j in pairs:
-        items.append((("twist-unitary", i, j), _unitary(t.twists[(i, j)])))
+        residuals[("twist-unitary", i, j)] = unitarity_residual(t.twists[(i, j)])
     for a in range(len(pairs)):
         for b in range(a + 1, len(pairs)):
             key = ("twist-commuting-family", *pairs[a], *pairs[b])
-            items.append((key, _commutator(t.twists[pairs[a]], t.twists[pairs[b]])))
+            residuals[key] = commutator(t.twists[pairs[a]], t.twists[pairs[b]])
     for k in range(1, n + 1):
         for i, j in pairs:
-            items.append((("twist-commute", k, i, j), _commutator(t.ops[k - 1], t.twists[(i, j)])))
+            residuals[("twist-commute", k, i, j)] = commutator(t.ops[k - 1], t.twists[(i, j)])
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
                 continue
-            items.append((("star-cross", i, j), _star(i, j)))
-            items.append((("plain-cross", i, j), _plain(i, j)))
+            vi, vj = t.ops[i - 1], t.ops[j - 1]
+            residuals[("star-cross", i, j)] = op_norm(adjoint(vi) @ vj - t.twist(i, j) @ vj @ adjoint(vi))
+            residuals[("plain-cross", i, j)] = op_norm(vi @ vj - t.twist(j, i) @ vj @ vi)
     for i in range(1, n + 1):
-        items.append((("ppi", i), _ppi(i)))
+        residuals[("ppi", i)] = power_isometry_residual(t.ops[i - 1])
 
-    residuals = dict(_run_items(items, jobs))
     worst = max(residuals.values()) if residuals else 0.0
     return TwistReport(
         eps=tol.eps,
@@ -364,24 +341,9 @@ class DecompositionTree:
 
 def leaf_model_operator(leaf: DecompositionLeaf, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The model matrix of operator ``n`` on the leaf space."""
-    shift_positions = leaf.shift_positions()
-    k_dims = leaf.shift_dims()
-    k_total = prod(k_dims)
-    mult = leaf.mult_dim
-    dim = k_total * mult
-    op = identity(dim)
-    for rank, m in enumerate(shift_positions, 1):
-        if (m, n) in leaf.slot_twists:
-            op = op @ diag_twist(k_dims, rank, leaf.slot_twists[(m, n)], mult, tol)
-    entry = leaf.multiindex[n - 1]
-    if entry == "u":
-        op = op @ kron(identity(k_total), leaf.unit_ops[n])
-    else:
-        rank = shift_positions.index(n)
-        pre = prod(k_dims[:rank])
-        post = prod(k_dims[rank + 1 :])
-        op = op @ kron(kron(identity(pre), truncated_shift(entry)), identity(post * mult))
-    return op
+    return _model_operator(
+        list(leaf.multiindex), leaf.slot_twists, leaf.unit_ops, leaf.mult_dim, n, tol
+    )
 
 
 def _check_reducing(op: np.ndarray, basis: np.ndarray, eps: float, what: str) -> None:
@@ -416,13 +378,6 @@ def _compress_unitary(u: np.ndarray, basis: np.ndarray, eps: float, what: str) -
     return c
 
 
-def _twist_lookup(twists: dict[tuple[int, int], np.ndarray], i: int, j: int) -> np.ndarray:
-    """U_ij from the stored i < j half, reading U_ji as U_ij*."""
-    if i < j:
-        return twists[(i, j)]
-    return adjoint(twists[(j, i)])
-
-
 def _decompose_rec(
     remaining: list[int],
     ops: dict[int, np.ndarray],
@@ -432,7 +387,6 @@ def _decompose_rec(
     dim: int,
     tol: Tolerance,
     path: str,
-    pool: ThreadPoolExecutor | None,
 ) -> list[DecompositionLeaf]:
     """Peel ``remaining[0]`` and recurse; all carried matrices live on C^dim.
 
@@ -441,7 +395,7 @@ def _decompose_rec(
     diagonal-twist factor at every shift slot created below them, exactly
     like remaining operators do. ``symbols`` accumulates those slot twist
     symbols, compressed level by level onto the running multiplicity
-    space.
+    space. Leaves come back unitary branch first, then blocks in ascending p.
     """
     if not remaining:
         return [
@@ -460,9 +414,9 @@ def _decompose_rec(
     rest = remaining[1:]
     others = rest + sorted(peeled)
     hw = hw_decompose(ops[first], tol)
-    branches: list[object] = []
+    leaves: list[DecompositionLeaf] = []
 
-    def unitary_branch() -> list[DecompositionLeaf]:
+    if hw.unitary_dim:
         basis = hw.unitary_basis.basis
         here = f"{path}/u"
         sub_ops = {}
@@ -482,13 +436,10 @@ def _decompose_rec(
             key: _compress_unitary(s, basis, eps, f"{here}: slot twist {key}")
             for key, s in symbols.items()
         }
-        sub_leaves = _decompose_rec(
-            rest, sub_ops, sub_peeled, sub_twists, sub_symbols,
-            hw.unitary_dim, tol, here, None,
-        )
-        out = []
-        for sub in sub_leaves:
-            out.append(
+        for sub in _decompose_rec(
+            rest, sub_ops, sub_peeled, sub_twists, sub_symbols, hw.unitary_dim, tol, here
+        ):
+            leaves.append(
                 DecompositionLeaf(
                     multiindex=("u",) + sub.multiindex,
                     leaf_dim=sub.leaf_dim,
@@ -498,9 +449,8 @@ def _decompose_rec(
                     intertwiner=basis @ sub.intertwiner,
                 )
             )
-        return out
 
-    def shift_branch(block) -> list[DecompositionLeaf]:
+    for block in hw.truncated_blocks:
         p, mult = block.p, block.mult
         here = f"{path}/p={p}"
         wp = _block_columns(ops[first], p, block.mult_basis.basis)
@@ -520,7 +470,7 @@ def _decompose_rec(
             _check_reducing(carried, wp, eps, f"{here}: operator {n}")
             restricted = adjoint(wp) @ carried @ wp
             ambient = down_twistlike(
-                _twist_lookup(twists, first, n), f"{here}: twist ({first}, {n})"
+                _pair_lookup(twists, first, n), f"{here}: twist ({first}, {n})"
             )
             u_n, v_tilde = extract_twist_factor(restricted, p, mult, tol, ambient_twist=ambient)
             sub_symbols[(first, n)] = u_n
@@ -531,12 +481,10 @@ def _decompose_rec(
         sub_twists = {
             key: down_twistlike(u, f"{here}: twist {key}") for key, u in twists.items()
         }
-        sub_leaves = _decompose_rec(
-            rest, sub_ops, sub_peeled, sub_twists, sub_symbols, mult, tol, here, None
-        )
-        out = []
-        for sub in sub_leaves:
-            out.append(
+        for sub in _decompose_rec(
+            rest, sub_ops, sub_peeled, sub_twists, sub_symbols, mult, tol, here
+        ):
+            leaves.append(
                 DecompositionLeaf(
                     multiindex=(p,) + sub.multiindex,
                     leaf_dim=p * sub.leaf_dim,
@@ -546,19 +494,7 @@ def _decompose_rec(
                     intertwiner=wp @ kron(identity(p), sub.intertwiner),
                 )
             )
-        return out
-
-    if hw.unitary_dim:
-        branches.append(unitary_branch)
-    for block in hw.truncated_blocks:
-        branches.append(lambda b=block: shift_branch(b))
-
-    if pool is not None and len(branches) > 1:
-        futures = [pool.submit(fn) for fn in branches]
-        results = [f.result() for f in futures]
-    else:
-        results = [fn() for fn in branches]
-    return [leaf for group in results for leaf in group]
+    return leaves
 
 
 def _leaf_sort_key(leaf: DecompositionLeaf) -> tuple:
@@ -581,7 +517,7 @@ def _classify(leaves: list[DecompositionLeaf]) -> PartitionReport:
     )
 
 
-def decompose_tuple(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL, jobs: int = 1) -> DecompositionTree:
+def decompose_tuple(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> DecompositionTree:
     """Recursive decomposition of a twisted tuple into multiindexed leaves.
 
     The caller is expected to have run `verify_twisted` first; structural
@@ -591,22 +527,16 @@ def decompose_tuple(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL, jobs: int = 1
     by the global intertwiner reproduces every operator within eps, and
     that residual is stored in the tree.
     """
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        leaves = _decompose_rec(
-            remaining=list(range(1, t.n_ops + 1)),
-            ops={n: t.ops[n - 1] for n in range(1, t.n_ops + 1)},
-            peeled={},
-            twists=dict(t.twists),
-            symbols={},
-            dim=t.dim,
-            tol=tol,
-            path="",
-            pool=pool,
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    leaves = _decompose_rec(
+        remaining=list(range(1, t.n_ops + 1)),
+        ops={n: t.ops[n - 1] for n in range(1, t.n_ops + 1)},
+        peeled={},
+        twists=dict(t.twists),
+        symbols={},
+        dim=t.dim,
+        tol=tol,
+        path="",
+    )
     leaves.sort(key=_leaf_sort_key)
 
     total = sum(leaf.leaf_dim for leaf in leaves)
@@ -641,9 +571,9 @@ def classify_partition(tree: DecompositionTree) -> PartitionReport:
 
     The global assignment is reported only when every leaf agrees, which
     is automatic for irreducible tuples (single leaf) but can fail for
-    direct sums.
+    direct sums. `decompose_tuple` already computed it.
     """
-    return _classify(tree.leaves)
+    return tree.partition
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +590,9 @@ class EquivalenceResult:
 
 def _spectral_mismatch(a: np.ndarray, b: np.ndarray) -> float:
     """Worst matched eigenvalue distance under the optimal assignment."""
+    # deferred: scipy.optimize is the slowest import of the package
+    from scipy.optimize import linear_sum_assignment
+
     ea = np.linalg.eigvals(a)
     eb = np.linalg.eigvals(b)
     cost = np.abs(ea[:, None] - eb[None, :])

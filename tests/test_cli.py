@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from partialiso import build_model_tuple, truncated_shift
+from partialiso import build_model_tuple, cli, truncated_shift
 from partialiso.documents import (
     dumps_canonical,
     matrix_to_json,
@@ -327,6 +328,37 @@ class TestDeterminismAndContract:
     def test_default_report_has_null_timing(self, pair_file):
         _, report = run_json("verify", str(pair_file))
         assert report["timing"] is None
+
+    @pytest.mark.parametrize("command, work", [
+        ("verify", "verify_twisted"),
+        ("hw", "hw_decompose"),
+        ("decompose", "decompose_tuple"),
+        ("commutant", "commutant_dimension"),
+        ("equiv", "equivalence_check"),
+    ])
+    def test_timing_covers_the_work(self, command, work, pair_file, scrambled_file,
+                                    tmp_path, monkeypatch):
+        original = getattr(cli, work)
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, work, slow)
+        argv = [command, str(pair_file)]
+        if command == "hw":
+            argv += ["--op", "V1"]
+        if command == "equiv":
+            argv.append(str(scrambled_file))
+        out = tmp_path / "report.json"
+        assert cli.main([*argv, "--timing", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["timing"] >= 0.05
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        probe = "import sys, partialiso; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_exit_code_contract(self, pair_file, tmp_path):
         assert run_cli("verify", str(pair_file)).returncode == 0
