@@ -47,6 +47,7 @@ from .operators import (
     truncated_shift,
 )
 from .twisted import (
+    CommutantTooLargeError,
     DecompositionLeaf,
     DecompositionTree,
     EquivalenceResult,

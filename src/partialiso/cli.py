@@ -34,6 +34,7 @@ from .operators import (
     is_power_partial_isometry,
 )
 from .twisted import (
+    CommutantTooLargeError,
     commutant_dimension,
     decompose_tuple,
     equivalence_check,
@@ -396,7 +397,7 @@ def main(argv=None) -> int:
     args.started = time.perf_counter()
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except (SchemaError, CommutantTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

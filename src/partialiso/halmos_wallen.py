@@ -20,12 +20,12 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _norm_within,
     _require_square,
     adjoint,
     identity,
     kron,
     op_norm,
-    op_norm_diff,
     orthonormal_range,
 )
 from .operators import _block_diag, truncated_shift
@@ -33,6 +33,7 @@ from .operators import _block_diag, truncated_shift
 __all__ = [
     "DecompositionError",
     "HWDecomposition",
+    "RangeSourceLadder",
     "TruncatedBlock",
     "assert_no_shift_parts",
     "hw_decompose",
@@ -46,17 +47,30 @@ class DecompositionError(RuntimeError):
     """A decomposition step failed its certificate at tolerance."""
 
 
-def _range_source_projections(v: np.ndarray, n_max: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Lists [V^n V*^n] and [V*^n V^n] for n = 0..n_max (index 0 is I)."""
-    d = v.shape[0]
-    ranges = [identity(d)]
-    sources = [identity(d)]
-    vp = identity(d)
-    for _ in range(n_max):
-        vp = vp @ v
-        ranges.append(vp @ adjoint(vp))
-        sources.append(adjoint(vp) @ vp)
-    return ranges, sources
+class RangeSourceLadder:
+    """The projections R_n = V^n V*^n and S_n = V*^n V^n of one operator V.
+
+    ``ranges`` and ``sources`` hold n = 0..N (index 0 is I) and `extend`
+    grows them one power at a time, so the functions that take a ladder
+    share each product instead of walking the powers again. The products
+    are formed in one fixed order, so a shared ladder gives the same bits
+    as a fresh one.
+    """
+
+    def __init__(self, v: np.ndarray) -> None:
+        d = v.shape[0]
+        self._v = v
+        self._power = identity(d)
+        self.ranges = [identity(d)]
+        self.sources = [identity(d)]
+
+    def extend(self, n_max: int) -> RangeSourceLadder:
+        """Make sure ``ranges`` and ``sources`` reach index n_max."""
+        while len(self.ranges) <= n_max:
+            self._power = self._power @ self._v
+            self.ranges.append(self._power @ adjoint(self._power))
+            self.sources.append(adjoint(self._power) @ self._power)
+        return self
 
 
 def stable_range_projection(
@@ -77,7 +91,7 @@ def stable_range_projection(
     for n in range(1, d + 2):
         vp = vp @ v
         e_next = vp @ adjoint(vp)
-        if op_norm_diff(e_next, e_prev) <= tol.eps:
+        if _norm_within(e_next - e_prev, tol.eps):
             return e_prev, n
         e_prev = e_next
     raise DecompositionError(
@@ -86,17 +100,21 @@ def stable_range_projection(
     )
 
 
-def truncated_block_projection(v: np.ndarray, p: int) -> np.ndarray:
+def truncated_block_projection(
+    v: np.ndarray, p: int, ladder: RangeSourceLadder | None = None
+) -> np.ndarray:
     """Projection onto the span of the order-p truncated shift blocks.
 
     Built as sum_{n=1}^{p} (R_{n-1} - R_n)(S_{p-n} - S_{p-n+1}) with
     R_n = V^n V*^n and S_n = V*^n V^n. For a power partial isometry this
     is an orthogonal projection, mutually orthogonal across different p.
+    Pass the ``ladder`` of V to reuse its projections across calls.
     """
     v = _require_square(v)
     if p < 1:
         raise ValueError("p must be >= 1")
-    ranges, sources = _range_source_projections(v, p)
+    ladder = (ladder or RangeSourceLadder(v)).extend(p)
+    ranges, sources = ladder.ranges, ladder.sources
     d = v.shape[0]
     out = np.zeros((d, d), dtype=complex)
     for n in range(1, p + 1):
@@ -104,16 +122,23 @@ def truncated_block_projection(v: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def multiplicity_space(v: np.ndarray, p: int, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def multiplicity_space(
+    v: np.ndarray,
+    p: int,
+    tol: Tolerance = DEFAULT_TOL,
+    ladder: RangeSourceLadder | None = None,
+) -> Subspace:
     """The space counting order-p blocks: (1 - V V*)(V*^{p-1} V^{p-1} - V*^p V^p) H.
 
     Its dimension m satisfies p * m = dim of the order-p part; for p = 1
-    the formula reduces to ker(V) intersect ker(V*).
+    the formula reduces to ker(V) intersect ker(V*). Pass the ``ladder``
+    of V to reuse its projections across calls.
     """
     v = _require_square(v)
     if p < 1:
         raise ValueError("p must be >= 1")
-    ranges, sources = _range_source_projections(v, p)
+    ladder = (ladder or RangeSourceLadder(v)).extend(p)
+    ranges, sources = ladder.ranges, ladder.sources
     mat = (identity(v.shape[0]) - ranges[1]) @ (sources[p - 1] - sources[p])
     return orthonormal_range(mat, tol)
 
@@ -215,7 +240,7 @@ def hw_decompose(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HWDecomposition
 
     p_mat, _ = stable_range_projection(v, tol)
     q_mat, _ = stable_range_projection(adjoint(v), tol)
-    if op_norm(p_mat @ q_mat - q_mat @ p_mat) > eps:
+    if not _norm_within(p_mat @ q_mat - q_mat @ p_mat, eps):
         raise DecompositionError(
             "stable range and source projections do not commute; "
             "the input is not a power partial isometry at this tolerance"
@@ -229,10 +254,11 @@ def hw_decompose(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HWDecomposition
 
     blocks: list[TruncatedBlock] = []
     accounted = unitary_basis.dim
+    ladder = RangeSourceLadder(v)
     for p in range(1, d + 1):
         if accounted == d:
             break
-        space = multiplicity_space(v, p, tol)
+        space = multiplicity_space(v, p, tol, ladder)
         if space.dim:
             blocks.append(TruncatedBlock(p=p, mult=space.dim, mult_basis=space))
             accounted += p * space.dim
@@ -246,10 +272,10 @@ def hw_decompose(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HWDecomposition
     for b in blocks:
         columns.append(_block_columns(v, b.p, b.mult_basis.basis))
     w = np.hstack(columns) if columns else np.zeros((d, 0), dtype=complex)
-    gram_residual = op_norm_diff(adjoint(w) @ w, identity(d))
-    if gram_residual > eps:
+    gram_defect = adjoint(w) @ w - identity(d)
+    if not _norm_within(gram_defect, eps):
         raise DecompositionError(
-            f"intertwiner columns are not orthonormal (residual {gram_residual:.3e}); "
+            f"intertwiner columns are not orthonormal (residual {op_norm(gram_defect):.3e}); "
             "the block map failed to be isometric"
         )
 

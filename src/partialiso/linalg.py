@@ -37,6 +37,11 @@ _ORTHO_TOL = 1e-10
 # leading entry when fixing the phase of a basis vector.
 _PHASE_TOL = 1e-8
 
+# Relative slack on the Frobenius and column-norm bounds in `_norm_within`.
+# It dwarfs their rounding error and the SVD's, so a bound only decides a
+# gate the computed spectral norm would decide the same way.
+_BOUND_SLACK = 1e-8
+
 
 class DimensionMismatchError(ValueError):
     """Shapes of two operands do not agree."""
@@ -103,6 +108,23 @@ def op_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def _norm_within(a: np.ndarray, eps: float) -> bool:
+    """``op_norm(a) <= eps``, deciding from exact bounds before any SVD.
+
+    The largest column norm <= ||a||_2 <= the Frobenius norm: a small
+    Frobenius norm accepts, a large column rejects, and only a matrix
+    between the two pays for the SVD.
+    """
+    a = np.asarray(a)
+    if a.size == 0:
+        return 0.0 <= eps
+    if np.linalg.norm(a) * (1.0 + _BOUND_SLACK) <= eps:
+        return True
+    if np.linalg.norm(a, axis=0).max() * (1.0 - _BOUND_SLACK) > eps:
+        return False
+    return op_norm(a) <= eps
+
+
 def op_norm_diff(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a)
     b = np.asarray(b)
@@ -130,8 +152,7 @@ class Subspace:
         if b.shape[1] > self.ambient_dim:
             raise ValueError("more basis vectors than ambient dimension")
         if b.shape[1] > 0:
-            gram = adjoint(b) @ b
-            if op_norm_diff(gram, identity(b.shape[1])) > _ORTHO_TOL:
+            if not _norm_within(adjoint(b) @ b - identity(b.shape[1]), _ORTHO_TOL):
                 raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
@@ -192,11 +213,16 @@ def orthonormal_range(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 
 
 def nullspace(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of {x : a x = 0} at the relative rank cutoff."""
+    """Orthonormal basis of {x : a x = 0} at the relative rank cutoff.
+
+    Only a wide input needs the full right factor; for a tall one the
+    thin factorization has every right singular vector and skips the
+    rows x rows left factor.
+    """
     a = as_matrix(a)
     if a.shape[1] == 0:
         return zero_subspace(0)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     rank = _svd_rank(s, tol)
     basis = adjoint(vh[rank:, :])
     return Subspace(a.shape[1], _phase_fixed(basis))

@@ -19,10 +19,18 @@ from math import prod
 
 import numpy as np
 
-from .halmos_wallen import DecompositionError, _block_columns, hw_decompose, stable_range_projection, truncated_block_projection
+from .halmos_wallen import (
+    DecompositionError,
+    RangeSourceLadder,
+    _block_columns,
+    hw_decompose,
+    stable_range_projection,
+    truncated_block_projection,
+)
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _norm_within,
     _svd_rank,
     adjoint,
     as_matrix,
@@ -30,19 +38,20 @@ from .linalg import (
     kron,
     nullspace,
     op_norm,
-    op_norm_diff,
 )
 from .operators import (
     TwistedTuple,
     _block_diag,
     _model_operator,
     _pair_lookup,
+    _unitary_within,
     diag_twist,
     power_isometry_residual,
     unitarity_residual,
 )
 
 __all__ = [
+    "CommutantTooLargeError",
     "DecompositionLeaf",
     "DecompositionTree",
     "EquivalenceResult",
@@ -160,15 +169,23 @@ def check_projection_commutation(
         "shift_part": comm((eye - p_mat) @ q_mat),
         "backshift_part": comm((eye - q_mat) @ p_mat),
     }
+    ladder = RangeSourceLadder(v)
     for p in range(1, d + 1):
-        pi_p = truncated_block_projection(v, p)
-        if op_norm(pi_p) > 0.5:
+        pi_p = truncated_block_projection(v, p, ladder)
+        if not _norm_within(pi_p, 0.5):
             out[f"block_p={p}"] = comm(pi_p)
     return out
 
 
 # ---------------------------------------------------------------------------
 # commutant and irreducibility
+
+# Largest stacked Sylvester system `commutant_dimension` will build.
+COMMUTANT_MAX_BYTES = 2 * 1024**3
+
+
+class CommutantTooLargeError(ValueError):
+    """The stacked Sylvester system of a commutant would exceed COMMUTANT_MAX_BYTES."""
 
 
 def commutant_dimension(
@@ -179,9 +196,13 @@ def commutant_dimension(
     """Dimension of {X : XA = AX for every A in the family}.
 
     The family is exactly ``ops`` unless ``include_adjoints`` is set, which
-    star-closes it (the right notion for reducibility questions). Solved as
-    the nullspace of the stacked Sylvester maps X -> XA - AX in row-major
-    vectorization; always >= 1 since the identity commutes.
+    star-closes it (the right notion for reducibility questions). Solved
+    on the stacked Sylvester maps X -> XA - AX in row-major vectorization:
+    the stack is at least as tall as it is wide, so the dimension is d^2
+    minus its rank, read off the singular values alone (no singular
+    vectors are formed). Always >= 1 since the identity commutes. A stack
+    above COMMUTANT_MAX_BYTES raises `CommutantTooLargeError` before any
+    of it is allocated.
     """
     mats = [as_matrix(a) for a in ops]
     if not mats:
@@ -189,10 +210,20 @@ def commutant_dimension(
     if include_adjoints:
         mats = mats + [adjoint(a) for a in mats]
     d = mats[0].shape[0]
+    stack_bytes = len(mats) * d**4 * np.dtype(complex).itemsize
+    if stack_bytes > COMMUTANT_MAX_BYTES:
+        raise CommutantTooLargeError(
+            f"commutant of {len(mats)} operators at d = {d} needs a {stack_bytes / 1024**3:.1f} GiB "
+            f"Sylvester system, above the {COMMUTANT_MAX_BYTES / 1024**3:.0f} GiB limit"
+        )
     eye = identity(d)
-    # vec(XM - MX) = (I x M^T - M x I) vec(X), row-major vec
-    rows = [kron(eye, m.T) - kron(m, eye) for m in mats]
-    return nullspace(np.vstack(rows), tol).dim
+    # vec(XM - MX) = (I x M^T - M x I) vec(X), row-major vec; filled in
+    # place so the blocks and the stack never coexist
+    stack = np.empty((len(mats) * d * d, d * d), dtype=complex)
+    for k, m in enumerate(mats):
+        stack[k * d * d : (k + 1) * d * d] = kron(eye, m.T) - kron(m, eye)
+    singular_values = np.linalg.svd(stack, compute_uv=False)
+    return d * d - _svd_rank(singular_values, tol)
 
 
 def is_irreducible(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -231,10 +262,11 @@ def extract_twist_factor(
     if v.shape != (p * m, p * m):
         raise ValueError(f"block operator has shape {v.shape}, expected ({p * m}, {p * m})")
     blocks = [v[a * m : (a + 1) * m, a * m : (a + 1) * m] for a in range(p)]
-    off = op_norm(v - _block_diag(blocks))
-    if off > tol.eps:
+    off_block = v - _block_diag(blocks)
+    if not _norm_within(off_block, tol.eps):
         raise DecompositionError(
-            f"operator is not block diagonal over the shift grading (off-block mass {off:.3e})"
+            "operator is not block diagonal over the shift grading "
+            f"(off-block mass {op_norm(off_block):.3e})"
         )
     v_tilde = blocks[0]
 
@@ -259,14 +291,14 @@ def extract_twist_factor(
                 acc += blocks[a + 1] @ adjoint(blocks[a])
             candidates.append(_polar_unitary(acc))
 
-    last_residual = None
+    last_defect = None
     for u in candidates:
-        if unitarity_residual(u) > tol.eps:
+        if not _unitary_within(u, tol.eps):
             continue
-        recon = diag_twist([p], 1, u, m, tol) @ kron(identity(p), v_tilde)
-        last_residual = op_norm_diff(v, recon)
-        if last_residual <= tol.eps:
+        last_defect = v - diag_twist([p], 1, u, m, tol) @ kron(identity(p), v_tilde)
+        if _norm_within(last_defect, tol.eps):
             return u, v_tilde
+    last_residual = None if last_defect is None else op_norm(last_defect)
     raise DecompositionError(
         f"inconsistent block ratios: best reconstruction residual {last_residual}"
     )
@@ -349,10 +381,10 @@ def leaf_model_operator(leaf: DecompositionLeaf, n: int, tol: Tolerance = DEFAUL
 def _check_reducing(op: np.ndarray, basis: np.ndarray, eps: float, what: str) -> None:
     proj = basis @ adjoint(basis)
     eye = identity(op.shape[0])
-    off_out = op_norm((eye - proj) @ op @ proj)
-    off_in = op_norm(proj @ op @ (eye - proj))
-    worst = max(off_out, off_in)
-    if worst > eps:
+    off_out = (eye - proj) @ op @ proj
+    off_in = proj @ op @ (eye - proj)
+    if not (_norm_within(off_out, eps) and _norm_within(off_in, eps)):
+        worst = max(op_norm(off_out), op_norm(off_in))
         raise DecompositionError(f"{what}: subspace is not reducing (off-block norm {worst:.3e})")
 
 
@@ -364,17 +396,18 @@ def _factor_out_identity(mat: np.ndarray, blocks: int, block_dim: int, eps: floa
     for a in range(blocks):
         acc += mat[a * block_dim : (a + 1) * block_dim, a * block_dim : (a + 1) * block_dim]
     x = acc / blocks
-    residual = op_norm(mat - kron(identity(blocks), x))
-    if residual > eps:
-        raise DecompositionError(f"{what}: no identity tensor factor (residual {residual:.3e})")
+    defect = mat - kron(identity(blocks), x)
+    if not _norm_within(defect, eps):
+        raise DecompositionError(f"{what}: no identity tensor factor (residual {op_norm(defect):.3e})")
     return x
 
 
 def _compress_unitary(u: np.ndarray, basis: np.ndarray, eps: float, what: str) -> np.ndarray:
     c = adjoint(basis) @ u @ basis
-    r = unitarity_residual(c)
-    if r > eps:
-        raise DecompositionError(f"{what}: compression is not unitary (residual {r:.3e})")
+    if not _unitary_within(c, eps):
+        raise DecompositionError(
+            f"{what}: compression is not unitary (residual {unitarity_residual(c):.3e})"
+        )
     return c
 
 
@@ -543,9 +576,9 @@ def decompose_tuple(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> Decomposit
     if total != t.dim:
         raise DecompositionError(f"leaf dimensions sum to {total}, ambient is {t.dim}")
     g = np.hstack([leaf.intertwiner for leaf in leaves])
-    g_residual = op_norm_diff(adjoint(g) @ g, identity(t.dim))
-    if g_residual > tol.eps:
-        raise DecompositionError(f"global intertwiner is not unitary (residual {g_residual:.3e})")
+    g_defect = adjoint(g) @ g - identity(t.dim)
+    if not _norm_within(g_defect, tol.eps):
+        raise DecompositionError(f"global intertwiner is not unitary (residual {op_norm(g_defect):.3e})")
 
     worst = 0.0
     for n in range(1, t.n_ops + 1):
@@ -629,8 +662,7 @@ def _match_leaf_unitary(
         if s[0] == 0 or s[-1] < 1e-8 * s[0]:
             continue
         u = _polar_unitary(z)
-        worst = max(op_norm(u @ a1 - a2 @ u) for a1, a2 in pairs)
-        if worst <= tol.eps * 100:
+        if all(_norm_within(u @ a1 - a2 @ u, tol.eps * 100) for a1, a2 in pairs):
             return u
     return None
 
@@ -690,7 +722,7 @@ def equivalence_check(
             leaf2.intertwiner @ kron(identity(k_total), match) @ adjoint(leaf1.intertwiner)
         )
     u_total = sum(blocks)
-    if unitarity_residual(u_total) > tol.eps:
+    if not _unitary_within(u_total, tol.eps):
         return EquivalenceResult(
             "INCONCLUSIVE", "assembled intertwiner failed the unitarity check"
         )

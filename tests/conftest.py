@@ -15,6 +15,7 @@ from partialiso import (
     random_model_spec,
     truncated_shift,
 )
+from partialiso.linalg import adjoint, identity
 
 
 def leaf_key(item):
@@ -108,3 +109,56 @@ def non_power_partial_isometry_3d() -> np.ndarray:
 def single_op_tuple(m: np.ndarray) -> TwistedTuple:
     m = np.asarray(m, dtype=complex)
     return TwistedTuple(dim=m.shape[0], ops=[m])
+
+
+def sylvester_stack(mats) -> np.ndarray:
+    """The stacked maps X -> XA - AX, row-major vectorized, one block per A."""
+    d = mats[0].shape[0]
+    eye = identity(d)
+    return np.vstack([kron(eye, m.T) - kron(m, eye) for m in mats])
+
+
+def _has_clean_rank_gap(mats) -> bool:
+    """No Sylvester singular value in the band the two cutoffs straddle."""
+    s = np.linalg.svd(sylvester_stack(mats), compute_uv=False)
+    scale = max(float(s[0]), 1.0)
+    return not np.any((s > 1e-12 * scale) & (s < 1e-5 * scale))
+
+
+def commutant_instances(count: int):
+    """The seeded operator families of acceptance criterion 7 (d <= 12).
+
+    Returns (families, skipped): the first ``count`` draws whose Sylvester
+    system has a clean rank gap, as (seed, mats) pairs, and the number of
+    ambiguous draws passed over.
+    """
+    families = []
+    skipped = 0
+    seed = 0
+    while len(families) < count:
+        rng = np.random.default_rng(seed)
+        seed += 1
+        kind = seed % 4
+        if kind == 0:
+            d = int(rng.integers(2, 13))
+            mats = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                    for _ in range(int(rng.integers(1, 3)))]
+        elif kind == 1:
+            d = int(rng.integers(2, 13))
+            mats = [haar_unitary(d, rng) for _ in range(int(rng.integers(1, 3)))]
+        elif kind == 2:
+            spec = random_model_spec(seed, n_ops=2, max_p=3, max_aux=2)
+            t = build_model_tuple(spec)
+            if t.dim > 12:
+                continue
+            mats = list(t.ops)
+        else:
+            p = int(rng.integers(1, 4))
+            mats = [kron(truncated_shift(p), identity(int(rng.integers(1, 3))))]
+        if rng.random() < 0.5:
+            mats = mats + [adjoint(m) for m in mats]
+        if not _has_clean_rank_gap(mats):
+            skipped += 1
+            continue
+        families.append((seed, mats))
+    return families, skipped

@@ -25,7 +25,6 @@ from partialiso import (
     decompose_tuple,
     diag_twist,
     direct_sum_tuples,
-    haar_unitary,
     hw_decompose,
     is_power_partial_isometry,
     kron,
@@ -45,6 +44,7 @@ from partialiso.documents import dumps_canonical, tuple_document
 from partialiso.linalg import adjoint, identity
 from partialiso.operators import ModelSpec
 from conftest import (
+    commutant_instances,
     leaf_key,
     non_power_partial_isometry_3d,
     random_decomposition_instance,
@@ -305,51 +305,15 @@ def _commutant_dimension_oracle(mats, cutoff=1e-6):
     return int(np.sum(roots <= cutoff * scale))
 
 
-def _has_clean_rank_gap(mats) -> bool:
-    """No Sylvester singular value in the band the two cutoffs straddle."""
-    d = mats[0].shape[0]
-    eye = identity(d)
-    rows = [kron(eye, m.T) - kron(m, eye) for m in mats]
-    s = np.linalg.svd(np.vstack(rows), compute_uv=False)
-    scale = max(float(s[0]), 1.0)
-    return not np.any((s > 1e-12 * scale) & (s < 1e-5 * scale))
-
-
 def test_criterion_7_commutant_against_independent_oracle():
     from partialiso import commutant_dimension, is_irreducible
 
-    checked = 0
-    skipped = 0
-    seed = 0
-    while checked < N_COMMUTANT_INSTANCES:
-        rng = np.random.default_rng(seed)
-        seed += 1
-        kind = seed % 4
-        if kind == 0:
-            d = int(rng.integers(2, 13))
-            mats = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                    for _ in range(int(rng.integers(1, 3)))]
-        elif kind == 1:
-            d = int(rng.integers(2, 13))
-            mats = [haar_unitary(d, rng) for _ in range(int(rng.integers(1, 3)))]
-        elif kind == 2:
-            spec = random_model_spec(seed, n_ops=2, max_p=3, max_aux=2)
-            t = build_model_tuple(spec)
-            if t.dim > 12:
-                continue
-            mats = list(t.ops)
-        else:
-            p = int(rng.integers(1, 4))
-            mats = [kron(truncated_shift(p), identity(int(rng.integers(1, 3))))]
-        if rng.random() < 0.5:
-            mats = mats + [adjoint(m) for m in mats]
-        if not _has_clean_rank_gap(mats):
-            skipped += 1
-            continue
+    families, skipped = commutant_instances(N_COMMUTANT_INSTANCES)
+    for seed, mats in families:
         primary = commutant_dimension(mats)
         oracle = _commutant_dimension_oracle(mats)
         assert primary == oracle, f"instance {seed}: {primary} != {oracle}"
-        checked += 1
+    checked = len(families)
 
     # irreducible single-leaf models with trivial multiplicity
     irreducible_models = [

@@ -283,6 +283,17 @@ class TestCommutantAndEquiv:
         assert report["dimension"] == 1
         assert report["irreducible"] is True
 
+    def test_oversized_commutant_exits_2_with_the_size(self, tmp_path, capsys):
+        from partialiso import TwistedTuple
+
+        t = TwistedTuple(dim=150, ops=[truncated_shift(150), np.eye(150)])
+        path = tmp_path / "big.json"
+        path.write_text(dumps_canonical(tuple_document(t)))
+        assert cli.main(["commutant", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "30.2 GiB" in captured.err
+
     def test_tuple_equivalent_to_its_scramble(self, pair_file, scrambled_file):
         code, report = run_json("equiv", str(pair_file), str(scrambled_file))
         assert code == 0

@@ -114,6 +114,27 @@ class TestNullspace:
         a = crandn(rng, 5, 7)
         assert nullspace(a).dim + orthonormal_range(a).dim == 7
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tall_input_matches_the_full_factorization(self, seed):
+        # four blocks sharing one rank-5 row space: a 24 x 9 system of rank 5
+        rng = np.random.default_rng(seed)
+        rows = crandn(rng, 5, 9)
+        a = np.vstack([crandn(rng, 6, 5) @ rows for _ in range(4)])
+        _, s, vh = np.linalg.svd(a, full_matrices=True)
+        rank = int(np.sum(s > DEFAULT_TOL.rank_eps * max(s[0], 1.0)))
+        full_basis = vh[rank:].conj().T
+        got = nullspace(a)
+        assert got.dim == 9 - rank == 4
+        np.testing.assert_allclose(projection_onto(got), full_basis @ full_basis.conj().T, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_input_keeps_its_full_kernel(self, seed):
+        rng = np.random.default_rng(seed)
+        a = crandn(rng, 3, 8)
+        got = nullspace(a)
+        assert got.dim == 5
+        assert op_norm(a @ got.basis) <= 1e-12
+
 
 class TestProjectionOnto:
     def test_zero_subspace(self):

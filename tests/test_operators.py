@@ -17,12 +17,13 @@ from partialiso import (
     op_norm,
     op_norm_diff,
     permute_tuple,
+    power_isometry_residual,
     random_commuting_unitaries,
     random_model_spec,
     truncated_shift,
     verify_twisted,
 )
-from conftest import non_power_partial_isometry_3d
+from conftest import non_power_partial_isometry_3d, random_hw_instance
 
 
 class TestTruncatedShift:
@@ -147,6 +148,68 @@ class TestPartialIsometryPredicates:
         ok, failing = is_power_partial_isometry(non_power_partial_isometry_3d())
         assert not ok
         assert failing == 2
+
+
+def _unscreened_residuals(v):
+    """Spectral residuals of V^n for n = 1..d+1, one SVD each, in the library's product order."""
+    out = []
+    vp = v.copy()
+    for _ in range(v.shape[0] + 1):
+        out.append(op_norm(vp @ vp.conj().T @ vp - vp))
+        vp = vp @ v
+    return out
+
+
+def _perturbed_haar(d, size):
+    rng = np.random.default_rng(d)
+    u = haar_unitary(d, rng)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return u + size * g / np.linalg.norm(g, 2)
+
+
+def _screening_inputs():
+    for seed in range(150):
+        yield f"hw-{seed}", random_hw_instance(seed)[0]
+    for seed in range(40):
+        t = build_model_tuple(random_model_spec(seed))
+        if t.dim <= 64:
+            hidden = conjugate_tuple(t, haar_unitary(t.dim, seed))
+            for k, (v, w) in enumerate(zip(t.ops, hidden.ops), 1):
+                yield f"spec-{seed}-op{k}", v
+                yield f"spec-{seed}-op{k}-scrambled", w
+    yield "negative-3d", non_power_partial_isometry_3d()
+    for d in (16, 64, 128):
+        for size in (1e-11, 1e-10, 5e-10):
+            yield f"haar-{d}-{size}", _perturbed_haar(d, size)
+
+
+class TestScreenedPowerLadder:
+    """The norm-bound screening must not change any value or verdict.
+
+    The oracle is the unscreened loop: one spectral norm per power.
+    """
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [(name, v, _unscreened_residuals(v)) for name, v in _screening_inputs()]
+
+    def test_worst_residual_is_bit_identical(self, cases):
+        for name, v, residuals in cases:
+            assert power_isometry_residual(v) == max([0.0, *residuals]), name
+
+    def test_verdict_and_first_failing_power_agree(self, cases):
+        for name, v, residuals in cases:
+            failing = [n for n, r in enumerate(residuals, 1) if r > 1e-9]
+            expected = (False, failing[0]) if failing else (True, None)
+            assert is_power_partial_isometry(v) == expected, name
+
+    def test_slow_drift_fails_late_not_early(self):
+        # residuals of a perturbed unitary grow with the power, so these
+        # cross eps far beyond the point where the ranks have settled
+        for d in (64, 128):
+            ok, failing = is_power_partial_isometry(_perturbed_haar(d, 1e-10))
+            assert not ok and failing >= 30
+        assert is_power_partial_isometry(_perturbed_haar(64, 1e-11)) == (True, None)
 
 
 class TestTwistedShiftPair:

@@ -3,6 +3,7 @@ import pytest
 from math import prod
 
 from partialiso import (
+    CommutantTooLargeError,
     DecompositionError,
     ModelSpec,
     TwistedTuple,
@@ -22,6 +23,7 @@ from partialiso import (
     is_irreducible,
     kron,
     leaf_model_operator,
+    nullspace,
     op_norm,
     op_norm_diff,
     permute_tuple,
@@ -29,8 +31,16 @@ from partialiso import (
     truncated_shift,
     verify_twisted,
 )
+from partialiso import twisted
+from partialiso.linalg import adjoint
 from partialiso.twisted import _factor_out_identity
-from conftest import leaf_key, random_scrambled_model, single_op_tuple
+from conftest import (
+    commutant_instances,
+    leaf_key,
+    random_scrambled_model,
+    single_op_tuple,
+    sylvester_stack,
+)
 
 
 class TestVerifyTwisted:
@@ -135,6 +145,34 @@ class TestCommutant:
         for seed in range(5):
             moved = conjugate_tuple(t, haar_unitary(t.dim, seed))
             assert commutant_dimension(moved.ops, include_adjoints=True) == base
+
+
+    def test_values_only_dimension_matches_nullspace_on_criterion_7_families(self):
+        families, _ = commutant_instances(200)
+        for seed, mats in families:
+            assert commutant_dimension(mats) == nullspace(sylvester_stack(mats)).dim, seed
+
+    @pytest.mark.parametrize("p,seed", [(2, 1), (3, 1), (4, 1), (2, 7), (3, 7)])
+    def test_values_only_dimension_matches_nullspace_on_example43(self, p, seed):
+        # the benchmark's commutant rungs and CLI documents: d = 8, 18, 32
+        rng = np.random.default_rng(seed)
+        pair = build_twisted_shift_pair(p, np.exp(2j * np.pi * rng.uniform(0.05, 0.45)))
+        t = conjugate_tuple(pair, haar_unitary(pair.dim, rng))
+        family = list(t.ops) + [adjoint(v) for v in t.ops]
+        dimension = commutant_dimension(t.ops, include_adjoints=True)
+        assert dimension == nullspace(sylvester_stack(family)).dim == 2
+
+    def test_oversized_system_is_refused_before_allocation(self, monkeypatch):
+        def no_kron(*args):
+            raise AssertionError("kron called before the size guard")
+
+        monkeypatch.setattr(twisted, "kron", no_kron)
+        # four 150 x 150 maps stack into 4 * 150^4 complex entries, about 30 GiB
+        ops = [truncated_shift(150), np.eye(150, dtype=complex)]
+        with pytest.raises(CommutantTooLargeError, match="30.2 GiB"):
+            commutant_dimension(ops, include_adjoints=True)
+        with pytest.raises(CommutantTooLargeError):
+            is_irreducible(TwistedTuple(dim=150, ops=ops))
 
 
 class TestExtractTwistFactor:
