@@ -48,8 +48,8 @@ PRESETS = ("example43",)
 
 def _tolerance(args) -> Tolerance:
     # rank cutoff tracks the residual tolerance at the default 10:1 ratio
-    if args.tol <= 0:
-        raise SchemaError("--tol must be positive")
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise SchemaError(f"--tol must be positive and finite, got {args.tol}")
     return Tolerance(eps=args.tol, rank_eps=args.tol / 10.0)
 
 

@@ -110,16 +110,40 @@ def matrix_from_json(obj, rows: int, cols: int, where: str) -> np.ndarray:
     return out
 
 
-def _require_key(doc: dict, key: str, where: str):
-    if key not in doc:
+def _require_key(obj, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object")
+    if key not in obj:
         raise SchemaError(f"{where}: missing required field '{key}'")
-    return doc[key]
+    return obj[key]
 
 
-def _check_version(doc: dict, where: str) -> None:
+def _check_version(doc, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected a JSON object")
     version = _require_key(doc, "schema_version", where)
     if version != SCHEMA_VERSION:
         raise SchemaError(f"{where}: unsupported schema_version {version!r}")
+
+
+def _parse_twists(items, n: int, dim: int, where: str) -> dict[tuple[int, int], np.ndarray]:
+    """Twist entries {"i", "j", "matrix"} with integer 1 <= i < j <= n, each pair once."""
+    twists: dict[tuple[int, int], np.ndarray] = {}
+    for k, item in enumerate(items):
+        at = f"{where}[{k}]"
+        i = _require_key(item, "i", at)
+        j = _require_key(item, "j", at)
+        for label, value in (("i", i), ("j", j)):
+            if type(value) is not int:
+                raise SchemaError(f"{at}.{label}: expected an integer")
+        if not (1 <= i < j <= n):
+            raise SchemaError(f"{at}: indices ({i}, {j}) must satisfy 1 <= i < j <= {n}")
+        if (i, j) in twists:
+            raise SchemaError(f"{at}: duplicate twist pair ({i}, {j})")
+        twists[(i, j)] = matrix_from_json(
+            _require_key(item, "matrix", at), dim, dim, f"{at}.matrix"
+        )
+    return twists
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +175,6 @@ def tuple_document(
 
 
 def parse_tuple_document(doc) -> tuple[TwistedTuple, list[str]]:
-    if not isinstance(doc, dict):
-        raise SchemaError("document: expected a JSON object")
     _check_version(doc, "document")
     dim = _require_key(doc, "dim", "document")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
@@ -164,8 +186,6 @@ def parse_tuple_document(doc) -> tuple[TwistedTuple, list[str]]:
     ops: list[np.ndarray] = []
     for k, item in enumerate(operators):
         where = f"document.operators[{k}]"
-        if not isinstance(item, dict):
-            raise SchemaError(f"{where}: expected an object")
         name = _require_key(item, "name", where)
         if not isinstance(name, str) or not name:
             raise SchemaError(f"{where}.name: expected a non-empty string")
@@ -173,24 +193,7 @@ def parse_tuple_document(doc) -> tuple[TwistedTuple, list[str]]:
             raise SchemaError(f"{where}.name: duplicate operator name {name!r}")
         names.append(name)
         ops.append(matrix_from_json(_require_key(item, "matrix", where), dim, dim, f"{where}.matrix"))
-    n = len(ops)
-    twists: dict[tuple[int, int], np.ndarray] = {}
-    for k, item in enumerate(doc.get("twists", [])):
-        where = f"document.twists[{k}]"
-        if not isinstance(item, dict):
-            raise SchemaError(f"{where}: expected an object")
-        i = _require_key(item, "i", where)
-        j = _require_key(item, "j", where)
-        for label, value in (("i", i), ("j", j)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise SchemaError(f"{where}.{label}: expected an integer")
-        if not (1 <= i < j <= n):
-            raise SchemaError(f"{where}: indices ({i}, {j}) must satisfy 1 <= i < j <= {n}")
-        if (i, j) in twists:
-            raise SchemaError(f"{where}: duplicate twist pair ({i}, {j})")
-        twists[(i, j)] = matrix_from_json(
-            _require_key(item, "matrix", where), dim, dim, f"{where}.matrix"
-        )
+    twists = _parse_twists(doc.get("twists", []), len(ops), dim, "document.twists")
     metadata = doc.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise SchemaError("document.metadata: expected an object")
@@ -202,8 +205,6 @@ def parse_tuple_document(doc) -> tuple[TwistedTuple, list[str]]:
 
 
 def parse_model_spec_document(doc) -> ModelSpec:
-    if not isinstance(doc, dict):
-        raise SchemaError("spec: expected a JSON object")
     _check_version(doc, "spec")
     slots = _require_key(doc, "slots", "spec")
     if not isinstance(slots, list) or not slots:
@@ -220,27 +221,12 @@ def parse_model_spec_document(doc) -> ModelSpec:
     if not isinstance(aux_dim, int) or isinstance(aux_dim, bool) or aux_dim < 1:
         raise SchemaError("spec.aux_dim: expected a positive integer")
     n = len(kinds)
-    twist_data: dict[tuple[int, int], np.ndarray] = {}
-    for k, item in enumerate(doc.get("twists", [])):
-        where = f"spec.twists[{k}]"
-        if not isinstance(item, dict):
-            raise SchemaError(f"{where}: expected an object")
-        i = _require_key(item, "i", where)
-        j = _require_key(item, "j", where)
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= n):
-            raise SchemaError(f"{where}: indices must satisfy 1 <= i < j <= {n}")
-        if (i, j) in twist_data:
-            raise SchemaError(f"{where}: duplicate twist pair ({i}, {j})")
-        twist_data[(i, j)] = matrix_from_json(
-            _require_key(item, "matrix", where), aux_dim, aux_dim, f"{where}.matrix"
-        )
+    twist_data = _parse_twists(doc.get("twists", []), n, aux_dim, "spec.twists")
     slot_unitaries: dict[int, np.ndarray] = {}
     for k, item in enumerate(doc.get("slot_unitaries", [])):
         where = f"spec.slot_unitaries[{k}]"
-        if not isinstance(item, dict):
-            raise SchemaError(f"{where}: expected an object")
         slot = _require_key(item, "slot", where)
-        if not isinstance(slot, int) or not (1 <= slot <= n) or kinds[slot - 1] != "u":
+        if type(slot) is not int or not (1 <= slot <= n) or kinds[slot - 1] != "u":
             raise SchemaError(f"{where}.slot: must name a unitary slot")
         if slot in slot_unitaries:
             raise SchemaError(f"{where}: duplicate slot {slot}")

@@ -13,6 +13,7 @@ surfaces instead of a silently truncated answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .linalg import (
     op_norm,
     orthonormal_range,
 )
-from .operators import _block_diag, truncated_shift
+from .operators import _block_diag, _power_walk, truncated_shift
 
 __all__ = [
     "DecompositionError",
@@ -52,25 +53,37 @@ class RangeSourceLadder:
 
     ``ranges`` and ``sources`` hold n = 0..N (index 0 is I) and `extend`
     grows them one power at a time, so the functions that take a ladder
-    share each product instead of walking the powers again. The products
-    are formed in one fixed order, so a shared ladder gives the same bits
-    as a fresh one.
+    share each product instead of walking the powers again. The powers
+    come from `_power_walk`, so R_n has the bits of every other walk of V.
     """
 
     def __init__(self, v: np.ndarray) -> None:
         d = v.shape[0]
-        self._v = v
-        self._power = identity(d)
+        self._walk = _power_walk(v)
         self.ranges = [identity(d)]
         self.sources = [identity(d)]
 
     def extend(self, n_max: int) -> RangeSourceLadder:
         """Make sure ``ranges`` and ``sources`` reach index n_max."""
         while len(self.ranges) <= n_max:
-            self._power = self._power @ self._v
-            self.ranges.append(self._power @ adjoint(self._power))
-            self.sources.append(adjoint(self._power) @ self._power)
+            power, range_n = next(self._walk)
+            self.ranges.append(range_n)
+            self.sources.append(adjoint(power) @ power)
         return self
+
+
+def _stable_limit(ranges, tol: Tolerance) -> tuple[np.ndarray, int]:
+    """(R_n0, n0) for the first n0 <= d + 1 with ||R_{n0+1} - R_n0|| <= eps, R_n from ``ranges``."""
+    e_prev = next(ranges)
+    d = e_prev.shape[0]
+    for n, e_next in zip(range(1, d + 2), ranges):
+        if _norm_within(e_next - e_prev, tol.eps):
+            return e_prev, n
+        e_prev = e_next
+    raise DecompositionError(
+        f"range projections did not stabilize by power {d + 1}; "
+        "the input is not a power partial isometry at this tolerance"
+    )
 
 
 def stable_range_projection(
@@ -81,23 +94,24 @@ def stable_range_projection(
     Returns (P, n0) where P = V^{n0} V*^{n0} and the next step moves by at
     most eps. For a power partial isometry the ranks can drop at most d
     times, so stabilization by n0 <= d + 1 is guaranteed; failure to
-    stabilize signals a non power-partial-isometry input. The companion
-    projection Q is obtained by passing the adjoint.
+    stabilize signals a non power-partial-isometry input. Q is obtained by
+    passing the adjoint; `hw_decompose` reads P off its `RangeSourceLadder`.
     """
     v = _require_square(v)
-    d = v.shape[0]
-    vp = v.copy()
-    e_prev = vp @ adjoint(vp)
-    for n in range(1, d + 2):
-        vp = vp @ v
-        e_next = vp @ adjoint(vp)
-        if _norm_within(e_next - e_prev, tol.eps):
-            return e_prev, n
-        e_prev = e_next
-    raise DecompositionError(
-        f"range projections did not stabilize by power {d + 1}; "
-        "the input is not a power partial isometry at this tolerance"
-    )
+    return _stable_limit((r for _, r in _power_walk(v)), tol)
+
+
+def _stable_projections(
+    v: np.ndarray, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray, RangeSourceLadder]:
+    """(P, Q, the ladder of V) for a square V; P is read off the ladder.
+
+    Q walks V* on its own: its powers are not bit for bit the adjoints of V's.
+    """
+    ladder = RangeSourceLadder(v)
+    p_mat, _ = _stable_limit((ladder.extend(n).ranges[n] for n in count(1)), tol)
+    q_mat, _ = stable_range_projection(adjoint(v), tol)
+    return p_mat, q_mat, ladder
 
 
 def truncated_block_projection(
@@ -163,8 +177,7 @@ def assert_no_shift_parts(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     input), never truncated away.
     """
     v = _require_square(v)
-    p_mat, _ = stable_range_projection(v, tol)
-    q_mat, _ = stable_range_projection(adjoint(v), tol)
+    p_mat, q_mat, _ = _stable_projections(v, tol)
     _check_no_shift_parts(p_mat, q_mat, tol)
     return True
 
@@ -185,15 +198,15 @@ class HWDecomposition:
     The model operator is T oplus (oplus_p J_p x I_mult) on
     C^{unitary_dim} oplus (oplus_p C^p x C^mult), blocks in ascending p;
     ``intertwiner`` maps the model space onto C^d and satisfies
-    ||W model W* - V|| <= residual.
+    ||W model W* - V|| <= residual. Its columns follow the same order, a
+    block's being V^j m_k (j slow), so each summand reduces V on its column
+    range. Shift parts are not stored: `hw_decompose` certifies they vanish.
     """
 
     ambient_dim: int
     unitary_basis: Subspace
     unitary_op: np.ndarray
     truncated_blocks: list[TruncatedBlock] = field(default_factory=list)
-    shift_mult: int = 0
-    backshift_mult: int = 0
     intertwiner: np.ndarray | None = None
     residual: float = 0.0
 
@@ -213,16 +226,6 @@ class HWDecomposition:
         return _block_diag(blocks)
 
 
-def _block_columns(v: np.ndarray, p: int, mult_basis: np.ndarray) -> np.ndarray:
-    """Columns V^j m_k for j = 0..p-1 (j slow, k fast)."""
-    cols = [mult_basis]
-    current = mult_basis
-    for _ in range(p - 1):
-        current = v @ current
-        cols.append(current)
-    return np.hstack(cols)
-
-
 def hw_decompose(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HWDecomposition:
     """Full orthogonal decomposition of a power partial isometry.
 
@@ -238,8 +241,7 @@ def hw_decompose(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HWDecomposition
     d = v.shape[0]
     eps = tol.eps
 
-    p_mat, _ = stable_range_projection(v, tol)
-    q_mat, _ = stable_range_projection(adjoint(v), tol)
+    p_mat, q_mat, ladder = _stable_projections(v, tol)
     if not _norm_within(p_mat @ q_mat - q_mat @ p_mat, eps):
         raise DecompositionError(
             "stable range and source projections do not commute; "
@@ -254,7 +256,6 @@ def hw_decompose(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HWDecomposition
 
     blocks: list[TruncatedBlock] = []
     accounted = unitary_basis.dim
-    ladder = RangeSourceLadder(v)
     for p in range(1, d + 1):
         if accounted == d:
             break
@@ -270,7 +271,9 @@ def hw_decompose(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HWDecomposition
 
     columns = [b_u] if unitary_basis.dim else []
     for b in blocks:
-        columns.append(_block_columns(v, b.p, b.mult_basis.basis))
+        columns.append(b.mult_basis.basis)
+        for _ in range(b.p - 1):
+            columns.append(v @ columns[-1])
     w = np.hstack(columns) if columns else np.zeros((d, 0), dtype=complex)
     gram_defect = adjoint(w) @ w - identity(d)
     if not _norm_within(gram_defect, eps):

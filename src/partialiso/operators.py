@@ -131,11 +131,11 @@ def is_partial_isometry(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bo
     return residual <= tol.eps, residual
 
 
-def _power_residuals(v: np.ndarray):
-    """Residual matrices V^n V^n* V^n - V^n of V, V^2, V^3, ..., on demand."""
+def _power_walk(v: np.ndarray):
+    """Pairs (V^n, V^n V^n*) for n = 1, 2, ...: the one loop that forms V^n."""
     vp = v.copy()
     while True:
-        yield vp @ adjoint(vp) @ vp - vp
+        yield vp, vp @ adjoint(vp)
         vp = vp @ v
 
 
@@ -151,7 +151,8 @@ def power_isometry_residual(v: np.ndarray, max_power: int | None = None) -> floa
     if max_power is None:
         max_power = v.shape[0] + 1
     worst = 0.0
-    for residual in islice(_power_residuals(v), max_power):
+    for vp, r in islice(_power_walk(v), max_power):
+        residual = r @ vp - vp
         if np.linalg.norm(residual) * (1.0 + _BOUND_SLACK) > worst:
             worst = max(worst, op_norm(residual))
     return worst
@@ -170,8 +171,8 @@ def is_power_partial_isometry(
     `partialiso.halmos_wallen` turns it into a certificate.
     """
     v = _require_square(v)
-    for n, residual in enumerate(islice(_power_residuals(v), v.shape[0] + 1), 1):
-        if not _norm_within(residual, tol.eps):
+    for n, (vp, r) in enumerate(islice(_power_walk(v), v.shape[0] + 1), 1):
+        if not _norm_within(r @ vp - vp, tol.eps):
             return False, n
     return True, None
 

@@ -21,16 +21,16 @@ import numpy as np
 
 from .halmos_wallen import (
     DecompositionError,
-    RangeSourceLadder,
-    _block_columns,
+    _stable_projections,
     hw_decompose,
-    stable_range_projection,
     truncated_block_projection,
 )
 from .linalg import (
     DEFAULT_TOL,
+    DimensionMismatchError,
     Tolerance,
     _norm_within,
+    _require_square,
     _svd_rank,
     adjoint,
     as_matrix,
@@ -150,13 +150,14 @@ def check_projection_commutation(
     of V, their products, and every truncated block projection commute
     with W; the residuals are returned keyed by projection name. Nothing
     is assumed about the input pair, so a random pair simply reports large
-    values.
+    values; V must be square and W of the same shape.
     """
-    v = as_matrix(v)
+    v = _require_square(v)
     w = as_matrix(w)
+    if w.shape != v.shape:
+        raise DimensionMismatchError(f"W has shape {w.shape}, V has shape {v.shape}")
     d = v.shape[0]
-    p_mat, _ = stable_range_projection(v, tol)
-    q_mat, _ = stable_range_projection(adjoint(v), tol)
+    p_mat, q_mat, ladder = _stable_projections(v, tol)
     eye = identity(d)
 
     def comm(a):
@@ -169,7 +170,6 @@ def check_projection_commutation(
         "shift_part": comm((eye - p_mat) @ q_mat),
         "backshift_part": comm((eye - q_mat) @ p_mat),
     }
-    ladder = RangeSourceLadder(v)
     for p in range(1, d + 1):
         pi_p = truncated_block_projection(v, p, ladder)
         if not _norm_within(pi_p, 0.5):
@@ -180,12 +180,33 @@ def check_projection_commutation(
 # ---------------------------------------------------------------------------
 # commutant and irreducibility
 
-# Largest stacked Sylvester system `commutant_dimension` will build.
+# Largest stacked Sylvester system the package will build.
 COMMUTANT_MAX_BYTES = 2 * 1024**3
 
 
 class CommutantTooLargeError(ValueError):
-    """The stacked Sylvester system of a commutant would exceed COMMUTANT_MAX_BYTES."""
+    """A stacked Sylvester system would exceed COMMUTANT_MAX_BYTES."""
+
+
+def _sylvester_stack(pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The maps X -> X B1 - B2 X over ``pairs`` (B1, B2), stacked in row-major vectorization.
+
+    The size is checked before any block is built, and the blocks are
+    filled in place, so they and the stack never coexist.
+    """
+    d = pairs[0][0].shape[0]
+    stack_bytes = len(pairs) * d**4 * np.dtype(complex).itemsize
+    if stack_bytes > COMMUTANT_MAX_BYTES:
+        raise CommutantTooLargeError(
+            f"{len(pairs)} Sylvester maps at d = {d} need a {stack_bytes / 1024**3:.1f} GiB "
+            f"system, above the {COMMUTANT_MAX_BYTES / 1024**3:.0f} GiB limit"
+        )
+    eye = identity(d)
+    stack = np.empty((len(pairs) * d * d, d * d), dtype=complex)
+    for k, (b1, b2) in enumerate(pairs):
+        # vec(X B1 - B2 X) = (I x B1^T - B2 x I) vec(X), row-major vec
+        stack[k * d * d : (k + 1) * d * d] = kron(eye, b1.T) - kron(b2, eye)
+    return stack
 
 
 def commutant_dimension(
@@ -210,18 +231,7 @@ def commutant_dimension(
     if include_adjoints:
         mats = mats + [adjoint(a) for a in mats]
     d = mats[0].shape[0]
-    stack_bytes = len(mats) * d**4 * np.dtype(complex).itemsize
-    if stack_bytes > COMMUTANT_MAX_BYTES:
-        raise CommutantTooLargeError(
-            f"commutant of {len(mats)} operators at d = {d} needs a {stack_bytes / 1024**3:.1f} GiB "
-            f"Sylvester system, above the {COMMUTANT_MAX_BYTES / 1024**3:.0f} GiB limit"
-        )
-    eye = identity(d)
-    # vec(XM - MX) = (I x M^T - M x I) vec(X), row-major vec; filled in
-    # place so the blocks and the stack never coexist
-    stack = np.empty((len(mats) * d * d, d * d), dtype=complex)
-    for k, m in enumerate(mats):
-        stack[k * d * d : (k + 1) * d * d] = kron(eye, m.T) - kron(m, eye)
+    stack = _sylvester_stack([(m, m) for m in mats])
     singular_values = np.linalg.svd(stack, compute_uv=False)
     return d * d - _svd_rank(singular_values, tol)
 
@@ -483,10 +493,12 @@ def _decompose_rec(
                 )
             )
 
+    at = hw.unitary_dim
     for block in hw.truncated_blocks:
         p, mult = block.p, block.mult
         here = f"{path}/p={p}"
-        wp = _block_columns(ops[first], p, block.mult_basis.basis)
+        wp = hw.intertwiner[:, at : at + p * mult]
+        at += p * mult
 
         def down_twistlike(u, what):
             return _factor_out_identity(
@@ -644,13 +656,9 @@ def _match_leaf_unitary(
     ]
     if not pairs:
         return identity(m)
-    rows = []
-    eye = identity(m)
-    for a1, a2 in pairs:
-        for b1, b2 in ((a1, a2), (adjoint(a1), adjoint(a2))):
-            # X b1 = b2 X in row-major vectorization
-            rows.append(kron(eye, b1.T) - kron(b2, eye))
-    solutions = nullspace(np.vstack(rows), tol)
+    # X A1 = A2 X and X A1* = A2* X for every pair
+    closed = [b for a1, a2 in pairs for b in ((a1, a2), (adjoint(a1), adjoint(a2)))]
+    solutions = nullspace(_sylvester_stack(closed), tol)
     if solutions.dim == 0:
         return None
     basis = [solutions.basis[:, r].reshape(m, m) for r in range(solutions.dim)]
@@ -677,7 +685,8 @@ def equivalence_check(
     spectra. EQUIVALENT comes with an explicit unitary, assembled from the
     two trees plus a per-leaf multiplicity match, verified operator by
     operator. When the invariants agree but no verified match is found the
-    verdict is INCONCLUSIVE, never a guessed negative.
+    verdict is INCONCLUSIVE, never a guessed negative. A multiplicity match
+    above COMMUTANT_MAX_BYTES raises `CommutantTooLargeError` before it is built.
     """
     if t1.n_ops != t2.n_ops:
         return EquivalenceResult("NOT_EQUIVALENT", "different number of operators")

@@ -294,6 +294,20 @@ class TestCommutantAndEquiv:
         assert captured.out == ""
         assert "30.2 GiB" in captured.err
 
+    def test_oversized_equivalence_match_exits_2_with_the_size(self, tmp_path, capsys):
+        from partialiso import TwistedTuple, conjugate_tuple, haar_unitary
+        from partialiso.operators import random_commuting_unitaries
+
+        t = TwistedTuple(dim=77, ops=random_commuting_unitaries(77, 2, 3))
+        paths = []
+        for k, tt in enumerate((t, conjugate_tuple(t, haar_unitary(77, 4)))):
+            paths.append(tmp_path / f"big{k}.json")
+            paths[-1].write_text(dumps_canonical(tuple_document(tt)))
+        assert cli.main(["equiv", *map(str, paths)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2.1 GiB" in captured.err
+
     def test_tuple_equivalent_to_its_scramble(self, pair_file, scrambled_file):
         code, report = run_json("equiv", str(pair_file), str(scrambled_file))
         assert code == 0
@@ -308,6 +322,23 @@ class TestCommutantAndEquiv:
         code, report = run_json("equiv", str(a), str(b))
         assert code == 0
         assert report["verdict"] == "NOT_EQUIVALENT"
+
+
+class TestToleranceFlag:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command", ["verify", "hw", "decompose", "generate", "commutant", "equiv"]
+    )
+    def test_non_finite_tol_is_a_schema_error(self, command, value, pair_file, capsys):
+        inputs = {
+            "hw": [str(pair_file), "--op", "V1"],
+            "generate": ["--preset", "example43"],
+            "equiv": [str(pair_file), str(pair_file)],
+        }.get(command, [str(pair_file)])
+        assert cli.main([command, *inputs, "--tol", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tol")
 
 
 class TestDeterminismAndContract:

@@ -140,3 +140,35 @@ class TestModelSpecDocument:
             parse_model_spec_document(
                 {"schema_version": "1", "slots": ["b"], "aux_dim": 1}
             )
+
+
+class TestBooleanIndices:
+    """JSON true/false are not indices, though Python counts bool as int."""
+
+    def _spec_doc(self):
+        spec = ModelSpec(
+            slot_kinds=["u", 2], aux_dim=1,
+            twist_data={(1, 2): [[1j]]}, slot_unitaries={1: [[1.0]]},
+        )
+        return model_spec_document(spec)
+
+    @pytest.mark.parametrize("field", ["i", "j"])
+    def test_tuple_twist_index(self, field):
+        doc = tuple_document(build_twisted_shift_pair(2, 1j))
+        doc["twists"][0][field] = True
+        with pytest.raises(SchemaError, match=f"twists\\[0\\].{field}: expected an integer"):
+            parse_tuple_document(doc)
+
+    @pytest.mark.parametrize("field", ["i", "j"])
+    def test_spec_twist_index(self, field):
+        doc = self._spec_doc()
+        assert parse_model_spec_document(doc).twist_data[(1, 2)][0, 0] == 1j
+        doc["twists"][0][field] = True
+        with pytest.raises(SchemaError, match=f"twists\\[0\\].{field}: expected an integer"):
+            parse_model_spec_document(doc)
+
+    def test_spec_slot_number(self):
+        doc = self._spec_doc()
+        doc["slot_unitaries"][0]["slot"] = True
+        with pytest.raises(SchemaError, match="slot: must name a unitary slot"):
+            parse_model_spec_document(doc)

@@ -4,18 +4,24 @@ from scipy.linalg import block_diag
 
 from partialiso import (
     DecompositionError,
+    TwistedTuple,
     assert_no_shift_parts,
+    decompose_tuple,
     haar_unitary,
     hw_decompose,
+    is_power_partial_isometry,
     kron,
     multiplicity_space,
     op_norm,
     op_norm_diff,
+    power_isometry_residual,
     projection_onto,
     stable_range_projection,
     truncated_block_projection,
     truncated_shift,
 )
+from partialiso.halmos_wallen import RangeSourceLadder
+from partialiso.linalg import orthonormal_range
 from conftest import non_power_partial_isometry_3d, random_hw_instance
 
 
@@ -182,3 +188,122 @@ class TestStructuralInvariants:
         hw = hw_decompose(v)
         w = hw.intertwiner
         assert op_norm(w @ hw.model_operator() @ w.conj().T - v) <= 1e-9
+
+
+def _separate_power_residuals(v):
+    # the power check's own loop, as it was before the shared power walk
+    vp = v.copy()
+    while True:
+        yield vp @ vp.conj().T @ vp - vp
+        vp = vp @ v
+
+
+def _separate_stable_range(v, eps=1e-9):
+    # stable_range_projection's own loop, as it was before the shared power
+    # walk, with the unscreened spectral test
+    d = v.shape[0]
+    vp = v.copy()
+    e_prev = vp @ vp.conj().T
+    for n in range(1, d + 2):
+        vp = vp @ v
+        e_next = vp @ vp.conj().T
+        if op_norm(e_next - e_prev) <= eps:
+            return e_prev, n
+        e_prev = e_next
+    return None
+
+
+def _separate_ladder(v, n_max):
+    # RangeSourceLadder's own loop, which formed V^1 as I @ V
+    power = np.eye(v.shape[0], dtype=complex)
+    ranges, sources = [np.eye(v.shape[0], dtype=complex)], [np.eye(v.shape[0], dtype=complex)]
+    for _ in range(n_max):
+        power = power @ v
+        ranges.append(power @ power.conj().T)
+        sources.append(power.conj().T @ power)
+    return ranges, sources
+
+
+def _rebuilt_block_columns(v, p, mult_basis):
+    cols = [mult_basis]
+    for _ in range(p - 1):
+        cols.append(v @ cols[-1])
+    return np.hstack(cols)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+def _oracle_inputs():
+    for seed in range(60):
+        v, _, _ = random_hw_instance(seed)
+        rng = np.random.default_rng(seed + 1000)
+        g = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+        yield f"hw-{seed}", v
+        yield f"hw-{seed}+1e-10", v + 1e-10 * g / np.linalg.norm(g, 2)
+
+
+ORACLE_INPUTS = list(_oracle_inputs())
+
+
+class TestOnePowerWalk:
+    """Every power-based result keeps the bits of the separate loops the shared walk replaced."""
+
+    @pytest.mark.parametrize("name, v", ORACLE_INPUTS)
+    def test_power_results_match_the_separate_loops(self, name, v):
+        d = v.shape[0]
+        residuals = [op_norm(r) for _, r in zip(range(d + 1), _separate_power_residuals(v))]
+        assert power_isometry_residual(v) == max([0.0, *residuals])
+        failing = [n for n, r in enumerate(residuals, 1) if r > 1e-9]
+        assert is_power_partial_isometry(v) == ((False, failing[0]) if failing else (True, None))
+
+        for op in (v, v.conj().T):
+            expected = _separate_stable_range(op)
+            if expected is None:
+                with pytest.raises(DecompositionError, match="did not stabilize"):
+                    stable_range_projection(op)
+            else:
+                p_mat, n0 = stable_range_projection(op)
+                assert n0 == expected[1]
+                assert _same_bits(p_mat, expected[0])
+
+        ranges, sources = _separate_ladder(v, d + 1)
+        ladder = RangeSourceLadder(v).extend(d + 1)
+        assert all(_same_bits(a, b) for a, b in zip(ladder.ranges, ranges))
+        assert all(_same_bits(a, b) for a, b in zip(ladder.sources, sources))
+
+    @pytest.mark.parametrize("name, v", ORACLE_INPUTS)
+    def test_leaf_intertwiners_match_rebuilt_block_columns(self, name, v):
+        try:
+            hw = hw_decompose(v)
+        except DecompositionError as exc:
+            with pytest.raises(DecompositionError) as err:
+                decompose_tuple(TwistedTuple(dim=v.shape[0], ops=[v]))
+            assert str(err.value) == str(exc)
+            return
+        tree = decompose_tuple(TwistedTuple(dim=v.shape[0], ops=[v]))
+        expected = {}
+        if hw.unitary_dim:
+            expected[("u",)] = hw.unitary_basis.basis @ np.eye(hw.unitary_dim, dtype=complex)
+        for block in hw.truncated_blocks:
+            wp = _rebuilt_block_columns(v, block.p, block.mult_basis.basis)
+            expected[(block.p,)] = wp @ kron(np.eye(block.p), np.eye(block.mult, dtype=complex))
+        assert sorted(expected, key=str) == sorted((leaf.multiindex for leaf in tree.leaves), key=str)
+        for leaf in tree.leaves:
+            assert _same_bits(leaf.intertwiner, expected[leaf.multiindex]), leaf.multiindex
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_unitary_part_matches_the_separate_walks(self, seed):
+        # P comes off the ladder of V; Q walks V* on its own
+        v, _, _ = random_hw_instance(seed)
+        p_mat, _ = _separate_stable_range(v)
+        q_mat, _ = _separate_stable_range(v.conj().T)
+        expected = orthonormal_range(p_mat @ q_mat)
+        assert _same_bits(hw_decompose(v).unitary_basis.basis, expected.basis)

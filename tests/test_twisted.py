@@ -5,6 +5,7 @@ from math import prod
 from partialiso import (
     CommutantTooLargeError,
     DecompositionError,
+    DimensionMismatchError,
     ModelSpec,
     TwistedTuple,
     build_model_tuple,
@@ -27,6 +28,7 @@ from partialiso import (
     op_norm,
     op_norm_diff,
     permute_tuple,
+    random_commuting_unitaries,
     random_model_spec,
     truncated_shift,
     verify_twisted,
@@ -112,6 +114,14 @@ class TestProjectionCommutation:
         residuals = check_projection_commutation(v, w)
         assert all(np.isfinite(list(residuals.values())))
 
+    def test_non_square_v_is_refused(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            check_projection_commutation(np.zeros((3, 4)), np.eye(3))
+
+    def test_w_of_another_shape_is_refused(self):
+        with pytest.raises(DimensionMismatchError, match=r"\(4, 4\).*\(3, 3\)"):
+            check_projection_commutation(truncated_shift(3), np.eye(4))
+
 
 class TestCommutant:
     def test_identity_has_full_commutant(self):
@@ -173,6 +183,19 @@ class TestCommutant:
             commutant_dimension(ops, include_adjoints=True)
         with pytest.raises(CommutantTooLargeError):
             is_irreducible(TwistedTuple(dim=150, ops=ops))
+
+    def test_oversized_multiplicity_match_is_refused_before_allocation(self, monkeypatch):
+        # two commuting unitaries at d = 77 decompose into one all-"u" leaf of
+        # multiplicity 77; matching it stacks 4 * 77^4 complex entries
+        t = TwistedTuple(dim=77, ops=random_commuting_unitaries(77, 2, 3))
+        s = conjugate_tuple(t, haar_unitary(77, 4))
+
+        def no_kron(*args):
+            raise AssertionError("kron called before the size guard")
+
+        monkeypatch.setattr(twisted, "kron", no_kron)
+        with pytest.raises(CommutantTooLargeError, match="2.1 GiB"):
+            equivalence_check(t, s)
 
 
 class TestExtractTwistFactor:

@@ -68,3 +68,29 @@ def test_commutant_never_forms_singular_vectors(svd_calls):
     t = build_twisted_shift_pair(2, np.exp(0.7j))
     assert commutant_dimension(t.ops, include_adjoints=True) == 2
     assert svd_calls == [((4 * 64, 64), False)]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda v, w: halmos_wallen.hw_decompose(v),
+        lambda v, w: check_projection_commutation(v, w),
+        lambda v, w: halmos_wallen.assert_no_shift_parts(v),
+    ],
+    ids=["hw_decompose", "check_projection_commutation", "assert_no_shift_parts"],
+)
+def test_p_and_q_take_one_power_walk_each(monkeypatch, run):
+    walked = []
+    original = halmos_wallen._power_walk
+
+    def counting(v):
+        walked.append(v)
+        return original(v)
+
+    monkeypatch.setattr(halmos_wallen, "_power_walk", counting)
+    t = build_twisted_shift_pair(3, 1j)
+    v, w = conjugate_tuple(t, haar_unitary(t.dim, 5)).ops
+    run(v, w)
+    assert len(walked) == 2
+    assert np.array_equal(walked[0], v)
+    assert np.array_equal(walked[1], v.conj().T)
