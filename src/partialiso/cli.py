@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from math import prod
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .operators import (
     is_power_partial_isometry,
 )
 from .twisted import (
+    COMMUTANT_MAX_BYTES,
     CommutantTooLargeError,
     commutant_dimension,
     decompose_tuple,
@@ -47,10 +49,9 @@ PRESETS = ("example43",)
 
 
 def _tolerance(args) -> Tolerance:
-    # rank cutoff tracks the residual tolerance at the default 10:1 ratio
     if not (np.isfinite(args.tol) and args.tol > 0):
         raise SchemaError(f"--tol must be positive and finite, got {args.tol}")
-    return Tolerance(eps=args.tol, rank_eps=args.tol / 10.0)
+    return Tolerance(eps=args.tol)
 
 
 def _load_json(path: str):
@@ -89,11 +90,17 @@ def _report(command: str, tol: Tolerance) -> dict:
     }
 
 
-def _residual_rows(report) -> list[dict]:
-    return [
-        {"kind": key[0], "indices": list(key[1:]), "value": value}
-        for key, value in report.residuals.items()
-    ]
+def _verify(t, tol: Tolerance):
+    # a residual that is not finite puts an operator far outside the norm-O(1) scope
+    report = verify_twisted(t, tol)
+    key, value = report.worst()
+    if not np.isfinite(value):
+        raise SchemaError(f"relation {key[0]} {list(key[1:])} has a non-finite residual")
+    return report
+
+
+def _row(key: tuple, value: float) -> dict:
+    return {"kind": key[0], "indices": list(key[1:]), "value": value}
 
 
 def _sorted_eigenvalues(matrix: np.ndarray) -> list:
@@ -118,15 +125,14 @@ def _partition_json(partition) -> dict:
 def cmd_verify(args) -> int:
     tol = _tolerance(args)
     t, _ = _load_tuple(args.input)
-    result = verify_twisted(t, tol)
+    result = _verify(t, tol)
     doc = _report("verify", tol)
-    worst_key, worst_value = result.worst()
     doc.update(
         {
             "pass": result.passed,
             "max_residual": result.max_residual,
-            "worst": {"kind": worst_key[0], "indices": list(worst_key[1:]), "value": worst_value},
-            "residuals": _residual_rows(result),
+            "worst": _row(*result.worst()),
+            "residuals": [_row(*item) for item in result.residuals.items()],
         }
     )
     _write(doc, args)
@@ -178,16 +184,9 @@ def cmd_decompose(args) -> int:
     tol = _tolerance(args)
     t, _ = _load_tuple(args.input)
     doc = _report("decompose", tol)
-    verification = verify_twisted(t, tol)
+    verification = _verify(t, tol)
     if not verification.passed:
-        worst_key, worst_value = verification.worst()
-        doc.update(
-            {
-                "pass": False,
-                "stage": "verify",
-                "worst": {"kind": worst_key[0], "indices": list(worst_key[1:]), "value": worst_value},
-            }
-        )
+        doc.update({"pass": False, "stage": "verify", "worst": _row(*verification.worst())})
         _write(doc, args)
         return 1
     try:
@@ -235,12 +234,23 @@ def _parse_complex_pair(text: str) -> complex:
         raise SchemaError(f"--lambda expects two floats: {exc}") from exc
 
 
+def _require_generate_fits(n_ops: int, dim: int) -> None:
+    """Refuse a tuple whose operators and twists would pass COMMUTANT_MAX_BYTES."""
+    size = (n_ops + n_ops * (n_ops - 1) // 2) * dim * dim * np.dtype(complex).itemsize
+    if size > COMMUTANT_MAX_BYTES:
+        raise SchemaError(
+            f"{n_ops} operators at d = {dim} need {size / 1024**3:.1f} GiB with their twists, "
+            f"above the {COMMUTANT_MAX_BYTES / 1024**3:.0f} GiB limit"
+        )
+
+
 def cmd_generate(args) -> int:
     tol = _tolerance(args)
     if args.spec is not None and args.preset is not None:
         raise SchemaError("use either --preset or --spec, not both")
     if args.spec is not None:
         spec = parse_model_spec_document(_load_json(args.spec))
+        _require_generate_fits(spec.n_ops, prod(k for k in spec.slot_kinds if k != "u") * spec.aux_dim)
         try:
             t = build_model_tuple(spec, tol)
         except ValueError as exc:
@@ -250,6 +260,8 @@ def cmd_generate(args) -> int:
         if args.preset not in PRESETS:
             raise SchemaError(f"unknown preset {args.preset!r}; available: {', '.join(PRESETS)}")
         lam = _parse_complex_pair(args.lam)
+        # two operators and one twist on C^{2p^2}; p < 1 is the builder's error
+        _require_generate_fits(2, 2 * max(args.p, 1) ** 2)
         try:
             t = build_twisted_shift_pair(args.p, lam, tol)
         except ValueError as exc:
@@ -298,7 +310,7 @@ def cmd_equiv(args) -> int:
     t2, _ = _load_tuple(args.input2)
     doc = _report("equiv", tol)
     for label, t in (("first", t1), ("second", t2)):
-        verification = verify_twisted(t, tol)
+        verification = _verify(t, tol)
         if not verification.passed:
             doc.update(
                 {

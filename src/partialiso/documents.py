@@ -118,6 +118,12 @@ def _require_key(obj, key: str, where: str):
     return obj[key]
 
 
+def _require_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected a list")
+    return value
+
+
 def _check_version(doc, where: str) -> None:
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected a JSON object")
@@ -129,7 +135,7 @@ def _check_version(doc, where: str) -> None:
 def _parse_twists(items, n: int, dim: int, where: str) -> dict[tuple[int, int], np.ndarray]:
     """Twist entries {"i", "j", "matrix"} with integer 1 <= i < j <= n, each pair once."""
     twists: dict[tuple[int, int], np.ndarray] = {}
-    for k, item in enumerate(items):
+    for k, item in enumerate(_require_list(items, where)):
         at = f"{where}[{k}]"
         i = _require_key(item, "i", at)
         j = _require_key(item, "j", at)
@@ -223,7 +229,7 @@ def parse_model_spec_document(doc) -> ModelSpec:
     n = len(kinds)
     twist_data = _parse_twists(doc.get("twists", []), n, aux_dim, "spec.twists")
     slot_unitaries: dict[int, np.ndarray] = {}
-    for k, item in enumerate(doc.get("slot_unitaries", [])):
+    for k, item in enumerate(_require_list(doc.get("slot_unitaries", []), "spec.slot_unitaries")):
         where = f"spec.slot_unitaries[{k}]"
         slot = _require_key(item, "slot", where)
         if type(slot) is not int or not (1 <= slot <= n) or kinds[slot - 1] != "u":

@@ -2,9 +2,9 @@
 
 Every operator is a plain numpy array with dtype complex128. Rank and
 residual decisions are governed by a single `Tolerance` object so the
-numerical policy has one home: `rank_eps` is a relative singular value
-cutoff, `eps` an absolute bound on operator norm residuals (the
-operators in scope are partial isometries, so entries are O(1)).
+numerical policy has one home: `eps` is an absolute bound on operator
+norm residuals (the operators in scope are partial isometries, so entries
+are O(1)) and `rank_eps` = eps / 10 the relative singular value cutoff.
 """
 
 from __future__ import annotations
@@ -49,16 +49,17 @@ class DimensionMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical policy: absolute residual bound and relative rank cutoff."""
+    """Numerical policy: absolute residual bound; the relative rank cutoff tracks it at 10:1."""
 
     eps: float = 1e-9
-    rank_eps: float = 1e-10
 
     def __post_init__(self) -> None:
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
-        if not self.rank_eps > 0.0:
-            raise ValueError("rank_eps must be positive")
+
+    @property
+    def rank_eps(self) -> float:
+        return self.eps / 10.0
 
 
 DEFAULT_TOL = Tolerance()
@@ -113,14 +114,16 @@ def _norm_within(a: np.ndarray, eps: float) -> bool:
 
     The largest column norm <= ||a||_2 <= the Frobenius norm: a small
     Frobenius norm accepts, a large column rejects, and only a matrix
-    between the two pays for the SVD.
+    between the two pays for the SVD. A matrix with an entry that is not
+    finite is rejected before any SVD.
     """
     a = np.asarray(a)
     if a.size == 0:
         return 0.0 <= eps
     if np.linalg.norm(a) * (1.0 + _BOUND_SLACK) <= eps:
         return True
-    if np.linalg.norm(a, axis=0).max() * (1.0 - _BOUND_SLACK) > eps:
+    # "not <=" so that a NaN column rejects as an infinite one does
+    if not np.linalg.norm(a, axis=0).max() * (1.0 - _BOUND_SLACK) <= eps:
         return False
     return op_norm(a) <= eps
 

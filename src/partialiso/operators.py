@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from math import prod
+from math import inf, isfinite, prod
 
 import numpy as np
 
@@ -139,21 +139,22 @@ def _power_walk(v: np.ndarray):
         vp = vp @ v
 
 
-def power_isometry_residual(v: np.ndarray, max_power: int | None = None) -> float:
-    """Worst partial-isometry residual ||V^n V^n* V^n - V^n|| over n = 1..max_power.
+def power_isometry_residual(v: np.ndarray) -> float:
+    """Worst partial-isometry residual ||V^n V^n* V^n - V^n|| over n = 1..d+1.
 
-    Defaults to max_power = d + 1 for a d x d input. Every power is formed,
-    but a power whose Frobenius norm (an upper bound on its spectral norm)
-    cannot beat the worst residual so far skips its SVD; the result is the
-    same float as the spectral norm of every power would give.
+    Every power is formed, but a power whose Frobenius norm (an upper bound
+    on its spectral norm) cannot beat the worst residual so far skips its
+    SVD; the result is the same float as the spectral norm of every power
+    would give. A residual that is not finite (V^n overflowed) gives inf.
     """
     v = as_matrix(v)
-    if max_power is None:
-        max_power = v.shape[0] + 1
     worst = 0.0
-    for vp, r in islice(_power_walk(v), max_power):
+    for vp, r in islice(_power_walk(v), v.shape[0] + 1):
         residual = r @ vp - vp
-        if np.linalg.norm(residual) * (1.0 + _BOUND_SLACK) > worst:
+        frobenius = np.linalg.norm(residual)
+        if not isfinite(frobenius):
+            return inf
+        if frobenius * (1.0 + _BOUND_SLACK) > worst:
             worst = max(worst, op_norm(residual))
     return worst
 

@@ -14,8 +14,8 @@ against tolerance; violations raise instead of being projected away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import prod
+from dataclasses import dataclass, field, replace
+from math import inf, isfinite, prod
 
 import numpy as np
 
@@ -89,7 +89,8 @@ class TwistReport:
     passed: bool
 
     def worst(self) -> tuple[tuple, float]:
-        key = max(self.residuals, key=self.residuals.get)
+        """The largest residual, or the first that is not finite."""
+        key = max(self.residuals, key=lambda k: (not isfinite(r := self.residuals[k]), r))
         return key, self.residuals[key]
 
     def by_kind(self, kind: str) -> dict[tuple, float]:
@@ -104,7 +105,8 @@ def verify_twisted(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> TwistReport
     for every operator and twist pair the commutation V_k U_ij = U_ij V_k;
     unitarity of each twist; commutation within the twist family; and the
     power-partial-isometry residual of each operator. Nothing is thrown:
-    failures live in the report.
+    failures live in the report, and a residual that is not finite fails it
+    with ``max_residual`` = inf.
     """
     n = t.n_ops
     pairs = t.pair_keys()
@@ -132,7 +134,8 @@ def verify_twisted(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> TwistReport
     for i in range(1, n + 1):
         residuals[("ppi", i)] = power_isometry_residual(t.ops[i - 1])
 
-    worst = max(residuals.values()) if residuals else 0.0
+    # max() cannot rank NaN, so a residual that is not finite fails outright
+    worst = max(residuals.values()) if all(map(isfinite, residuals.values())) else inf
     return TwistReport(
         eps=tol.eps,
         residuals=residuals,
@@ -331,17 +334,18 @@ class DecompositionLeaf:
     to its leaf unitary. ``intertwiner`` has orthonormal columns spanning
     the leaf subspace of the ambient space, ordered so the model acts on
     (x_{shift slots} C^p) x C^{mult_dim} with the left factors slow.
+    ``leaf_dim`` is derived: the product of the shift dims times mult_dim.
     """
 
     multiindex: tuple
-    leaf_dim: int
     mult_dim: int
     slot_twists: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     unit_ops: dict[int, np.ndarray] = field(default_factory=dict)
     intertwiner: np.ndarray | None = None
 
-    def shift_positions(self) -> list[int]:
-        return [i for i, e in enumerate(self.multiindex, 1) if e != "u"]
+    @property
+    def leaf_dim(self) -> int:
+        return prod(self.shift_dims()) * self.mult_dim
 
     def shift_dims(self) -> list[int]:
         return [e for e in self.multiindex if e != "u"]
@@ -388,14 +392,20 @@ def leaf_model_operator(leaf: DecompositionLeaf, n: int, tol: Tolerance = DEFAUL
     )
 
 
-def _check_reducing(op: np.ndarray, basis: np.ndarray, eps: float, what: str) -> None:
-    proj = basis @ adjoint(basis)
-    eye = identity(op.shape[0])
-    off_out = (eye - proj) @ op @ proj
-    off_in = proj @ op @ (eye - proj)
+def _restrict(op: np.ndarray, basis: np.ndarray, eps: float, what: str) -> np.ndarray:
+    """C = B* op B, certified from the products that form it.
+
+    For orthonormal B and P = B B*: ||op B - B C|| = ||(I - P) op P|| and
+    ||B* op - C B*|| = ||P op (I - P)||, so range(B) reduces op within eps.
+    """
+    left = adjoint(basis) @ op
+    c = left @ basis
+    off_out = op @ basis - basis @ c
+    off_in = left - c @ adjoint(basis)
     if not (_norm_within(off_out, eps) and _norm_within(off_in, eps)):
         worst = max(op_norm(off_out), op_norm(off_in))
         raise DecompositionError(f"{what}: subspace is not reducing (off-block norm {worst:.3e})")
+    return c
 
 
 def _factor_out_identity(mat: np.ndarray, blocks: int, block_dim: int, eps: float, what: str) -> np.ndarray:
@@ -423,8 +433,7 @@ def _compress_unitary(u: np.ndarray, basis: np.ndarray, eps: float, what: str) -
 
 def _decompose_rec(
     remaining: list[int],
-    ops: dict[int, np.ndarray],
-    peeled: dict[int, np.ndarray],
+    carried: dict[int, np.ndarray],
     twists: dict[tuple[int, int], np.ndarray],
     symbols: dict[tuple[int, int], np.ndarray],
     dim: int,
@@ -433,21 +442,21 @@ def _decompose_rec(
 ) -> list[DecompositionLeaf]:
     """Peel ``remaining[0]`` and recurse; all carried matrices live on C^dim.
 
-    ``peeled`` holds the unitary remainders of operators already split off
-    through a unitary branch: they ride along because they pick up a
-    diagonal-twist factor at every shift slot created below them, exactly
-    like remaining operators do. ``symbols`` accumulates those slot twist
-    symbols, compressed level by level onto the running multiplicity
-    space. Leaves come back unitary branch first, then blocks in ascending p.
+    ``remaining`` is the index suffix [first, ..., N]; ``carried`` also holds,
+    below ``first``, the unitary remainders of operators split off through a
+    unitary branch: they pick up a diagonal-twist factor at every shift slot
+    created below them, exactly like remaining operators do. ``symbols``
+    accumulates those slot twist symbols, compressed level by level onto the
+    running multiplicity space. Leaves come back unitary branch first, then
+    blocks in ascending p.
     """
     if not remaining:
         return [
             DecompositionLeaf(
                 multiindex=(),
-                leaf_dim=dim,
                 mult_dim=dim,
                 slot_twists=dict(symbols),
-                unit_ops=dict(peeled),
+                unit_ops=dict(carried),
                 intertwiner=identity(dim),
             )
         ]
@@ -455,22 +464,17 @@ def _decompose_rec(
     eps = tol.eps
     first = remaining[0]
     rest = remaining[1:]
-    others = rest + sorted(peeled)
-    hw = hw_decompose(ops[first], tol)
+    peeled = sorted(n for n in carried if n < first)
+    hw = hw_decompose(carried[first], tol)
     leaves: list[DecompositionLeaf] = []
 
     if hw.unitary_dim:
         basis = hw.unitary_basis.basis
         here = f"{path}/u"
-        sub_ops = {}
-        for n in rest:
-            _check_reducing(ops[n], basis, eps, f"{here}: operator {n}")
-            sub_ops[n] = adjoint(basis) @ ops[n] @ basis
-        sub_peeled = {
-            n: _compress_unitary(t, basis, eps, f"{here}: unitary remainder {n}")
-            for n, t in peeled.items()
-        }
-        sub_peeled[first] = hw.unitary_op
+        sub = {n: _restrict(carried[n], basis, eps, f"{here}: operator {n}") for n in rest}
+        for n in peeled:
+            sub[n] = _compress_unitary(carried[n], basis, eps, f"{here}: unitary remainder {n}")
+        sub[first] = hw.unitary_op
         sub_twists = {
             key: _compress_unitary(u, basis, eps, f"{here}: twist {key}")
             for key, u in twists.items()
@@ -479,18 +483,9 @@ def _decompose_rec(
             key: _compress_unitary(s, basis, eps, f"{here}: slot twist {key}")
             for key, s in symbols.items()
         }
-        for sub in _decompose_rec(
-            rest, sub_ops, sub_peeled, sub_twists, sub_symbols, hw.unitary_dim, tol, here
-        ):
+        for leaf in _decompose_rec(rest, sub, sub_twists, sub_symbols, hw.unitary_dim, tol, here):
             leaves.append(
-                DecompositionLeaf(
-                    multiindex=("u",) + sub.multiindex,
-                    leaf_dim=sub.leaf_dim,
-                    mult_dim=sub.mult_dim,
-                    slot_twists=sub.slot_twists,
-                    unit_ops=sub.unit_ops,
-                    intertwiner=basis @ sub.intertwiner,
-                )
+                replace(leaf, multiindex=("u",) + leaf.multiindex, intertwiner=basis @ leaf.intertwiner)
             )
 
     at = hw.unitary_dim
@@ -505,38 +500,27 @@ def _decompose_rec(
                 _compress_unitary(u, wp, eps, what), p, mult, eps, what
             )
 
-        sub_ops: dict[int, np.ndarray] = {}
-        sub_peeled: dict[int, np.ndarray] = {}
+        sub = {}
         sub_symbols = {
             key: down_twistlike(s, f"{here}: slot twist {key}") for key, s in symbols.items()
         }
-        for n in others:
-            carried = ops[n] if n in ops else peeled[n]
-            _check_reducing(carried, wp, eps, f"{here}: operator {n}")
-            restricted = adjoint(wp) @ carried @ wp
+        for n in rest + peeled:
+            restricted = _restrict(carried[n], wp, eps, f"{here}: operator {n}")
             ambient = down_twistlike(
                 _pair_lookup(twists, first, n), f"{here}: twist ({first}, {n})"
             )
-            u_n, v_tilde = extract_twist_factor(restricted, p, mult, tol, ambient_twist=ambient)
-            sub_symbols[(first, n)] = u_n
-            if n in ops:
-                sub_ops[n] = v_tilde
-            else:
-                sub_peeled[n] = v_tilde
+            sub_symbols[(first, n)], sub[n] = extract_twist_factor(
+                restricted, p, mult, tol, ambient_twist=ambient
+            )
         sub_twists = {
             key: down_twistlike(u, f"{here}: twist {key}") for key, u in twists.items()
         }
-        for sub in _decompose_rec(
-            rest, sub_ops, sub_peeled, sub_twists, sub_symbols, mult, tol, here
-        ):
+        for leaf in _decompose_rec(rest, sub, sub_twists, sub_symbols, mult, tol, here):
             leaves.append(
-                DecompositionLeaf(
-                    multiindex=(p,) + sub.multiindex,
-                    leaf_dim=p * sub.leaf_dim,
-                    mult_dim=sub.mult_dim,
-                    slot_twists=sub.slot_twists,
-                    unit_ops=sub.unit_ops,
-                    intertwiner=wp @ kron(identity(p), sub.intertwiner),
+                replace(
+                    leaf,
+                    multiindex=(p,) + leaf.multiindex,
+                    intertwiner=wp @ kron(identity(p), leaf.intertwiner),
                 )
             )
     return leaves
@@ -548,17 +532,11 @@ def _leaf_sort_key(leaf: DecompositionLeaf) -> tuple:
 
 
 def _classify(leaves: list[DecompositionLeaf]) -> PartitionReport:
-    per_leaf = [
-        {n: e for n, e in enumerate(leaf.multiindex, 1)} for leaf in leaves
-    ]
-    global_assignment = per_leaf[0] if per_leaf else None
-    for assignment in per_leaf[1:]:
-        if assignment != global_assignment:
-            global_assignment = None
-            break
+    per_leaf = [dict(enumerate(leaf.multiindex, 1)) for leaf in leaves]
+    agree = per_leaf and all(assignment == per_leaf[0] for assignment in per_leaf)
     return PartitionReport(
         per_leaf=per_leaf,
-        global_assignment=dict(global_assignment) if global_assignment else None,
+        global_assignment=dict(per_leaf[0]) if agree else None,
     )
 
 
@@ -574,8 +552,7 @@ def decompose_tuple(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> Decomposit
     """
     leaves = _decompose_rec(
         remaining=list(range(1, t.n_ops + 1)),
-        ops={n: t.ops[n - 1] for n in range(1, t.n_ops + 1)},
-        peeled={},
+        carried={n: t.ops[n - 1] for n in range(1, t.n_ops + 1)},
         twists=dict(t.twists),
         symbols={},
         dim=t.dim,
@@ -704,27 +681,25 @@ def equivalence_check(
             f"leaf invariants differ: {inv1} vs {inv2}",
         )
 
-    by_index1 = {leaf.multiindex: leaf for leaf in tree1.leaves}
-    by_index2 = {leaf.multiindex: leaf for leaf in tree2.leaves}
+    # equal invariant lists pair each leaf with the one of the same multiindex
+    pairs = list(zip(tree1.leaves, tree2.leaves))
     spectral_gate = max(1e-6, 100 * tol.eps)
-    for index, leaf1 in by_index1.items():
-        leaf2 = by_index2[index]
+    for leaf1, leaf2 in pairs:
         for n in sorted(leaf1.unit_ops):
             gap = _spectral_mismatch(leaf1.unit_ops[n], leaf2.unit_ops[n])
             if gap > spectral_gate:
                 return EquivalenceResult(
                     "NOT_EQUIVALENT",
-                    f"unitary-part spectra differ at leaf {index}, operator {n} (gap {gap:.3e})",
+                    f"unitary-part spectra differ at leaf {leaf1.multiindex}, operator {n} (gap {gap:.3e})",
                 )
 
     blocks: list[np.ndarray] = []
-    for index, leaf1 in by_index1.items():
-        leaf2 = by_index2[index]
+    for leaf1, leaf2 in pairs:
         match = _match_leaf_unitary(leaf1, leaf2, tol)
         if match is None:
             return EquivalenceResult(
                 "INCONCLUSIVE",
-                f"invariants agree but no verified multiplicity match at leaf {index}",
+                f"invariants agree but no verified multiplicity match at leaf {leaf1.multiindex}",
             )
         k_total = prod(leaf1.shift_dims())
         blocks.append(

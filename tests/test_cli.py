@@ -105,6 +105,32 @@ class TestGenerate:
         proc = run_cli("generate", "--preset", "nope")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "route, size",
+        [("preset", "2 operators at d = 320000 need 4577.6 GiB"),
+         ("spec", "2 operators at d = 160000 need 1144.4 GiB")],
+        ids=["preset", "spec"],
+    )
+    def test_oversized_tuple_exits_2_with_the_size(self, route, size, tmp_path,
+                                                   monkeypatch, capsys):
+        from partialiso import operators
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("tuple built before the size guard")
+
+        monkeypatch.setattr(operators, "kron", no_build)
+        monkeypatch.setattr(operators, "_model_operator", no_build)
+        if route == "preset":
+            argv = ["generate", "--preset", "example43", "--p", "400"]
+        else:
+            spec_path = tmp_path / "big_spec.json"
+            spec_path.write_text('{"schema_version":"1","slots":[400,400],"aux_dim":1}')
+            argv = ["generate", "--spec", str(spec_path)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert size in captured.err and "above the 2 GiB limit" in captured.err
+
 
 class TestVerify:
     def test_perturbed_twist_fails_with_named_residual(self, pair_file, tmp_path):
@@ -124,6 +150,15 @@ class TestVerify:
         proc = run_cli("verify", str(bad))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("value", [None, 3, True, "twists", {}])
+    def test_twists_that_are_not_a_list_exit_2(self, value, pair_file, tmp_path, capsys):
+        doc = json.loads(pair_file.read_text())
+        doc["twists"] = value
+        bad = tmp_path / "bad_twists.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["verify", str(bad)]) == 2
+        assert "document.twists: expected a list" in capsys.readouterr().err
+
     def test_jobs_flag_accepted(self, pair_file):
         code, report = run_json("verify", str(pair_file), "--jobs", "4")
         assert code == 0 and report["pass"]
@@ -139,6 +174,46 @@ class TestVerify:
         code, report = run_json("decompose", str(noisy), "--tol", "1e-3")
         assert code == 0
         assert report["residual"] <= 1e-3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+class TestNonFiniteResiduals:
+    """An entry of 1e200 overflows a relation, and no report can carry the value."""
+
+    @staticmethod
+    def _document(tmp_path, t):
+        path = tmp_path / "overflow.json"
+        path.write_text(dumps_canonical(tuple_document(t)))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["verify", "decompose", "equiv"])
+    def test_overflowing_power_exits_2_naming_the_relation(self, command, tmp_path, capsys):
+        path = self._document(tmp_path, single_op_tuple(np.diag([1e200, 0.0])))
+        inputs = [path, path] if command == "equiv" else [path]
+        assert cli.main([command, *inputs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: relation ppi [1] has a non-finite residual\n"
+
+    @pytest.mark.parametrize("command", ["verify", "decompose", "equiv"])
+    def test_overflowing_twist_exits_2_naming_the_relation(self, command, tmp_path, capsys):
+        from partialiso import TwistedTuple
+
+        zero = np.zeros((2, 2))
+        t = TwistedTuple(dim=2, ops=[zero, zero, zero], twists={(1, 3): np.diag([1e200, 1.0])})
+        path = self._document(tmp_path, t)
+        inputs = [path, path] if command == "equiv" else [path]
+        assert cli.main([command, *inputs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: relation twist-unitary [1, 3] has a non-finite residual\n"
+
+    def test_hw_reports_the_first_power(self, tmp_path, capsys):
+        path = self._document(tmp_path, single_op_tuple(np.diag([1e200, 0.0])))
+        assert cli.main(["hw", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+        assert report["first_failing_power"] == 1
 
 
 class TestHw:

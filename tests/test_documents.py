@@ -83,6 +83,11 @@ class TestTupleDocument:
             (lambda d: d.update(operators=[]), "operators"),
             (lambda d: d["operators"][0].pop("name"), "name"),
             (lambda d: d["operators"][0]["matrix"].pop(), "matrix"),
+            (lambda d: d.update(twists=None), "twists: expected a list"),
+            (lambda d: d.update(twists=3), "twists: expected a list"),
+            (lambda d: d.update(twists=True), "twists: expected a list"),
+            (lambda d: d.update(twists="twists"), "twists: expected a list"),
+            (lambda d: d.update(twists={}), "twists: expected a list"),
         ],
     )
     def test_schema_errors_name_the_field(self, mutate, fragment):
@@ -133,6 +138,16 @@ class TestModelSpecDocument:
         )
         doc["slot_unitaries"] = []
         with pytest.raises(SchemaError):
+            parse_model_spec_document(doc)
+
+    @pytest.mark.parametrize("field", ["twists", "slot_unitaries"])
+    @pytest.mark.parametrize("value", [None, 3, True, "u", {}])
+    def test_lists_that_are_not_lists_rejected(self, field, value):
+        doc = model_spec_document(
+            ModelSpec(slot_kinds=[2, "u"], aux_dim=1, slot_unitaries={2: [[1.0]]})
+        )
+        doc[field] = value
+        with pytest.raises(SchemaError, match=f"spec.{field}: expected a list"):
             parse_model_spec_document(doc)
 
     def test_bad_slot_entry_rejected(self):

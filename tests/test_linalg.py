@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from partialiso import linalg
 from partialiso import (
     DEFAULT_TOL,
     DimensionMismatchError,
@@ -171,8 +172,17 @@ class TestToleranceAndSubspace:
     def test_tolerance_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Tolerance(eps=0.0)
-        with pytest.raises(ValueError):
-            Tolerance(rank_eps=-1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_norm_gate_rejects_non_finite_before_any_svd(self, bad, monkeypatch):
+        def no_svd(a):
+            raise AssertionError("op_norm called on a matrix that is not finite")
+
+        monkeypatch.setattr(linalg, "op_norm", no_svd)
+        assert not linalg._norm_within(np.array([[bad, 0.0], [0.0, 1.0]]), 1.0)
+
+    def test_rank_cutoff_tracks_eps(self):
+        assert Tolerance(eps=2e-9).rank_eps == 2e-10
 
     def test_default_tolerance_values(self):
         assert DEFAULT_TOL.eps == 1e-9

@@ -212,6 +212,17 @@ class TestScreenedPowerLadder:
         assert is_power_partial_isometry(_perturbed_haar(64, 1e-11)) == (True, None)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+class TestNonFinitePowers:
+    """V^n V^n* overflows for an entry of 1e200, so the residual is not finite."""
+
+    def test_residual_is_infinite(self):
+        assert power_isometry_residual(np.diag([1e200, 0.0])) == np.inf
+
+    def test_first_power_fails_without_an_svd_error(self):
+        assert is_power_partial_isometry(np.diag([1e200, 0.0])) == (False, 1)
+
+
 class TestTwistedShiftPair:
     def test_passes_verification(self):
         t = build_twisted_shift_pair(2, 1j)

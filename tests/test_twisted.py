@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from dataclasses import dataclass
 from math import prod
 
 from partialiso import (
     CommutantTooLargeError,
     DecompositionError,
+    DecompositionLeaf,
     DimensionMismatchError,
+    EquivalenceResult,
     ModelSpec,
     TwistedTuple,
     build_model_tuple,
@@ -34,11 +37,12 @@ from partialiso import (
     verify_twisted,
 )
 from partialiso import twisted
-from partialiso.linalg import adjoint
+from partialiso.linalg import DEFAULT_TOL, _norm_within, adjoint, identity
 from partialiso.twisted import _factor_out_identity
 from conftest import (
     commutant_instances,
     leaf_key,
+    random_decomposition_instance,
     random_scrambled_model,
     single_op_tuple,
     sylvester_stack,
@@ -85,6 +89,24 @@ class TestVerifyTwisted:
             ("star-cross", 3, 2), ("plain-cross", 3, 2),
             ("ppi", 1), ("ppi", 2), ("ppi", 3),
         ]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_residual_that_is_not_finite_fails(self):
+        # U_13 U_13* overflows, so its unitarity residual is NaN, which max() steps past
+        zero = np.zeros((2, 2))
+        t = TwistedTuple(dim=2, ops=[zero, zero, zero], twists={(1, 3): np.diag([1e200, 1.0])})
+        report = verify_twisted(t)
+        assert np.isnan(report.residuals[("twist-unitary", 1, 3)])
+        assert not report.passed
+        assert report.max_residual == np.inf
+        assert report.worst()[0] == ("twist-unitary", 1, 3)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_power_fails(self):
+        report = verify_twisted(single_op_tuple(np.diag([1e200, 0.0])))
+        assert report.residuals == {("ppi", 1): np.inf}
+        assert not report.passed
+        assert report.worst() == (("ppi", 1), np.inf)
 
     def test_worst_names_the_offender(self):
         t = build_twisted_shift_pair(2, 1j)
@@ -474,3 +496,287 @@ class TestPermutationInvariance:
         )
         assert reindexed == base
         assert len(permuted_tree.leaves) == len(tree.leaves)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the recursion with separate maps for operators still to peel and
+# for unitary remainders, the projector form of the reducing check, and the
+# equivalence check pairing leaves by multiindex
+
+
+@dataclass
+class _OracleLeaf:
+    multiindex: tuple
+    leaf_dim: int
+    mult_dim: int
+    slot_twists: dict
+    unit_ops: dict
+    intertwiner: np.ndarray
+
+
+def _oracle_check_reducing(op, basis, eps, what):
+    proj = basis @ adjoint(basis)
+    eye = identity(op.shape[0])
+    off_out = (eye - proj) @ op @ proj
+    off_in = proj @ op @ (eye - proj)
+    if not (_norm_within(off_out, eps) and _norm_within(off_in, eps)):
+        worst = max(op_norm(off_out), op_norm(off_in))
+        raise DecompositionError(f"{what}: subspace is not reducing (off-block norm {worst:.3e})")
+
+
+def _oracle_rec(remaining, ops, peeled, twists, symbols, dim, tol, path):
+    if not remaining:
+        return [_OracleLeaf((), dim, dim, dict(symbols), dict(peeled), identity(dim))]
+    compress = twisted._compress_unitary
+    eps = tol.eps
+    first = remaining[0]
+    rest = remaining[1:]
+    others = rest + sorted(peeled)
+    hw = hw_decompose(ops[first], tol)
+    leaves = []
+
+    if hw.unitary_dim:
+        basis = hw.unitary_basis.basis
+        here = f"{path}/u"
+        sub_ops = {}
+        for n in rest:
+            _oracle_check_reducing(ops[n], basis, eps, f"{here}: operator {n}")
+            sub_ops[n] = adjoint(basis) @ ops[n] @ basis
+        sub_peeled = {
+            n: compress(t, basis, eps, f"{here}: unitary remainder {n}") for n, t in peeled.items()
+        }
+        sub_peeled[first] = hw.unitary_op
+        sub_twists = {key: compress(u, basis, eps, f"{here}: twist {key}") for key, u in twists.items()}
+        sub_symbols = {
+            key: compress(s, basis, eps, f"{here}: slot twist {key}") for key, s in symbols.items()
+        }
+        for sub in _oracle_rec(
+            rest, sub_ops, sub_peeled, sub_twists, sub_symbols, hw.unitary_dim, tol, here
+        ):
+            leaves.append(_OracleLeaf(
+                ("u",) + sub.multiindex, sub.leaf_dim, sub.mult_dim, sub.slot_twists,
+                sub.unit_ops, basis @ sub.intertwiner,
+            ))
+
+    at = hw.unitary_dim
+    for block in hw.truncated_blocks:
+        p, mult = block.p, block.mult
+        here = f"{path}/p={p}"
+        wp = hw.intertwiner[:, at : at + p * mult]
+        at += p * mult
+
+        def down_twistlike(u, what):
+            return _factor_out_identity(compress(u, wp, eps, what), p, mult, eps, what)
+
+        sub_ops = {}
+        sub_peeled = {}
+        sub_symbols = {
+            key: down_twistlike(s, f"{here}: slot twist {key}") for key, s in symbols.items()
+        }
+        for n in others:
+            carried = ops[n] if n in ops else peeled[n]
+            _oracle_check_reducing(carried, wp, eps, f"{here}: operator {n}")
+            restricted = adjoint(wp) @ carried @ wp
+            ambient = down_twistlike(
+                twisted._pair_lookup(twists, first, n), f"{here}: twist ({first}, {n})"
+            )
+            u_n, v_tilde = extract_twist_factor(restricted, p, mult, tol, ambient_twist=ambient)
+            sub_symbols[(first, n)] = u_n
+            if n in ops:
+                sub_ops[n] = v_tilde
+            else:
+                sub_peeled[n] = v_tilde
+        sub_twists = {key: down_twistlike(u, f"{here}: twist {key}") for key, u in twists.items()}
+        for sub in _oracle_rec(rest, sub_ops, sub_peeled, sub_twists, sub_symbols, mult, tol, here):
+            leaves.append(_OracleLeaf(
+                (p,) + sub.multiindex, p * sub.leaf_dim, sub.mult_dim, sub.slot_twists,
+                sub.unit_ops, wp @ kron(identity(p), sub.intertwiner),
+            ))
+    return leaves
+
+
+def _oracle_as_rec(remaining, carried, twists, symbols, dim, tol, path):
+    """The oracle behind `twisted._decompose_rec`'s signature."""
+    leaves = []
+    for old in _oracle_rec(remaining, carried, {}, twists, symbols, dim, tol, path):
+        leaf = DecompositionLeaf(
+            old.multiindex, old.mult_dim, old.slot_twists, old.unit_ops, old.intertwiner
+        )
+        assert leaf.leaf_dim == old.leaf_dim
+        leaves.append(leaf)
+    return leaves
+
+
+def _oracle_equivalence(t1, t2, tol=DEFAULT_TOL):
+    if t1.n_ops != t2.n_ops:
+        return EquivalenceResult("NOT_EQUIVALENT", "different number of operators")
+    if t1.dim != t2.dim:
+        return EquivalenceResult("NOT_EQUIVALENT", "different ambient dimension")
+    tree1 = decompose_tuple(t1, tol)
+    tree2 = decompose_tuple(t2, tol)
+    inv1 = [(leaf.multiindex, leaf.mult_dim) for leaf in tree1.leaves]
+    inv2 = [(leaf.multiindex, leaf.mult_dim) for leaf in tree2.leaves]
+    if inv1 != inv2:
+        return EquivalenceResult("NOT_EQUIVALENT", f"leaf invariants differ: {inv1} vs {inv2}")
+
+    by_index1 = {leaf.multiindex: leaf for leaf in tree1.leaves}
+    by_index2 = {leaf.multiindex: leaf for leaf in tree2.leaves}
+    spectral_gate = max(1e-6, 100 * tol.eps)
+    for index, leaf1 in by_index1.items():
+        leaf2 = by_index2[index]
+        for n in sorted(leaf1.unit_ops):
+            gap = twisted._spectral_mismatch(leaf1.unit_ops[n], leaf2.unit_ops[n])
+            if gap > spectral_gate:
+                return EquivalenceResult(
+                    "NOT_EQUIVALENT",
+                    f"unitary-part spectra differ at leaf {index}, operator {n} (gap {gap:.3e})",
+                )
+    blocks = []
+    for index, leaf1 in by_index1.items():
+        leaf2 = by_index2[index]
+        match = twisted._match_leaf_unitary(leaf1, leaf2, tol)
+        if match is None:
+            return EquivalenceResult(
+                "INCONCLUSIVE",
+                f"invariants agree but no verified multiplicity match at leaf {index}",
+            )
+        k_total = prod(leaf1.shift_dims())
+        blocks.append(
+            leaf2.intertwiner @ kron(identity(k_total), match) @ adjoint(leaf1.intertwiner)
+        )
+    u_total = sum(blocks)
+    if not twisted._unitary_within(u_total, tol.eps):
+        return EquivalenceResult("INCONCLUSIVE", "assembled intertwiner failed the unitarity check")
+    worst = max(
+        op_norm(u_total @ t1.ops[n] @ adjoint(u_total) - t2.ops[n]) for n in range(t1.n_ops)
+    )
+    if worst <= tol.eps:
+        return EquivalenceResult(
+            "EQUIVALENT", "explicit intertwiner verified on every operator",
+            intertwiner=u_total, residual=float(worst),
+        )
+    return EquivalenceResult(
+        "INCONCLUSIVE",
+        f"invariants agree but the assembled intertwiner has residual {worst:.3e}",
+    )
+
+
+def _same_bits(a, b) -> bool:
+    """Equal values and equal signs of zero, real and imaginary parts alike."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except DecompositionError as exc:
+        return str(exc)
+
+
+def _perturbed(t, size, seed, first=0):
+    """Add noise of norm ``size`` to the operators from index ``first`` on."""
+    rng = np.random.default_rng(seed)
+    ops = list(t.ops[:first])
+    for v in t.ops[first:]:
+        e = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+        ops.append(v + size * e / op_norm(e))
+    return TwistedTuple(dim=t.dim, ops=ops, twists=t.twists)
+
+
+def _assert_same_tree(new, old):
+    if isinstance(old, str) or isinstance(new, str):
+        assert new == old
+        return
+    assert len(new.leaves) == len(old.leaves)
+    for a, b in zip(new.leaves, old.leaves):
+        assert (a.multiindex, a.leaf_dim, a.mult_dim) == (b.multiindex, b.leaf_dim, b.mult_dim)
+        for x, y in ((a.slot_twists, b.slot_twists), (a.unit_ops, b.unit_ops)):
+            assert list(x) == list(y)
+            assert all(_same_bits(x[key], y[key]) for key in x)
+        assert _same_bits(a.intertwiner, b.intertwiner)
+    assert _same_bits(new.residual, old.residual)
+    assert new.partition == old.partition
+    assert _same_bits(new.global_intertwiner, old.global_intertwiner)
+
+
+class TestRecursionOracle:
+    """One carried map and `_restrict` agree bit for bit with the oracle above."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_trees_and_errors_are_bit_identical(self, seed, monkeypatch):
+        scrambled, _ = random_scrambled_model(seed, n_ops=3)
+        summed, _ = random_decomposition_instance(seed)
+        inputs = [scrambled, summed, _perturbed(summed, 1e-10, seed)]
+        inputs += [_perturbed(scrambled, size, seed) for size in (1e-10, 1e-8, 1e-6)]
+        # V_1 still splits cleanly, so the noise meets the restrictions below it
+        inputs += [_perturbed(t, size, seed, first=1) for t in (scrambled, summed) for size in (1e-9, 1e-6)]
+        new = [_outcome(decompose_tuple, t) for t in inputs]
+        monkeypatch.setattr(twisted, "_decompose_rec", _oracle_as_rec)
+        old = [_outcome(decompose_tuple, t) for t in inputs]
+        for a, b in zip(new, old):
+            _assert_same_tree(a, b)
+
+    @staticmethod
+    def _equivalence_pairs(seed):
+        t, _ = random_decomposition_instance(seed)
+        pairs = [
+            (t, conjugate_tuple(t, haar_unitary(t.dim, seed + 90))),
+            (t, _perturbed(conjugate_tuple(t, haar_unitary(t.dim, seed + 91)), 1e-10, seed)),
+        ]
+        phases = [np.exp(0.3j), np.exp(0.9j)]
+        a, b = (
+            build_model_tuple(ModelSpec(slot_kinds=[2, "u"], aux_dim=1, slot_unitaries={2: [[z]]}))
+            for z in phases
+        )
+        clock, shift, omega = clock_shift_unitaries(3)
+        c1, c2 = (
+            build_model_tuple(ModelSpec(
+                slot_kinds=["u", "u"], aux_dim=3,
+                twist_data={(1, 2): np.conj(omega) ** k * np.eye(3)},
+                slot_unitaries={1: clock, 2: np.linalg.matrix_power(shift, k)},
+            ))
+            for k in (1, 2)
+        )
+        return pairs + [(direct_sum_tuples(a, a), direct_sum_tuples(a, b)), (c1, c2)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equivalence_results_are_bit_identical(self, seed, monkeypatch):
+        pairs = self._equivalence_pairs(seed)
+        new = [_outcome(equivalence_check, a, b) for a, b in pairs]
+        monkeypatch.setattr(twisted, "_decompose_rec", _oracle_as_rec)
+        old = [_outcome(_oracle_equivalence, a, b) for a, b in pairs]
+        verdicts = set()
+        for a, b in zip(new, old):
+            if isinstance(a, str) or isinstance(b, str):
+                assert a == b
+                continue
+            assert (a.verdict, a.certificate) == (b.verdict, b.certificate)
+            verdicts.add(a.verdict)
+            assert (a.intertwiner is None) == (b.intertwiner is None)
+            if a.intertwiner is not None:
+                assert _same_bits(a.intertwiner, b.intertwiner)
+                assert _same_bits(a.residual, b.residual)
+        assert verdicts == {"EQUIVALENT", "NOT_EQUIVALENT", "INCONCLUSIVE"}
+
+    def test_non_reducing_subspace_fails_both_forms(self):
+        rng = np.random.default_rng(5)
+        op = haar_unitary(12, rng)
+        basis, _ = np.linalg.qr(rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5)))
+        with pytest.raises(DecompositionError, match="not reducing") as new:
+            twisted._restrict(op, basis, 1e-9, "op")
+        with pytest.raises(DecompositionError) as old:
+            _oracle_check_reducing(op, basis, 1e-9, "op")
+        assert str(new.value) == str(old.value)
+
+    def test_reducing_subspace_compresses_like_the_two_sided_product(self):
+        scrambled, _ = random_scrambled_model(3, n_ops=2)
+        basis = decompose_tuple(scrambled).leaves[0].intertwiner
+        for v in scrambled.ops:
+            _oracle_check_reducing(v, basis, 1e-9, "op")
+            assert _same_bits(twisted._restrict(v, basis, 1e-9, "op"), adjoint(basis) @ v @ basis)
