@@ -10,6 +10,7 @@ are O(1)) and `rank_eps` = eps / 10 the relative singular value cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, isfinite
 
 import numpy as np
 
@@ -109,6 +110,31 @@ def op_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+# Below this a computed Frobenius norm may have lost squares to underflow.
+_FROBENIUS_FLOOR = 1e-140
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm of ``a``, rescaled where its squares would under- or overflow.
+
+    numpy sums the squares of the entries unscaled, so entries below about
+    1e-154 count as zero and entries above about 1e154 give inf. Outside
+    the range where that cannot matter, the norm is taken of the moduli
+    of ``a`` divided by the largest one. The result is then within a
+    relative (d² + 4)u of the exact norm for d x d input (u = 2^-53), and
+    half a subnormal step where the norm is itself subnormal; it is inf
+    or NaN only when ``a`` has such an entry.
+    """
+    f = float(np.linalg.norm(a))
+    if _FROBENIUS_FLOOR <= f < inf:
+        return f
+    moduli = np.abs(a)
+    scale = float(moduli.max(initial=0.0))
+    if scale == 0.0 or not isfinite(scale):
+        return scale
+    return scale * float(np.linalg.norm(moduli / scale))
+
+
 def _norm_within(a: np.ndarray, eps: float) -> bool:
     """``op_norm(a) <= eps``, deciding from exact bounds before any SVD.
 
@@ -120,7 +146,7 @@ def _norm_within(a: np.ndarray, eps: float) -> bool:
     a = np.asarray(a)
     if a.size == 0:
         return 0.0 <= eps
-    if np.linalg.norm(a) * (1.0 + _BOUND_SLACK) <= eps:
+    if _frobenius(a) * (1.0 + _BOUND_SLACK) <= eps:
         return True
     # "not <=" so that a NaN column rejects as an infinite one does
     if not np.linalg.norm(a, axis=0).max() * (1.0 - _BOUND_SLACK) <= eps:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from math import inf, isfinite, prod
+from math import inf, isfinite, prod, sqrt
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .linalg import (
     DEFAULT_TOL,
     _BOUND_SLACK,
     Tolerance,
+    _frobenius,
     _norm_within,
     _require_square,
     adjoint,
@@ -68,10 +69,11 @@ def truncated_shift(p: int) -> np.ndarray:
 
 def unitarity_residual(u: np.ndarray) -> float:
     n = u.shape[0]
-    return max(
-        op_norm_diff(adjoint(u) @ u, identity(n)),
-        op_norm_diff(u @ adjoint(u), identity(n)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return max(
+            op_norm_diff(adjoint(u) @ u, identity(n)),
+            op_norm_diff(u @ adjoint(u), identity(n)),
+        )
 
 
 def _unitary_within(u: np.ndarray, eps: float) -> bool:
@@ -139,23 +141,100 @@ def _power_walk(v: np.ndarray):
         vp = vp @ v
 
 
+def _residual_walk(v: np.ndarray):
+    """(V^n V^n* V^n - V^n, tail) for n = 1..d+1, in the products of `_power_walk`.
+
+    ``tail`` bounds the computed Frobenius norm of every later residual; the
+    proof is in `power_isometry_residual`. It is inf except at n = 1, 2,
+    4, 8, ..., where the walk also ends if V^n is exactly zero, since every
+    later power and residual is then exactly zero too. Norms here are
+    bounded from one BLAS dot, which costs less than `_frobenius`.
+    """
+    d = v.shape[0]
+    u = 2.0**-53
+    gamma = 4 * (d + 2) * u
+    mu = 16 * d * d * 2.0**-1074
+    rho = 2 * (d * d + d + 8) * u
+    c = None  # the growth per power; stays None when the guard fails
+    for n, (vp, r) in enumerate(islice(_power_walk(v), d + 1), 1):
+        residual = r @ vp - vp
+        if n & (n - 1):
+            yield residual, inf
+            continue
+        squares = np.vdot(vp, vp).real
+        if squares == 0.0 and not vp.any():
+            yield residual, 0.0
+            return
+        size = (1 + rho) ** 2 * sqrt(squares + mu)
+        if n == 1:
+            t = (1 + rho) ** 2 * sqrt(np.vdot(residual, residual).real + mu)
+            if t <= 2 * _BOUND_SLACK:
+                nu = 1 + (t * (1 + 2 * u) + 3 * gamma * size**3 + 2 * mu * (1 + size)) / 2
+                c = nu + gamma * size
+        if c is None:
+            yield residual, inf
+            continue
+        k = d + 1 - n
+        a = (size + k * mu) * c**k
+        yield residual, (1 + rho) ** 2 * (1 + gamma) ** 2 * (a * (1 + a * a) + mu * (1 + a))
+
+
 def power_isometry_residual(v: np.ndarray) -> float:
     """Worst partial-isometry residual ||V^n V^n* V^n - V^n|| over n = 1..d+1.
 
-    Every power is formed, but a power whose Frobenius norm (an upper bound
-    on its spectral norm) cannot beat the worst residual so far skips its
-    SVD; the result is the same float as the spectral norm of every power
-    would give. A residual that is not finite (V^n overflowed) gives inf.
+    A power whose Frobenius norm (an upper bound on its spectral norm)
+    cannot beat the worst residual so far skips its SVD, and the walk ends
+    once a bound shows that no later power can beat it; the result is the
+    same float as the spectral norm of every power would give. A residual
+    that is not finite (V^n overflowed) gives inf.
+
+    The bound. Write u = 2^-53, ‖·‖ for the Frobenius norm, and hats for
+    computed matrices. A computed complex product of inner dimension d
+    (a BLAS product, summed in any order, fused multiply-adds or not)
+    obeys ‖fl(AB) − AB‖ ≤ γ‖A‖‖B‖ + μ with γ = 4(d + 2)u and
+    μ = 16 d² 2^-1074, ten times its underflow, so the spare also covers
+    the underflow in evaluating the bound. With ρ = 2(d² + d + 8)u, a
+    norm computed by `_frobenius` is at most 1 + ρ times the exact one,
+    and the walk bounds ‖A‖ ≤ (1 + ρ)² √(σ + μ), where σ = Σ|a_ij|² is
+    one BLAS dot: its rounding is within 1 + ρ, its underflow within μ,
+    and the other 1 + ρ covers evaluating the bound.
+
+    1. Norm of V. The singular values s of V give VV*V − V singular values
+       |s³ − s|, and s³ − s ≥ 2(s − 1) for s ≥ 1, since their difference
+       is (s − 1)²(s + 2). So ‖V‖₂ ≤ ν = 1 + t/2, where t bounds the exact
+       power-1 residual: the walk's bound on the computed one, times
+       1 + 2u for the subtraction, plus 3γf³ + 2μ(1 + f) for the two
+       products, with f the walk's bound on ‖V‖.
+    2. Later powers. V̂^{m+1} = fl(V̂^m V), so
+       ‖V̂^{m+1}‖ ≤ (ν + γf)‖V̂^m‖ + μ = c‖V̂^m‖ + μ, and for m ≤ n + K
+       ‖V̂^m‖ ≤ a = c^K (‖V̂^n‖ + Kμ), since c ≥ 1.
+    3. Later residuals. Forming V̂^m V̂^m*, the product with V̂^m and the
+       difference with V̂^m, a residual has computed norm at most
+       (1 + ρ)²(1 + γ)² (a(1 + a²) + μ(1 + a)), which grows with a, so
+       the bound at n + K covers every later power.
+    4. Stop. At n = 1, 2, 4, ..., with K = d + 1 − n powers left, the walk
+       ends when that bound times 1 + `_BOUND_SLACK` is below the worst
+       residual so far: each later power would then skip its SVD and leave
+       the worst as it is, and no later residual can be inf. Zero rule: at
+       the same powers, a V̂^n that is exactly zero ends the walk whatever
+       the bound says, as every later power is exactly zero. Exact models
+       have a worst residual of 0.0, so only this rule ends their walks.
+       Testing at powers of two keeps the cost off walks that never stop.
+    5. Guard. Unless t ≤ 2 `_BOUND_SLACK` (V numerically a partial
+       isometry), the walk is never cut. An operator with a unitary part
+       of dimension k keeps ‖V̂^n‖ ≥ √k, so its walk runs in full anyway.
     """
     v = as_matrix(v)
     worst = 0.0
-    for vp, r in islice(_power_walk(v), v.shape[0] + 1):
-        residual = r @ vp - vp
-        frobenius = np.linalg.norm(residual)
-        if not isfinite(frobenius):
-            return inf
-        if frobenius * (1.0 + _BOUND_SLACK) > worst:
-            worst = max(worst, op_norm(residual))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for residual, tail in _residual_walk(v):
+            frobenius = _frobenius(residual)
+            if not isfinite(frobenius):
+                return inf
+            if frobenius * (1.0 + _BOUND_SLACK) > worst:
+                worst = max(worst, op_norm(residual))
+            if tail * (1.0 + _BOUND_SLACK) < worst:
+                break
     return worst
 
 
@@ -167,14 +246,19 @@ def is_power_partial_isometry(
     Returns (True, None) when every power passes, else (False, n) with the
     first failing power. Each power is decided by exact norm bounds and
     takes an SVD only when they cannot, so a valid operator usually costs
-    no SVD at all; the verdict is the spectral one. Passing this finite
-    check is a heuristic; the decomposition round-trip in
-    `partialiso.halmos_wallen` turns it into a certificate.
+    no SVD at all; the verdict is the spectral one. The walk ends once the
+    bound of `power_isometry_residual` on every later residual, times
+    1 + `_BOUND_SLACK`, is at most eps, or by its zero rule.
+    Passing this finite check is a heuristic; the decomposition round-trip
+    in `partialiso.halmos_wallen` turns it into a certificate.
     """
     v = _require_square(v)
-    for n, (vp, r) in enumerate(islice(_power_walk(v), v.shape[0] + 1), 1):
-        if not _norm_within(r @ vp - vp, tol.eps):
-            return False, n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, (residual, tail) in enumerate(_residual_walk(v), 1):
+            if not _norm_within(residual, tol.eps):
+                return False, n
+            if tail * (1.0 + _BOUND_SLACK) <= tol.eps:
+                break
     return True, None
 
 

@@ -176,7 +176,7 @@ class TestVerify:
         assert report["residual"] <= 1e-3
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error")
 class TestNonFiniteResiduals:
     """An entry of 1e200 overflows a relation, and no report can carry the value."""
 
@@ -214,6 +214,27 @@ class TestNonFiniteResiduals:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is False
         assert report["first_failing_power"] == 1
+
+    @pytest.mark.parametrize(
+        "kind, relation",
+        [("ppi", "ppi [1]"), ("twist", "twist-unitary [1, 3]")],
+    )
+    def test_a_process_prints_no_numpy_warning(self, kind, relation, tmp_path):
+        from partialiso import TwistedTuple
+
+        if kind == "ppi":
+            t = single_op_tuple(np.diag([1e200, 0.0]))
+        else:
+            zero = np.zeros((2, 2))
+            t = TwistedTuple(dim=2, ops=[zero, zero, zero], twists={(1, 3): np.diag([1e200, 1.0])})
+        path = self._document(tmp_path, t)
+        for command, inputs in [("verify", [path]), ("decompose", [path]), ("equiv", [path, path])]:
+            proc = run_cli(command, *inputs)
+            assert proc.returncode == 2, command
+            assert proc.stderr == f"error: relation {relation} has a non-finite residual\n", command
+        proc = run_cli("hw", path, "--op", "V1")
+        assert proc.returncode == (1 if kind == "ppi" else 0)
+        assert proc.stderr == ""
 
 
 class TestHw:

@@ -160,11 +160,22 @@ def _unscreened_residuals(v):
     return out
 
 
+def _perturbed(v, size, rng):
+    """V plus a complex Gaussian matrix of spectral norm ``size``."""
+    rng = np.random.default_rng(rng)
+    g = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+    return v + size * g / np.linalg.norm(g, 2)
+
+
 def _perturbed_haar(d, size):
     rng = np.random.default_rng(d)
-    u = haar_unitary(d, rng)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return u + size * g / np.linalg.norm(g, 2)
+    return _perturbed(haar_unitary(d, rng), size, rng)
+
+
+def _scrambled_nilpotent(p, m, seed):
+    """J_p x I_m conjugated by a Haar unitary."""
+    w = haar_unitary(p * m, seed)
+    return w @ kron(truncated_shift(p), np.eye(m)) @ w.conj().T
 
 
 def _screening_inputs():
@@ -181,6 +192,23 @@ def _screening_inputs():
     for d in (16, 64, 128):
         for size in (1e-11, 1e-10, 5e-10):
             yield f"haar-{d}-{size}", _perturbed_haar(d, size)
+    # ladder-sized operators, where the walk ends early
+    for p in (6, 7, 8):
+        t = build_twisted_shift_pair(p, np.exp(0.7j))
+        for k, v in enumerate(conjugate_tuple(t, haar_unitary(t.dim, p)).ops, 1):
+            yield f"example43-{p}-op{k}-scrambled", v
+    for seed, n_ops in ((9, 3), (49, 4)):
+        t = build_model_tuple(random_model_spec(seed, n_ops=n_ops))
+        assert t.dim in (72, 96)
+        for k, v in enumerate(conjugate_tuple(t, haar_unitary(t.dim, seed)).ops, 1):
+            yield f"spec-{seed}-d{t.dim}-op{k}-scrambled", v
+    # never cut short: the first fails the guard, the second keeps its norm
+    yield "1.001-nilpotent", 1.001 * _scrambled_nilpotent(4, 6, 1)
+    yield "haar-scaled", (1.0 + 1e-10) * haar_unitary(48, 2)
+    # the underflow term: every product is subnormal or zero from V^2 on
+    yield "1e-170-nilpotent", 1e-170 * _scrambled_nilpotent(3, 5, 3)
+    for size in (1e-11, 1e-10, 1e-9):
+        yield f"nilpotent-{size}", _perturbed(_scrambled_nilpotent(5, 8, 4), size, 5)
 
 
 class TestScreenedPowerLadder:
@@ -212,7 +240,7 @@ class TestScreenedPowerLadder:
         assert is_power_partial_isometry(_perturbed_haar(64, 1e-11)) == (True, None)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error")
 class TestNonFinitePowers:
     """V^n V^n* overflows for an entry of 1e200, so the residual is not finite."""
 

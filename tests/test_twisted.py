@@ -90,7 +90,7 @@ class TestVerifyTwisted:
             ("ppi", 1), ("ppi", 2), ("ppi", 3),
         ]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error")
     def test_residual_that_is_not_finite_fails(self):
         # U_13 U_13* overflows, so its unitarity residual is NaN, which max() steps past
         zero = np.zeros((2, 2))
@@ -101,7 +101,7 @@ class TestVerifyTwisted:
         assert report.max_residual == np.inf
         assert report.worst()[0] == ("twist-unitary", 1, 3)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_power_fails(self):
         report = verify_twisted(single_op_tuple(np.diag([1e200, 0.0])))
         assert report.residuals == {("ppi", 1): np.inf}

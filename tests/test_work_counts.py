@@ -1,7 +1,8 @@
 """Work counts of the screened paths, independent of timing.
 
 A counter on numpy's SVD (the one behind `op_norm` too) shows which
-calls factorize and whether they ask for singular vectors.
+calls factorize and whether they ask for singular vectors; a counter on
+`operators._power_walk` shows how many powers of V a check forms.
 """
 
 import numpy as np
@@ -17,8 +18,12 @@ from partialiso import (
     conjugate_tuple,
     haar_unitary,
     is_power_partial_isometry,
+    power_isometry_residual,
+    random_model_spec,
+    verify_twisted,
 )
-from partialiso import halmos_wallen
+from partialiso import halmos_wallen, operators
+from partialiso.linalg import _BOUND_SLACK, _frobenius, _norm_within, op_norm
 
 
 @pytest.fixture
@@ -34,6 +39,23 @@ def svd_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     monkeypatch.setattr(np_linalg_impl, "svd", counting)
     return calls
+
+
+@pytest.fixture
+def power_draws(monkeypatch):
+    """Powers drawn from each `operators._power_walk`, one count per walk."""
+    counts = []
+    original = operators._power_walk
+
+    def counting(v):
+        counts.append(0)
+        walk = len(counts) - 1
+        for item in original(v):
+            counts[walk] += 1
+            yield item
+
+    monkeypatch.setattr(operators, "_power_walk", counting)
+    return counts
 
 
 def test_valid_operator_passes_the_power_check_without_an_svd(svd_calls):
@@ -94,3 +116,56 @@ def test_p_and_q_take_one_power_walk_each(monkeypatch, run):
     assert len(walked) == 2
     assert np.array_equal(walked[0], v)
     assert np.array_equal(walked[1], v.conj().T)
+
+
+def _walk_without_exit(v, eps=1e-9):
+    """The screened checks over all d + 1 powers: (worst, op_norm calls, verdict)."""
+    worst, calls, verdict = 0.0, 0, (True, None)
+    vp = v.copy()
+    for n in range(1, v.shape[0] + 2):
+        residual = vp @ vp.conj().T @ vp - vp
+        if _frobenius(residual) * (1.0 + _BOUND_SLACK) > worst:
+            worst = max(worst, op_norm(residual))
+            calls += 1
+        if verdict[0] and not _norm_within(residual, eps):
+            verdict = (False, n)
+        vp = vp @ v
+    return worst, calls, verdict
+
+
+def _example43(p, scrambled):
+    t = build_twisted_shift_pair(p, np.exp(0.7j))
+    return conjugate_tuple(t, haar_unitary(t.dim, p)).ops if scrambled else t.ops
+
+
+@pytest.mark.parametrize(
+    "ops, expected",
+    [
+        # the exit: of 129 powers, the residual check forms 16 (<= 2p + 1
+        # for p = 8) and the verdict 8
+        pytest.param(_example43(8, True), [16, 8, 16, 8], id="example43-p8-scrambled"),
+        # the zero rule: J_8 x I_8 and d[lambda] x J_8 vanish exactly at power 8
+        pytest.param(_example43(8, False), [8, 8, 8, 8], id="example43-p8"),
+        # a unitary keeps its norm, so no bound ends its walk
+        pytest.param([haar_unitary(64, 11)], [65, 65], id="haar-d64"),
+    ],
+)
+def test_power_walk_ends_where_no_later_power_can_matter(monkeypatch, power_draws, ops, expected):
+    norm_calls = []
+    monkeypatch.setattr(operators, "op_norm", lambda a: norm_calls.append(1) or op_norm(a))
+    for v in ops:
+        worst, calls, verdict = _walk_without_exit(v)
+        norm_calls.clear()
+        assert power_isometry_residual(v) == worst
+        assert len(norm_calls) == calls
+        assert is_power_partial_isometry(v) == verdict
+    assert power_draws == expected
+
+
+def test_d324_model_tuple_verifies_forming_few_powers(power_draws):
+    t = build_model_tuple(random_model_spec(45))
+    assert t.dim == 324
+    report = verify_twisted(conjugate_tuple(t, haar_unitary(t.dim, 45)))
+    assert report.passed
+    assert len(power_draws) == t.n_ops
+    assert max(power_draws) <= 10
