@@ -22,12 +22,13 @@ from .linalg import (
     Subspace,
     Tolerance,
     _norm_within,
+    _phase_fixed,
     _require_square,
     adjoint,
     identity,
     kron,
     op_norm,
-    orthonormal_range,
+    zero_subspace,
 )
 from .operators import _block_diag, _power_walk, truncated_shift
 
@@ -74,12 +75,13 @@ class RangeSourceLadder:
 
 def _stable_limit(ranges, tol: Tolerance) -> tuple[np.ndarray, int]:
     """(R_n0, n0) for the first n0 <= d + 1 with ||R_{n0+1} - R_n0|| <= eps, R_n from ``ranges``."""
-    e_prev = next(ranges)
-    d = e_prev.shape[0]
-    for n, e_next in zip(range(1, d + 2), ranges):
-        if _norm_within(e_next - e_prev, tol.eps):
-            return e_prev, n
-        e_prev = e_next
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_prev = next(ranges)
+        d = e_prev.shape[0]
+        for n, e_next in zip(range(1, d + 2), ranges):
+            if _norm_within(e_next - e_prev, tol.eps):
+                return e_prev, n
+            e_prev = e_next
     raise DecompositionError(
         f"range projections did not stabilize by power {d + 1}; "
         "the input is not a power partial isometry at this tolerance"
@@ -136,32 +138,36 @@ def truncated_block_projection(
     return out
 
 
-def multiplicity_space(
-    v: np.ndarray,
-    p: int,
-    tol: Tolerance = DEFAULT_TOL,
-    ladder: RangeSourceLadder | None = None,
-) -> Subspace:
+def _projection_range(a: np.ndarray) -> Subspace:
+    """Range of ``a``, a projection or a product of commuting ones for valid input, so its
+    singular values near 0 or 1 are cut at 1/2; ||a|| <= 1/2 is empty, usually with no SVD."""
+    a = _require_square(a)
+    if _norm_within(a, 0.5):
+        return zero_subspace(a.shape[0])
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return Subspace(a.shape[0], _phase_fixed(u[:, s > 0.5]))
+
+
+def multiplicity_space(v: np.ndarray, p: int, ladder: RangeSourceLadder | None = None) -> Subspace:
     """The space counting order-p blocks: (1 - V V*)(V*^{p-1} V^{p-1} - V*^p V^p) H.
 
-    Its dimension m satisfies p * m = dim of the order-p part; for p = 1
-    the formula reduces to ker(V) intersect ker(V*). Pass the ``ladder``
-    of V to reuse its projections across calls.
+    Its dimension m satisfies p * m = dim of the order-p part; for p = 1 the
+    formula reduces to ker(V) intersect ker(V*). Its rank is cut at 1/2, not
+    at the tolerance. Pass the ``ladder`` of V to reuse its projections.
     """
     v = _require_square(v)
     if p < 1:
         raise ValueError("p must be >= 1")
     ladder = (ladder or RangeSourceLadder(v)).extend(p)
     ranges, sources = ladder.ranges, ladder.sources
-    mat = (identity(v.shape[0]) - ranges[1]) @ (sources[p - 1] - sources[p])
-    return orthonormal_range(mat, tol)
+    return _projection_range((identity(v.shape[0]) - ranges[1]) @ (sources[p - 1] - sources[p]))
 
 
-def _check_no_shift_parts(p_mat: np.ndarray, q_mat: np.ndarray, tol: Tolerance) -> None:
-    """Raise unless the ranges of (1 - P) Q and (1 - Q) P are zero at the rank tolerance."""
+def _check_no_shift_parts(p_mat: np.ndarray, q_mat: np.ndarray) -> None:
+    """Raise unless the ranges of (1 - P) Q and (1 - Q) P are empty."""
     eye = identity(p_mat.shape[0])
-    shift_dim = orthonormal_range((eye - p_mat) @ q_mat, tol).dim
-    backshift_dim = orthonormal_range((eye - q_mat) @ p_mat, tol).dim
+    shift_dim = _projection_range((eye - p_mat) @ q_mat).dim
+    backshift_dim = _projection_range((eye - q_mat) @ p_mat).dim
     if shift_dim or backshift_dim:
         raise DecompositionError(
             f"nonzero shift part (dims {shift_dim}, {backshift_dim}) in finite dimension"
@@ -171,14 +177,14 @@ def _check_no_shift_parts(p_mat: np.ndarray, q_mat: np.ndarray, tol: Tolerance) 
 def assert_no_shift_parts(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Confirm the shift and backward-shift parts vanish.
 
-    Returns True when the ranges of (1 - P) Q and (1 - Q) P are zero at the
-    rank tolerance. A nonzero value is impossible in finite dimensions, so
-    it is raised as a `DecompositionError` (a rank misdecision or an invalid
+    Returns True when the ranges of (1 - P) Q and (1 - Q) P are empty (rank
+    cut at 1/2). A nonzero value is impossible in finite dimensions, so it
+    is raised as a `DecompositionError` (a rank misdecision or an invalid
     input), never truncated away.
     """
     v = _require_square(v)
     p_mat, q_mat, _ = _stable_projections(v, tol)
-    _check_no_shift_parts(p_mat, q_mat, tol)
+    _check_no_shift_parts(p_mat, q_mat)
     return True
 
 
@@ -248,9 +254,9 @@ def hw_decompose(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HWDecomposition
             "the input is not a power partial isometry at this tolerance"
         )
 
-    _check_no_shift_parts(p_mat, q_mat, tol)
+    _check_no_shift_parts(p_mat, q_mat)
 
-    unitary_basis = orthonormal_range(p_mat @ q_mat, tol)
+    unitary_basis = _projection_range(p_mat @ q_mat)
     b_u = unitary_basis.basis
     t_op = adjoint(b_u) @ v @ b_u
 
@@ -259,7 +265,7 @@ def hw_decompose(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HWDecomposition
     for p in range(1, d + 1):
         if accounted == d:
             break
-        space = multiplicity_space(v, p, tol, ladder)
+        space = multiplicity_space(v, p, ladder)
         if space.dim:
             blocks.append(TruncatedBlock(p=p, mult=space.dim, mult_basis=space))
             accounted += p * space.dim

@@ -4,7 +4,8 @@ Every operator is a plain numpy array with dtype complex128. Rank and
 residual decisions are governed by a single `Tolerance` object so the
 numerical policy has one home: `eps` is an absolute bound on operator
 norm residuals (the operators in scope are partial isometries, so entries
-are O(1)) and `rank_eps` = eps / 10 the relative singular value cutoff.
+are O(1)) and `rank_eps` = eps / 10 the relative singular value cutoff of
+`orthonormal_range` and `nullspace`; `halmos_wallen` cuts projection ranks at 1/2.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def _phase_fixed(basis: np.ndarray) -> np.ndarray:
 
 
 def _svd_rank(singular_values: np.ndarray, tol: Tolerance) -> int:
-    """The one rank-decision routine: singular values above rank_eps * scale.
+    """The rank rule of `orthonormal_range` and `nullspace`: singular values above rank_eps * scale.
 
     The scale is the largest singular value, floored at 1: every operator
     in scope (partial isometries, projections and their products) has norm

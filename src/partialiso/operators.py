@@ -127,9 +127,11 @@ def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
 
 
 def is_partial_isometry(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
-    """Test ||V V* V - V|| <= eps; the residual is always returned."""
+    """Test ||V V* V - V|| <= eps; the residual is always returned, inf if it overflows."""
     v = _require_square(v)
-    residual = op_norm(v @ adjoint(v) @ v - v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = v @ adjoint(v) @ v - v
+    residual = op_norm(defect) if np.isfinite(defect).all() else inf
     return residual <= tol.eps, residual
 
 

@@ -41,6 +41,7 @@ from partialiso import (
     verify_twisted,
 )
 from partialiso.documents import dumps_canonical, tuple_document
+from partialiso.halmos_wallen import RangeSourceLadder
 from partialiso.linalg import adjoint, identity
 from partialiso.operators import ModelSpec
 from conftest import (
@@ -226,8 +227,9 @@ def test_criterion_5_projection_commutation_and_reducing_blocks():
         p_mat, _ = stable_range_projection(v)
         q_mat, _ = stable_range_projection(adjoint(v))
         projections = [p_mat @ q_mat]
+        ladder = RangeSourceLadder(v)
         for p in range(1, d + 1):
-            pi = truncated_block_projection(v, p)
+            pi = truncated_block_projection(v, p, ladder)
             if op_norm(pi) > 0.5:
                 projections.append(pi)
         for pi in projections:

@@ -6,6 +6,7 @@ from partialiso import (
     DecompositionError,
     TwistedTuple,
     assert_no_shift_parts,
+    check_projection_commutation,
     decompose_tuple,
     haar_unitary,
     hw_decompose,
@@ -87,6 +88,11 @@ class TestMultiplicitySpace:
         for p in range(1, 5):
             assert multiplicity_space(u, p).dim == 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_ladder_is_refused_as_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            multiplicity_space(np.diag([1e200, 0.0]), 2)
+
 
 class TestHwDecompose:
     def test_pure_unitary(self):
@@ -133,6 +139,32 @@ class TestHwDecompose:
     def test_rejects_a_contraction(self):
         with pytest.raises(DecompositionError):
             hw_decompose(np.diag([1.0, 0.5]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "run",
+        [
+            hw_decompose,
+            stable_range_projection,
+            assert_no_shift_parts,
+            lambda v: check_projection_commutation(v, v),
+        ],
+        ids=["hw_decompose", "stable_range_projection", "assert_no_shift_parts", "check_projection"],
+    )
+    def test_overflowing_powers_fail_without_a_numpy_warning(self, run):
+        with pytest.raises(DecompositionError, match="did not stabilize by power 3"):
+            run(np.diag([1e200, 0.0]))
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_noise_below_eps_keeps_the_blocks(self, seed):
+        # projection ranks are cut at 1/2, so noise of 1e-10 = rank_eps
+        # meets no rank decision
+        v, u_dim, expected = random_hw_instance(seed)
+        rng = np.random.default_rng(seed + 1000)
+        g = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+        hw = hw_decompose(v + 1e-10 * g / np.linalg.norm(g, 2))
+        assert (hw.unitary_dim, hw.block_multiset()) == (u_dim, expected)
+        assert hw.residual <= 1e-9
 
 
 class TestStructuralInvariants:

@@ -250,6 +250,9 @@ class TestNonFinitePowers:
     def test_first_power_fails_without_an_svd_error(self):
         assert is_power_partial_isometry(np.diag([1e200, 0.0])) == (False, 1)
 
+    def test_partial_isometry_check_returns_an_infinite_residual(self):
+        assert is_partial_isometry(np.diag([1e200, 0.0])) == (False, np.inf)
+
 
 class TestTwistedShiftPair:
     def test_passes_verification(self):

@@ -705,6 +705,29 @@ def _assert_same_tree(new, old):
     assert _same_bits(new.global_intertwiner, old.global_intertwiner)
 
 
+@pytest.mark.parametrize("size", [1e-11, 1e-10, 3e-10, 1e-9])
+def test_verified_noisy_tuples_certify_with_the_right_leaves_or_fail_by_name(size):
+    # noise at 0.1x to 10x rank_eps = eps / 10; the projection ranks of
+    # the recursion are cut at 1/2, so up to 1e-10 nothing that verifies
+    # is refused
+    refused = []
+    for seed in range(100):
+        scrambled, spec = random_scrambled_model(seed)
+        t = _perturbed(scrambled, size, seed)
+        if not verify_twisted(t).passed:
+            continue
+        try:
+            tree = decompose_tuple(t)
+        except DecompositionError as exc:
+            refused.append((seed, str(exc)))
+            continue
+        leaves = [(leaf.multiindex, leaf.mult_dim) for leaf in tree.leaves]
+        assert leaves == [(tuple(spec.slot_kinds), spec.aux_dim)], seed
+        assert tree.residual <= 1e-9
+    if size <= 1e-10:
+        assert refused == []
+
+
 class TestRecursionOracle:
     """One carried map and `_restrict` agree bit for bit with the oracle above."""
 

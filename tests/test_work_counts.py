@@ -8,6 +8,7 @@ calls factorize and whether they ask for singular vectors; a counter on
 import numpy as np
 import numpy.linalg._linalg as np_linalg_impl
 import pytest
+from scipy.linalg import block_diag
 
 from partialiso import (
     ModelSpec,
@@ -18,12 +19,14 @@ from partialiso import (
     conjugate_tuple,
     haar_unitary,
     is_power_partial_isometry,
+    kron,
     power_isometry_residual,
     random_model_spec,
+    truncated_shift,
     verify_twisted,
 )
 from partialiso import halmos_wallen, operators
-from partialiso.linalg import _BOUND_SLACK, _frobenius, _norm_within, op_norm
+from partialiso.linalg import _BOUND_SLACK, _frobenius, _norm_within, identity, op_norm
 
 
 @pytest.fixture
@@ -84,6 +87,31 @@ def test_projection_check_builds_one_range_source_ladder(monkeypatch):
     assert len(built) == 1
     # one product per power, up to the largest block order asked for
     assert len(built[0].ranges) == len(built[0].sources) == d + 1
+
+
+def test_hw_decompose_factorizes_only_non_empty_projection_ranges(monkeypatch, svd_calls):
+    # a unitary part and blocks of orders 2 and 4: orders 1 and 3 are empty
+    rng = np.random.default_rng(4)
+    parts = [haar_unitary(3, rng), kron(truncated_shift(2), identity(2)), truncated_shift(4)]
+    w = haar_unitary(11, rng)
+    v = w @ block_diag(*parts) @ w.conj().T
+    spaces = []
+    original = halmos_wallen.multiplicity_space
+
+    def recording(*args):
+        spaces.append(original(*args))
+        return spaces[-1]
+
+    monkeypatch.setattr(halmos_wallen, "multiplicity_space", recording)
+    svd_calls.clear()
+    hw = halmos_wallen.hw_decompose(v)
+    assert (hw.unitary_dim, hw.block_multiset()) == (3, [(2, 2), (4, 1)])
+    assert [s.dim for s in spaces] == [0, 2, 0, 1]
+    # singular vectors for the unitary basis and each non-empty order only
+    assert sum(compute_uv for _, compute_uv in svd_calls) == 1 + 2
+    svd_calls.clear()
+    assert halmos_wallen.assert_no_shift_parts(v)
+    assert not any(compute_uv for _, compute_uv in svd_calls)
 
 
 def test_commutant_never_forms_singular_vectors(svd_calls):
