@@ -289,7 +289,7 @@ def cmd_generate(args) -> int:
 def cmd_commutant(args) -> int:
     tol = _tolerance(args)
     t, _ = _load_tuple(args.input)
-    verification = verify_twisted(t, tol)
+    verification = _verify(t, tol)
     # the star-closed commutant is the one that decides reducibility
     dimension = commutant_dimension(t.ops, tol, include_adjoints=True)
     doc = _report("commutant", tol)

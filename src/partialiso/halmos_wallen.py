@@ -18,9 +18,11 @@ from itertools import count
 import numpy as np
 
 from .linalg import (
+    _BOUND_SLACK,
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _frobenius,
     _norm_within,
     _phase_fixed,
     _require_square,
@@ -129,20 +131,21 @@ def truncated_block_projection(
     v = _require_square(v)
     if p < 1:
         raise ValueError("p must be >= 1")
-    ladder = (ladder or RangeSourceLadder(v)).extend(p)
-    ranges, sources = ladder.ranges, ladder.sources
     d = v.shape[0]
     out = np.zeros((d, d), dtype=complex)
-    for n in range(1, p + 1):
-        out += (ranges[n - 1] - ranges[n]) @ (sources[p - n] - sources[p - n + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ladder = (ladder or RangeSourceLadder(v)).extend(p)
+        ranges, sources = ladder.ranges, ladder.sources
+        for n in range(1, p + 1):
+            out += (ranges[n - 1] - ranges[n]) @ (sources[p - n] - sources[p - n + 1])
     return out
 
 
 def _projection_range(a: np.ndarray) -> Subspace:
     """Range of ``a``, a projection or a product of commuting ones for valid input, so its
-    singular values near 0 or 1 are cut at 1/2; ||a|| <= 1/2 is empty, usually with no SVD."""
+    singular values near 0 or 1 are cut at 1/2; a Frobenius norm <= 1/2 is empty with no SVD."""
     a = _require_square(a)
-    if _norm_within(a, 0.5):
+    if _frobenius(a) * (1.0 + _BOUND_SLACK) <= 0.5:
         return zero_subspace(a.shape[0])
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return Subspace(a.shape[0], _phase_fixed(u[:, s > 0.5]))
@@ -158,9 +161,10 @@ def multiplicity_space(v: np.ndarray, p: int, ladder: RangeSourceLadder | None =
     v = _require_square(v)
     if p < 1:
         raise ValueError("p must be >= 1")
-    ladder = (ladder or RangeSourceLadder(v)).extend(p)
-    ranges, sources = ladder.ranges, ladder.sources
-    return _projection_range((identity(v.shape[0]) - ranges[1]) @ (sources[p - 1] - sources[p]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ladder = (ladder or RangeSourceLadder(v)).extend(p)
+        ranges, sources = ladder.ranges, ladder.sources
+        return _projection_range((identity(v.shape[0]) - ranges[1]) @ (sources[p - 1] - sources[p]))
 
 
 def _check_no_shift_parts(p_mat: np.ndarray, q_mat: np.ndarray) -> None:

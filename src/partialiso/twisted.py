@@ -6,10 +6,11 @@ an orthogonal sum of leaves indexed by multiindices over {u} union
 diagonal twists at the truncated-shift slots before it, a truncated shift
 or a leaf unitary at its own position, and the identity elsewhere. The
 recursion peels off the lowest-index operator with its single-operator
-decomposition, restricts the rest to each reducing block, splits off the
-slot twist with `extract_twist_factor`, and recurses on the remainders.
-Every restriction, factorization and the final reconstruction is checked
-against tolerance; violations raise instead of being projected away.
+decomposition, restricts the operators still to peel to each reducing
+block and recurses; each leaf reads its unitaries and visible twist
+symbols off the input once, on its first cell. Every restriction, leaf
+datum and the final reconstruction is checked against tolerance;
+violations raise instead of being projected away.
 """
 
 from __future__ import annotations
@@ -36,14 +37,12 @@ from .linalg import (
     as_matrix,
     identity,
     kron,
-    nullspace,
     op_norm,
 )
 from .operators import (
     TwistedTuple,
     _block_diag,
     _model_operator,
-    _pair_lookup,
     _unitary_within,
     diag_twist,
     power_isometry_residual,
@@ -269,6 +268,7 @@ def extract_twist_factor(
     rank; otherwise the compression ``ambient_twist`` (when supplied)
     fills the directions the ratios cannot see. Off-block-diagonal mass or
     an inconsistent ratio above tolerance raises `DecompositionError`.
+    `decompose_tuple` does not call it: it reads symbols off the twists.
     """
     v = as_matrix(vj_block)
     m = mult_dim
@@ -326,15 +326,17 @@ class DecompositionLeaf:
     """One multiindexed leaf of the tuple decomposition.
 
     ``multiindex`` has one entry per operator: an int p for a truncated
-    shift slot or "u" for a unitary slot. ``slot_twists`` maps (m, n) with
-    m a shift slot and n an operator carrying a diagonal twist there, to
-    the twist symbol on the multiplicity space C^{mult_dim}: shift-slot
-    operators carry twists at the shift slots before them, unitary-slot
-    operators at every shift slot. ``unit_ops`` maps each unitary position
-    to its leaf unitary. ``intertwiner`` has orthonormal columns spanning
-    the leaf subspace of the ambient space, ordered so the model acts on
-    (x_{shift slots} C^p) x C^{mult_dim} with the left factors slow.
-    ``leaf_dim`` is derived: the product of the shift dims times mult_dim.
+    shift slot or "u" for a unitary slot. ``intertwiner`` has orthonormal
+    columns spanning the leaf subspace of the ambient space, ordered so the
+    model acts on (x_{shift slots} C^p) x C^{mult_dim} with the left factors
+    slow; its first ``mult_dim`` columns G1 span the first cell, where every
+    shift slot is at position 1. ``unit_ops`` maps each unitary position n
+    to its leaf unitary G1* V_n G1, and ``slot_twists`` each visible (m, n)
+    to the twist symbol G1* U_mn G1: m is a shift slot of order >= 2 and n
+    a unitary slot or a later shift slot of order >= 2. Any other symbol is
+    the identity (at a one-dimensional slot) or multiplies J_1 = 0, so no
+    model matrix needs it. ``leaf_dim`` is derived: the product of the
+    shift dims times mult_dim.
     """
 
     multiindex: tuple
@@ -408,63 +410,21 @@ def _restrict(op: np.ndarray, basis: np.ndarray, eps: float, what: str) -> np.nd
     return c
 
 
-def _factor_out_identity(mat: np.ndarray, blocks: int, block_dim: int, eps: float, what: str) -> np.ndarray:
-    """Certify mat = I_blocks x X and return X (the averaged diagonal block)."""
-    if blocks == 1:
-        return mat
-    acc = np.zeros((block_dim, block_dim), dtype=complex)
-    for a in range(blocks):
-        acc += mat[a * block_dim : (a + 1) * block_dim, a * block_dim : (a + 1) * block_dim]
-    x = acc / blocks
-    defect = mat - kron(identity(blocks), x)
-    if not _norm_within(defect, eps):
-        raise DecompositionError(f"{what}: no identity tensor factor (residual {op_norm(defect):.3e})")
-    return x
-
-
-def _compress_unitary(u: np.ndarray, basis: np.ndarray, eps: float, what: str) -> np.ndarray:
-    c = adjoint(basis) @ u @ basis
-    if not _unitary_within(c, eps):
-        raise DecompositionError(
-            f"{what}: compression is not unitary (residual {unitarity_residual(c):.3e})"
-        )
-    return c
-
-
 def _decompose_rec(
-    remaining: list[int],
-    carried: dict[int, np.ndarray],
-    twists: dict[tuple[int, int], np.ndarray],
-    symbols: dict[tuple[int, int], np.ndarray],
-    dim: int,
-    tol: Tolerance,
-    path: str,
+    remaining: list[int], carried: dict[int, np.ndarray], dim: int, tol: Tolerance, path: str
 ) -> list[DecompositionLeaf]:
-    """Peel ``remaining[0]`` and recurse; all carried matrices live on C^dim.
+    """Peel ``remaining[0]`` and recurse; ``carried`` holds ``remaining``'s operators on C^dim.
 
-    ``remaining`` is the index suffix [first, ..., N]; ``carried`` also holds,
-    below ``first``, the unitary remainders of operators split off through a
-    unitary branch: they pick up a diagonal-twist factor at every shift slot
-    created below them, exactly like remaining operators do. ``symbols``
-    accumulates those slot twist symbols, compressed level by level onto the
-    running multiplicity space. Leaves come back unitary branch first, then
+    Below an order-p block a valid restriction is block diagonal over C^p,
+    and its top-left mult x mult block carries on. Leaves come back with
+    multiindex, mult_dim and intertwiner only: unitary branch first, then
     blocks in ascending p.
     """
     if not remaining:
-        return [
-            DecompositionLeaf(
-                multiindex=(),
-                mult_dim=dim,
-                slot_twists=dict(symbols),
-                unit_ops=dict(carried),
-                intertwiner=identity(dim),
-            )
-        ]
+        return [DecompositionLeaf(multiindex=(), mult_dim=dim, intertwiner=identity(dim))]
 
     eps = tol.eps
-    first = remaining[0]
-    rest = remaining[1:]
-    peeled = sorted(n for n in carried if n < first)
+    first, rest = remaining[0], remaining[1:]
     hw = hw_decompose(carried[first], tol)
     leaves: list[DecompositionLeaf] = []
 
@@ -472,18 +432,7 @@ def _decompose_rec(
         basis = hw.unitary_basis.basis
         here = f"{path}/u"
         sub = {n: _restrict(carried[n], basis, eps, f"{here}: operator {n}") for n in rest}
-        for n in peeled:
-            sub[n] = _compress_unitary(carried[n], basis, eps, f"{here}: unitary remainder {n}")
-        sub[first] = hw.unitary_op
-        sub_twists = {
-            key: _compress_unitary(u, basis, eps, f"{here}: twist {key}")
-            for key, u in twists.items()
-        }
-        sub_symbols = {
-            key: _compress_unitary(s, basis, eps, f"{here}: slot twist {key}")
-            for key, s in symbols.items()
-        }
-        for leaf in _decompose_rec(rest, sub, sub_twists, sub_symbols, hw.unitary_dim, tol, here):
+        for leaf in _decompose_rec(rest, sub, hw.unitary_dim, tol, here):
             leaves.append(
                 replace(leaf, multiindex=("u",) + leaf.multiindex, intertwiner=basis @ leaf.intertwiner)
             )
@@ -494,28 +443,10 @@ def _decompose_rec(
         here = f"{path}/p={p}"
         wp = hw.intertwiner[:, at : at + p * mult]
         at += p * mult
-
-        def down_twistlike(u, what):
-            return _factor_out_identity(
-                _compress_unitary(u, wp, eps, what), p, mult, eps, what
-            )
-
-        sub = {}
-        sub_symbols = {
-            key: down_twistlike(s, f"{here}: slot twist {key}") for key, s in symbols.items()
+        sub = {
+            n: _restrict(carried[n], wp, eps, f"{here}: operator {n}")[:mult, :mult] for n in rest
         }
-        for n in rest + peeled:
-            restricted = _restrict(carried[n], wp, eps, f"{here}: operator {n}")
-            ambient = down_twistlike(
-                _pair_lookup(twists, first, n), f"{here}: twist ({first}, {n})"
-            )
-            sub_symbols[(first, n)], sub[n] = extract_twist_factor(
-                restricted, p, mult, tol, ambient_twist=ambient
-            )
-        sub_twists = {
-            key: down_twistlike(u, f"{here}: twist {key}") for key, u in twists.items()
-        }
-        for leaf in _decompose_rec(rest, sub, sub_twists, sub_symbols, mult, tol, here):
+        for leaf in _decompose_rec(rest, sub, mult, tol, here):
             leaves.append(
                 replace(
                     leaf,
@@ -524,6 +455,35 @@ def _decompose_rec(
                 )
             )
     return leaves
+
+
+def _read_leaf(t: TwistedTuple, leaf: DecompositionLeaf, eps: float) -> DecompositionLeaf:
+    """The leaf with its unit ops and visible slot twists, each unitary within eps.
+
+    The diagonal twists act as the identity on the first cell, so there the
+    leaf unitary of a "u" slot n is G1* V_n G1 and the symbol (m, n) is G1* U_mn G1.
+    """
+    g1 = leaf.intertwiner[:, : leaf.mult_dim]
+    kinds = leaf.multiindex
+    slots = [m for m, kind in enumerate(kinds, 1) if kind != "u" and kind >= 2]
+
+    def compress(a: np.ndarray, what: str) -> np.ndarray:
+        c = adjoint(g1) @ a @ g1
+        if not _unitary_within(c, eps):
+            where = "".join("/u" if kind == "u" else f"/p={kind}" for kind in kinds)
+            raise DecompositionError(
+                f"{where}: {what}: compression is not unitary (residual {unitarity_residual(c):.3e})"
+            )
+        return c
+
+    unit_ops, slot_twists = {}, {}
+    for n, kind in enumerate(kinds, 1):
+        if kind == "u":
+            unit_ops[n] = compress(t.ops[n - 1], f"unit op {n}")
+        for m in slots:
+            if kind != 1 and (kind == "u" or m < n):
+                slot_twists[(m, n)] = compress(t.twist(m, n), f"twist ({m}, {n})")
+    return replace(leaf, slot_twists=slot_twists, unit_ops=unit_ops)
 
 
 def _leaf_sort_key(leaf: DecompositionLeaf) -> tuple:
@@ -544,17 +504,15 @@ def decompose_tuple(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> Decomposit
     """Recursive decomposition of a twisted tuple into multiindexed leaves.
 
     The caller is expected to have run `verify_twisted` first; structural
-    failures inside the recursion (non-reducing subspaces, missing tensor
-    factors, bad block ratios) raise `DecompositionError` naming the leaf
-    path and stage. On success, conjugating the block-diagonal leaf models
-    by the global intertwiner reproduces every operator within eps, and
-    that residual is stored in the tree.
+    failures (non-reducing subspaces, leaf data that is not unitary on the
+    first cell) raise `DecompositionError` naming the leaf path and stage.
+    On success, conjugating the block-diagonal leaf models by the global
+    intertwiner reproduces every operator within eps, and that residual is
+    stored in the tree.
     """
     leaves = _decompose_rec(
         remaining=list(range(1, t.n_ops + 1)),
         carried={n: t.ops[n - 1] for n in range(1, t.n_ops + 1)},
-        twists=dict(t.twists),
-        symbols={},
         dim=t.dim,
         tol=tol,
         path="",
@@ -568,6 +526,7 @@ def decompose_tuple(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> Decomposit
     g_defect = adjoint(g) @ g - identity(t.dim)
     if not _norm_within(g_defect, tol.eps):
         raise DecompositionError(f"global intertwiner is not unitary (residual {op_norm(g_defect):.3e})")
+    leaves = [_read_leaf(t, leaf, tol.eps) for leaf in leaves]
 
     worst = 0.0
     for n in range(1, t.n_ops + 1):
@@ -625,7 +584,7 @@ def _spectral_mismatch(a: np.ndarray, b: np.ndarray) -> float:
 def _match_leaf_unitary(
     leaf1: DecompositionLeaf, leaf2: DecompositionLeaf, tol: Tolerance
 ) -> np.ndarray | None:
-    """A unitary on the multiplicity space conjugating leaf1 data to leaf2."""
+    """A unitary on the multiplicity space conjugating leaf1 data to leaf2, verified per pair."""
     m = leaf1.mult_dim
     pairs = [(leaf1.unit_ops[n], leaf2.unit_ops[n]) for n in sorted(leaf1.unit_ops)]
     pairs += [
@@ -635,10 +594,11 @@ def _match_leaf_unitary(
         return identity(m)
     # X A1 = A2 X and X A1* = A2* X for every pair
     closed = [b for a1, a2 in pairs for b in ((a1, a2), (adjoint(a1), adjoint(a2)))]
-    solutions = nullspace(_sylvester_stack(closed), tol)
-    if solutions.dim == 0:
+    # unitary pairs give the (tall) stack norm O(1): its null space is cut at an absolute eps
+    _, s, vh = np.linalg.svd(_sylvester_stack(closed), full_matrices=False)
+    basis = [x.conj().reshape(m, m) for x in vh[s <= tol.eps]]
+    if not basis:
         return None
-    basis = [solutions.basis[:, r].reshape(m, m) for r in range(solutions.dim)]
     for attempt in range(8):
         rng = np.random.default_rng(attempt)
         coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))

@@ -186,7 +186,7 @@ class TestNonFiniteResiduals:
         path.write_text(dumps_canonical(tuple_document(t)))
         return str(path)
 
-    @pytest.mark.parametrize("command", ["verify", "decompose", "equiv"])
+    @pytest.mark.parametrize("command", ["verify", "decompose", "equiv", "commutant"])
     def test_overflowing_power_exits_2_naming_the_relation(self, command, tmp_path, capsys):
         path = self._document(tmp_path, single_op_tuple(np.diag([1e200, 0.0])))
         inputs = [path, path] if command == "equiv" else [path]
@@ -195,7 +195,7 @@ class TestNonFiniteResiduals:
         assert captured.out == ""
         assert captured.err == "error: relation ppi [1] has a non-finite residual\n"
 
-    @pytest.mark.parametrize("command", ["verify", "decompose", "equiv"])
+    @pytest.mark.parametrize("command", ["verify", "decompose", "equiv", "commutant"])
     def test_overflowing_twist_exits_2_naming_the_relation(self, command, tmp_path, capsys):
         from partialiso import TwistedTuple
 
@@ -228,7 +228,9 @@ class TestNonFiniteResiduals:
             zero = np.zeros((2, 2))
             t = TwistedTuple(dim=2, ops=[zero, zero, zero], twists={(1, 3): np.diag([1e200, 1.0])})
         path = self._document(tmp_path, t)
-        for command, inputs in [("verify", [path]), ("decompose", [path]), ("equiv", [path, path])]:
+        commands = [("verify", [path]), ("decompose", [path]), ("equiv", [path, path]),
+                    ("commutant", [path])]
+        for command, inputs in commands:
             proc = run_cli(command, *inputs)
             assert proc.returncode == 2, command
             assert proc.stderr == f"error: relation {relation} has a non-finite residual\n", command

@@ -72,6 +72,10 @@ class TestTruncatedBlockProjection:
         assert op_norm(p2 @ p3) <= 1e-12
         np.testing.assert_allclose(p2 + p3, np.eye(5), atol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_ladder_returns_without_a_numpy_warning(self):
+        assert truncated_block_projection(np.diag([1e200, 0.0]), 2).shape == (2, 2)
+
 
 class TestMultiplicitySpace:
     def test_shift_multiplicity_basis(self):
@@ -88,7 +92,7 @@ class TestMultiplicitySpace:
         for p in range(1, 5):
             assert multiplicity_space(u, p).dim == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_ladder_is_refused_as_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             multiplicity_space(np.diag([1e200, 0.0]), 2)

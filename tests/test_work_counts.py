@@ -17,6 +17,7 @@ from partialiso import (
     check_projection_commutation,
     commutant_dimension,
     conjugate_tuple,
+    decompose_tuple,
     haar_unitary,
     is_power_partial_isometry,
     kron,
@@ -25,7 +26,7 @@ from partialiso import (
     truncated_shift,
     verify_twisted,
 )
-from partialiso import halmos_wallen, operators
+from partialiso import halmos_wallen, operators, twisted
 from partialiso.linalg import _BOUND_SLACK, _frobenius, _norm_within, identity, op_norm
 
 
@@ -107,11 +108,36 @@ def test_hw_decompose_factorizes_only_non_empty_projection_ranges(monkeypatch, s
     hw = halmos_wallen.hw_decompose(v)
     assert (hw.unitary_dim, hw.block_multiset()) == (3, [(2, 2), (4, 1)])
     assert [s.dim for s in spaces] == [0, 2, 0, 1]
-    # singular vectors for the unitary basis and each non-empty order only
+    # singular vectors for the unitary basis and each non-empty order only,
+    # and no values-only SVD before them: the one left is the final residual
     assert sum(compute_uv for _, compute_uv in svd_calls) == 1 + 2
+    assert sum(not compute_uv for _, compute_uv in svd_calls) == 1
     svd_calls.clear()
     assert halmos_wallen.assert_no_shift_parts(v)
     assert not any(compute_uv for _, compute_uv in svd_calls)
+
+
+def test_decompose_tuple_takes_one_svd_per_operator_outside_hw_decompose(monkeypatch, svd_calls):
+    inside = []
+    original = twisted.hw_decompose
+
+    def counting(v, tol):
+        before = len(svd_calls)
+        hw = original(v, tol)
+        inside.append(len(svd_calls) - before)
+        return hw
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("extract_twist_factor called")
+
+    monkeypatch.setattr(twisted, "hw_decompose", counting)
+    monkeypatch.setattr(twisted, "extract_twist_factor", no_fit)
+    t = build_twisted_shift_pair(3, np.exp(0.7j))
+    t = conjugate_tuple(t, haar_unitary(t.dim, 3))
+    svd_calls.clear()
+    decompose_tuple(t)
+    # the reconstruction residual of each operator; every other gate is screened
+    assert len(svd_calls) - sum(inside) == t.n_ops == 2
 
 
 def test_commutant_never_forms_singular_vectors(svd_calls):
