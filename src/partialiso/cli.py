@@ -37,7 +37,6 @@ from .operators import (
 from .twisted import (
     COMMUTANT_MAX_BYTES,
     CommutantTooLargeError,
-    commutant_dimension,
     decompose_tuple,
     equivalence_check,
     verify_twisted,
@@ -60,8 +59,10 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path} nests deeper than the parser can follow") from exc
 
 
 def _load_tuple(path: str):
@@ -180,20 +181,26 @@ def cmd_hw(args) -> int:
     return 0
 
 
-def cmd_decompose(args) -> int:
+def _certified_tree(command: str, args):
+    """(report, tree) for the input tuple; a failing stage is written out instead of a tree."""
     tol = _tolerance(args)
     t, _ = _load_tuple(args.input)
-    doc = _report("decompose", tol)
+    doc = _report(command, tol)
     verification = _verify(t, tol)
-    if not verification.passed:
+    if verification.passed:
+        try:
+            return doc, decompose_tuple(t, tol)
+        except DecompositionError as exc:
+            doc.update({"pass": False, "stage": "decompose", "error": str(exc)})
+    else:
         doc.update({"pass": False, "stage": "verify", "worst": _row(*verification.worst())})
-        _write(doc, args)
-        return 1
-    try:
-        tree = decompose_tuple(t, tol)
-    except DecompositionError as exc:
-        doc.update({"pass": False, "stage": "decompose", "error": str(exc)})
-        _write(doc, args)
+    _write(doc, args)
+    return doc, None
+
+
+def cmd_decompose(args) -> int:
+    doc, tree = _certified_tree("decompose", args)
+    if tree is None:
         return 1
     leaves = []
     for leaf in tree.leaves:
@@ -287,19 +294,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_commutant(args) -> int:
-    tol = _tolerance(args)
-    t, _ = _load_tuple(args.input)
-    verification = _verify(t, tol)
-    # the star-closed commutant is the one that decides reducibility
-    dimension = commutant_dimension(t.ops, tol, include_adjoints=True)
-    doc = _report("commutant", tol)
-    doc.update(
-        {
-            "verify_pass": verification.passed,
-            "dimension": dimension,
-            "irreducible": dimension == 1,
-        }
-    )
+    doc, tree = _certified_tree("commutant", args)
+    if tree is None:
+        return 1
+    dimension = tree.commutant_dimension(_tolerance(args))
+    doc.update({"verify_pass": True, "dimension": dimension, "irreducible": dimension == 1})
     _write(doc, args)
     return 0
 

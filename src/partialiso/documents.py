@@ -104,7 +104,10 @@ def matrix_from_json(obj, rows: int, cols: int, where: str) -> np.ndarray:
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
             ):
                 raise SchemaError(f"{where}[{i}][{j}]: expected a [re, im] pair of numbers")
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError as exc:
+                raise SchemaError(f"{where}[{i}][{j}]: entry is beyond the float range") from exc
     if not np.isfinite(out).all():
         raise SchemaError(f"{where}: matrix contains non-finite entries")
     return out

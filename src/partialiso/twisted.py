@@ -221,30 +221,40 @@ def commutant_dimension(
     The family is exactly ``ops`` unless ``include_adjoints`` is set, which
     star-closes it (the right notion for reducibility questions). Solved
     on the stacked Sylvester maps X -> XA - AX in row-major vectorization:
-    the stack is at least as tall as it is wide, so the dimension is d^2
-    minus its rank, read off the singular values alone (no singular
-    vectors are formed). Always >= 1 since the identity commutes. A stack
-    above COMMUTANT_MAX_BYTES raises `CommutantTooLargeError` before any
-    of it is allocated.
+    the stack is at least as tall as it is wide, so the dimension counts its d^2
+    singular values at or below eps, absolute: the cut of every Sylvester null
+    space here, as norm-O(1) operators keep rounding far below it. No singular
+    vectors are formed; always >= 1. Dense for any matrices (a certified tuple's
+    is read off its leaves by `DecompositionTree.commutant_dimension`). A stack above
+    COMMUTANT_MAX_BYTES raises `CommutantTooLargeError` before any of it is allocated.
     """
     mats = [as_matrix(a) for a in ops]
     if not mats:
         raise ValueError("need at least one operator")
     if include_adjoints:
         mats = mats + [adjoint(a) for a in mats]
-    d = mats[0].shape[0]
-    stack = _sylvester_stack([(m, m) for m in mats])
-    singular_values = np.linalg.svd(stack, compute_uv=False)
-    return d * d - _svd_rank(singular_values, tol)
+    singular_values = np.linalg.svd(_sylvester_stack([(m, m) for m in mats]), compute_uv=False)
+    return int(np.count_nonzero(singular_values <= tol.eps))
 
 
 def is_irreducible(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when the commutant of {V_i, V_i*} is the scalars."""
+    """True when the dense commutant of {V_i, V_i*} is the scalars; needs no decomposition."""
     return commutant_dimension(t.ops, tol, include_adjoints=True) == 1
 
 
 # ---------------------------------------------------------------------------
 # slot twist extraction
+
+
+def _grading_blocks(v: np.ndarray, p: int, m: int, eps: float, what: str) -> list[np.ndarray]:
+    """The p diagonal m x m blocks of ``v``, which must be block diagonal over C^p within eps."""
+    blocks = [v[a * m : (a + 1) * m, a * m : (a + 1) * m] for a in range(p)]
+    off_block = v - _block_diag(blocks)
+    if not _norm_within(off_block, eps):
+        raise DecompositionError(
+            f"{what} not block diagonal over the shift grading (off-block mass {op_norm(off_block):.3e})"
+        )
+    return blocks
 
 
 def _polar_unitary(a: np.ndarray) -> np.ndarray:
@@ -274,13 +284,7 @@ def extract_twist_factor(
     m = mult_dim
     if v.shape != (p * m, p * m):
         raise ValueError(f"block operator has shape {v.shape}, expected ({p * m}, {p * m})")
-    blocks = [v[a * m : (a + 1) * m, a * m : (a + 1) * m] for a in range(p)]
-    off_block = v - _block_diag(blocks)
-    if not _norm_within(off_block, tol.eps):
-        raise DecompositionError(
-            "operator is not block diagonal over the shift grading "
-            f"(off-block mass {op_norm(off_block):.3e})"
-        )
+    blocks = _grading_blocks(v, p, m, tol.eps, "operator is")
     v_tilde = blocks[0]
 
     candidates: list[np.ndarray] = []
@@ -386,6 +390,19 @@ class DecompositionTree:
     residual: float
     partition: PartitionReport
 
+    def commutant_dimension(self, tol: Tolerance = DEFAULT_TOL) -> int:
+        """Dimension of the commutant of {V_n, V_n*}, read off the leaves.
+
+        The leaf and shift-position projections are polynomials in the V_n, V_n* (products of
+        R_k - R_{k+1}, S_k - S_{k+1} and P Q), so each X in it is block diagonal over the cells
+        (leaf, shift position). A shift maps each block unitarily onto the next, and a leaf's
+        first block commutes with the leaf's unit ops, visible symbols and their adjoints: one
+        m^2-unknown `commutant_dimension` per leaf, all of M_m for a leaf with no data.
+        """
+        data = [(leaf.mult_dim, [*leaf.unit_ops.values(), *leaf.slot_twists.values()])
+                for leaf in self.leaves]
+        return sum(commutant_dimension(ops, tol, include_adjoints=True) if ops else m * m for m, ops in data)
+
 
 def leaf_model_operator(leaf: DecompositionLeaf, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The model matrix of operator ``n`` on the leaf space."""
@@ -415,8 +432,8 @@ def _decompose_rec(
 ) -> list[DecompositionLeaf]:
     """Peel ``remaining[0]`` and recurse; ``carried`` holds ``remaining``'s operators on C^dim.
 
-    Below an order-p block a valid restriction is block diagonal over C^p,
-    and its top-left mult x mult block carries on. Leaves come back with
+    Below an order-p block each restriction must be block diagonal over
+    C^p, and its top-left mult x mult block carries on. Leaves come back with
     multiindex, mult_dim and intertwiner only: unitary branch first, then
     blocks in ascending p.
     """
@@ -443,9 +460,10 @@ def _decompose_rec(
         here = f"{path}/p={p}"
         wp = hw.intertwiner[:, at : at + p * mult]
         at += p * mult
-        sub = {
-            n: _restrict(carried[n], wp, eps, f"{here}: operator {n}")[:mult, :mult] for n in rest
-        }
+        sub = {}
+        for n in rest:
+            c = _restrict(carried[n], wp, eps, f"{here}: operator {n}")
+            sub[n] = _grading_blocks(c, p, mult, eps, f"{here}: operator {n}:")[0]
         for leaf in _decompose_rec(rest, sub, mult, tol, here):
             leaves.append(
                 replace(

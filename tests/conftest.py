@@ -12,6 +12,7 @@ from partialiso import (
     direct_sum_tuples,
     haar_unitary,
     kron,
+    op_norm,
     random_model_spec,
     truncated_shift,
 )
@@ -63,6 +64,16 @@ def random_scrambled_model(seed: int, n_ops: int | None = None, max_dim: int = 6
         sub_seed += 10_000
     scrambled = conjugate_tuple(t, haar_unitary(t.dim, seed + 777))
     return scrambled, spec
+
+
+def perturbed_tuple(t: TwistedTuple, size: float, seed: int, first: int = 0) -> TwistedTuple:
+    """Add noise of norm ``size`` to the operators from index ``first`` on."""
+    rng = np.random.default_rng(seed)
+    ops = list(t.ops[:first])
+    for v in t.ops[first:]:
+        e = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+        ops.append(v + size * e / op_norm(e))
+    return TwistedTuple(dim=t.dim, ops=ops, twists=t.twists)
 
 
 def random_decomposition_instance(seed: int):

@@ -6,7 +6,14 @@ import time
 import numpy as np
 import pytest
 
-from partialiso import build_model_tuple, cli, truncated_shift
+from partialiso import (
+    DecompositionError,
+    build_model_tuple,
+    cli,
+    commutant_dimension,
+    truncated_shift,
+    verify_twisted,
+)
 from partialiso.documents import (
     dumps_canonical,
     matrix_to_json,
@@ -14,7 +21,12 @@ from partialiso.documents import (
     tuple_document,
 )
 from partialiso.operators import ModelSpec, random_model_spec
-from conftest import non_power_partial_isometry_3d, single_op_tuple
+from conftest import (
+    non_power_partial_isometry_3d,
+    perturbed_tuple,
+    random_scrambled_model,
+    single_op_tuple,
+)
 
 
 def run_cli(*args, **kwargs):
@@ -311,14 +323,27 @@ class TestDecompose:
         assert report["partition"]["global"] == {"1": 2, "2": 2}
         assert report["partition"]["classes"] == {"p=2": [1, 2]}
 
-    def test_invalid_tuple_exits_1(self, pair_file, tmp_path):
+    @pytest.mark.parametrize("command", ["decompose", "commutant"])
+    def test_invalid_tuple_exits_1(self, command, pair_file, tmp_path):
         doc = json.loads(pair_file.read_text())
         doc["operators"][0]["matrix"][0][0] = [0.7, 0.0]
         bad = tmp_path / "invalid.json"
         bad.write_text(json.dumps(doc))
-        code, report = run_json("decompose", str(bad))
-        assert code == 1
-        assert report["stage"] == "verify"
+        code, report = run_json(command, str(bad))
+        assert (code, report["pass"], report["stage"]) == (1, False, "verify")
+        assert report["worst"]["value"] > 1e-9
+        assert "leaves" not in report and "dimension" not in report
+
+    @pytest.mark.parametrize("command", ["decompose", "commutant"])
+    def test_refused_decomposition_exits_1(self, command, pair_file, monkeypatch, capsys):
+        def refuse(t, tol):
+            raise DecompositionError("/p=2: refused")
+
+        monkeypatch.setattr(cli, "decompose_tuple", refuse)
+        assert cli.main([command, str(pair_file)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert (report["pass"], report["stage"], report["error"]) == (False, "decompose", "/p=2: refused")
+        assert "leaves" not in report and "dimension" not in report
 
 
 class TestDirectSumReport:
@@ -381,16 +406,54 @@ class TestCommutantAndEquiv:
         assert report["dimension"] == 1
         assert report["irreducible"] is True
 
-    def test_oversized_commutant_exits_2_with_the_size(self, tmp_path, capsys):
+    def test_large_shift_beside_the_identity_answers_from_its_leaf(self, tmp_path, capsys):
+        # one leaf (150, "u") of multiplicity 1, where the dense system needs 30.2 GiB
         from partialiso import TwistedTuple
 
         t = TwistedTuple(dim=150, ops=[truncated_shift(150), np.eye(150)])
         path = tmp_path / "big.json"
         path.write_text(dumps_canonical(tuple_document(t)))
+        assert cli.main(["commutant", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["dimension"], report["irreducible"]) == (1, True)
+
+    def test_oversized_leaf_stack_exits_2_with_the_size(self, tmp_path, capsys):
+        # two commuting unitaries at d = 77 are one all-"u" leaf of multiplicity
+        # 77, whose star-closed stack of four 77 x 77 maps needs 2.1 GiB
+        from partialiso import TwistedTuple
+        from partialiso.operators import random_commuting_unitaries
+
+        t = TwistedTuple(dim=77, ops=random_commuting_unitaries(77, 2, 3))
+        path = tmp_path / "big.json"
+        path.write_text(dumps_canonical(tuple_document(t)))
         assert cli.main(["commutant", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "30.2 GiB" in captured.err
+        assert "4 Sylvester maps at d = 77 need a 2.1 GiB" in captured.err
+
+    def test_d50_example_answers_2(self, tmp_path):
+        path = tmp_path / "d50.json"
+        proc = run_cli("generate", "--preset", "example43", "--p", "5", "--lambda", "0.6,0.8",
+                       "--scramble", "--seed", "3", "--output", str(path))
+        assert proc.returncode == 0, proc.stderr
+        code, report = run_json("commutant", str(path))
+        assert (code, report["dimension"], report["irreducible"]) == (0, 2, False)
+
+    @pytest.mark.parametrize("size", [1e-10, 3e-10])
+    def test_verified_noisy_tuples_keep_the_noise_free_dimension(self, size, tmp_path, capsys):
+        checked = 0
+        for seed in range(30):
+            scrambled, _ = random_scrambled_model(seed, max_dim=24)
+            t = perturbed_tuple(scrambled, size, seed)
+            if not verify_twisted(t).passed:
+                continue
+            path = tmp_path / f"noisy{seed}.json"
+            path.write_text(dumps_canonical(tuple_document(t)))
+            assert cli.main(["commutant", str(path)]) == 0, seed
+            report = json.loads(capsys.readouterr().out)
+            assert report["dimension"] == commutant_dimension(scrambled.ops, include_adjoints=True), seed
+            checked += 1
+        assert checked >= 10
 
     def test_oversized_equivalence_match_exits_2_with_the_size(self, tmp_path, capsys):
         from partialiso import TwistedTuple, conjugate_tuple, haar_unitary
@@ -473,7 +536,7 @@ class TestDeterminismAndContract:
         ("verify", "verify_twisted"),
         ("hw", "hw_decompose"),
         ("decompose", "decompose_tuple"),
-        ("commutant", "commutant_dimension"),
+        ("commutant", "decompose_tuple"),
         ("equiv", "equivalence_check"),
     ])
     def test_timing_covers_the_work(self, command, work, pair_file, scrambled_file,
@@ -511,3 +574,21 @@ class TestDeterminismAndContract:
         bad_schema.write_text('{"schema_version":"1"}')
         assert run_cli("verify", str(bad_schema)).returncode == 2
         assert run_cli("verify", str(tmp_path / "missing.json")).returncode == 2
+
+    @pytest.mark.parametrize("kind", ["not-utf8", "too-deep", "beyond-float"])
+    def test_malformed_input_exits_2_with_one_error_line(self, kind, pair_file, tmp_path):
+        path = tmp_path / "malformed.json"
+        if kind == "not-utf8":
+            path.write_bytes(b"\xff\xfe{}")
+        elif kind == "too-deep":
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        else:
+            doc = json.loads(pair_file.read_text())
+            doc["operators"][0]["matrix"][0][1] = [int("9" * 400), 0]
+            path.write_text(json.dumps(doc))
+        proc = run_cli("verify", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        if kind == "beyond-float":
+            assert "matrix[0][1]: entry is beyond the float range" in proc.stderr

@@ -43,6 +43,7 @@ from partialiso.operators import _pair_lookup, unitarity_residual
 from conftest import (
     commutant_instances,
     leaf_key,
+    perturbed_tuple,
     random_decomposition_instance,
     random_scrambled_model,
     single_op_tuple,
@@ -365,13 +366,34 @@ class TestDecomposeTuple:
         tuples = [random_scrambled_model(seed, max_dim=16)[0] for seed in range(80)]
         tuples += [t for t, _ in map(random_decomposition_instance, range(40)) if t.dim <= 16]
         for t in tuples:
+            tree = decompose_tuple(t)
             per_leaf = 0
-            for leaf in decompose_tuple(t).leaves:
+            for leaf in tree.leaves:
                 data = [*leaf.unit_ops.values(), *leaf.slot_twists.values()]
                 per_leaf += (
                     commutant_dimension(data, include_adjoints=True) if data else leaf.mult_dim**2
                 )
+            assert tree.commutant_dimension() == per_leaf
             assert per_leaf == commutant_dimension(t.ops, include_adjoints=True)
+
+    def test_d324_commutant_comes_from_the_aux_space_data(self):
+        # one leaf (3, 3, 4, 3) of multiplicity 3: every twist is visible
+        spec = random_model_spec(45)
+        t = conjugate_tuple(build_model_tuple(spec), haar_unitary(324, 45))
+        assert (spec.slot_kinds, t.dim, spec.slot_unitaries) == ([3, 3, 4, 3], 324, {})
+        dense = commutant_dimension(list(spec.twist_data.values()), include_adjoints=True)
+        assert decompose_tuple(t).commutant_dimension() == dense == 3
+
+    def test_a_restriction_off_the_shift_grading_is_refused_by_branch(self):
+        # V_1 = J_3 x I splits exactly; noise on V_2 and V_3 leaves the order-3
+        # block reducing but not block diagonal over C^3
+        scrambled, spec = random_scrambled_model(1, n_ops=3)
+        assert spec.slot_kinds[0] == 3
+        with pytest.raises(DecompositionError) as err:
+            decompose_tuple(perturbed_tuple(scrambled, 1e-6, 1, first=1))
+        assert str(err.value).startswith(
+            "/p=3: operator 2: not block diagonal over the shift grading (off-block mass "
+        )
 
     def test_leaf_models_reproduce_operators(self):
         scrambled, spec = random_scrambled_model(9, n_ops=3)
@@ -515,7 +537,7 @@ class TestEquivalence:
         instances = [random_decomposition_instance(seed) for seed in range(40)]
         equivalent = partners = 0
         for seed, (t, leaves) in enumerate(instances):
-            copy = _perturbed(conjugate_tuple(t, haar_unitary(t.dim, seed + 500)), size, seed)
+            copy = perturbed_tuple(conjugate_tuple(t, haar_unitary(t.dim, seed + 500)), size, seed)
             if not verify_twisted(copy).passed:
                 continue
             assert equivalence_check(t, copy).verdict == "EQUIVALENT", seed
@@ -802,16 +824,6 @@ def _outcome(run, *args):
         return str(exc)
 
 
-def _perturbed(t, size, seed, first=0):
-    """Add noise of norm ``size`` to the operators from index ``first`` on."""
-    rng = np.random.default_rng(seed)
-    ops = list(t.ops[:first])
-    for v in t.ops[first:]:
-        e = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
-        ops.append(v + size * e / op_norm(e))
-    return TwistedTuple(dim=t.dim, ops=ops, twists=t.twists)
-
-
 def _visible(multiindex, key):
     """A symbol (m, n) some model operator sees: p_m >= 2 and V_n is not J_1."""
     m, n = key
@@ -842,7 +854,7 @@ def test_verified_noisy_tuples_certify_with_the_right_leaves_or_fail_by_name(siz
     refused = []
     for seed in range(100):
         scrambled, spec = random_scrambled_model(seed)
-        t = _perturbed(scrambled, size, seed)
+        t = perturbed_tuple(scrambled, size, seed)
         if not verify_twisted(t).passed:
             continue
         try:
@@ -864,11 +876,11 @@ class TestRecursionOracle:
     def test_trees_agree_with_the_oracle(self, seed):
         scrambled, _ = random_scrambled_model(seed, n_ops=3)
         summed, _ = random_decomposition_instance(seed)
-        inputs = [(scrambled, 0.0), (summed, 0.0), (_perturbed(summed, 1e-10, seed), 1e-10)]
-        inputs += [(_perturbed(scrambled, size, seed), size) for size in (1e-10, 1e-8, 1e-6)]
+        inputs = [(scrambled, 0.0), (summed, 0.0), (perturbed_tuple(summed, 1e-10, seed), 1e-10)]
+        inputs += [(perturbed_tuple(scrambled, size, seed), size) for size in (1e-10, 1e-8, 1e-6)]
         # V_1 still splits cleanly, so the noise meets the restrictions below it
         inputs += [
-            (_perturbed(t, size, seed, first=1), size)
+            (perturbed_tuple(t, size, seed, first=1), size)
             for t in (scrambled, summed)
             for size in (1e-9, 1e-6)
         ]
@@ -887,7 +899,7 @@ class TestRecursionOracle:
         t, _ = random_decomposition_instance(seed)
         pairs = [
             (t, conjugate_tuple(t, haar_unitary(t.dim, seed + 90))),
-            (t, _perturbed(conjugate_tuple(t, haar_unitary(t.dim, seed + 91)), 1e-10, seed)),
+            (t, perturbed_tuple(conjugate_tuple(t, haar_unitary(t.dim, seed + 91)), 1e-10, seed)),
         ]
         phases = [np.exp(0.3j), np.exp(0.9j)]
         a, b = (

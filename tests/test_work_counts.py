@@ -5,6 +5,8 @@ calls factorize and whether they ask for singular vectors; a counter on
 `operators._power_walk` shows how many powers of V a check forms.
 """
 
+import json
+
 import numpy as np
 import numpy.linalg._linalg as np_linalg_impl
 import pytest
@@ -26,7 +28,8 @@ from partialiso import (
     truncated_shift,
     verify_twisted,
 )
-from partialiso import halmos_wallen, operators, twisted
+from partialiso import cli, halmos_wallen, operators, twisted
+from partialiso.documents import dumps_canonical, tuple_document
 from partialiso.linalg import _BOUND_SLACK, _frobenius, _norm_within, identity, op_norm
 
 
@@ -223,3 +226,22 @@ def test_d324_model_tuple_verifies_forming_few_powers(power_draws):
     assert report.passed
     assert len(power_draws) == t.n_ops
     assert max(power_draws) <= 10
+
+
+def test_cli_commutant_builds_only_leaf_sized_sylvester_stacks(monkeypatch, tmp_path, capsys):
+    widths = []
+    original = twisted._sylvester_stack
+
+    def recording(pairs):
+        stack = original(pairs)
+        widths.append(stack.shape[1])
+        return stack
+
+    monkeypatch.setattr(twisted, "_sylvester_stack", recording)
+    t = build_twisted_shift_pair(3, np.exp(0.7j))
+    path = tmp_path / "d18.json"
+    path.write_text(dumps_canonical(tuple_document(conjugate_tuple(t, haar_unitary(t.dim, 3)))))
+    assert cli.main(["commutant", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 2
+    # one leaf (3, 3) of multiplicity m = 2: m^2 = 4 unknowns, not d^2 = 324
+    assert widths == [2 * 2]
