@@ -255,6 +255,8 @@ def cmd_generate(args) -> int:
     tol = _tolerance(args)
     if args.spec is not None and args.preset is not None:
         raise SchemaError("use either --preset or --spec, not both")
+    if args.scramble and args.seed < 0:
+        raise SchemaError(f"--seed must be >= 0 with --scramble, got {args.seed}")
     if args.spec is not None:
         spec = parse_model_spec_document(_load_json(args.spec))
         _require_generate_fits(spec.n_ops, prod(k for k in spec.slot_kinds if k != "u") * spec.aux_dim)

@@ -208,9 +208,11 @@ class HWDecomposition:
     The model operator is T oplus (oplus_p J_p x I_mult) on
     C^{unitary_dim} oplus (oplus_p C^p x C^mult), blocks in ascending p;
     ``intertwiner`` maps the model space onto C^d and satisfies
-    ||W model W* - V|| <= residual. Its columns follow the same order, a
-    block's being V^j m_k (j slow), so each summand reduces V on its column
-    range. Shift parts are not stored: `hw_decompose` certifies they vanish.
+    ||W model W* - V|| <= residual. Its columns follow the same order
+    [u | blocks]: the unitary part is the first column block, a part with
+    grading 1 (T is 0 x 0 when it is empty), and a block's columns are
+    V^j m_k (j slow), so each summand reduces V on its column range.
+    Shift parts are not stored: `hw_decompose` certifies they vanish.
     """
 
     ambient_dim: int
@@ -228,12 +230,8 @@ class HWDecomposition:
         return [(b.p, b.mult) for b in self.truncated_blocks]
 
     def model_operator(self) -> np.ndarray:
-        blocks = [self.unitary_op] if self.unitary_dim else []
-        for b in self.truncated_blocks:
-            blocks.append(kron(truncated_shift(b.p), identity(b.mult)))
-        if not blocks:
-            return np.zeros((0, 0), dtype=complex)
-        return _block_diag(blocks)
+        shifts = [kron(truncated_shift(b.p), identity(b.mult)) for b in self.truncated_blocks]
+        return _block_diag([self.unitary_op, *shifts])
 
 
 def hw_decompose(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HWDecomposition:
@@ -265,6 +263,7 @@ def hw_decompose(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HWDecomposition
     t_op = adjoint(b_u) @ v @ b_u
 
     blocks: list[TruncatedBlock] = []
+    columns = [b_u]
     accounted = unitary_basis.dim
     for p in range(1, d + 1):
         if accounted == d:
@@ -272,6 +271,9 @@ def hw_decompose(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HWDecomposition
         space = multiplicity_space(v, p, ladder)
         if space.dim:
             blocks.append(TruncatedBlock(p=p, mult=space.dim, mult_basis=space))
+            columns.append(space.basis)
+            for _ in range(p - 1):
+                columns.append(v @ columns[-1])
             accounted += p * space.dim
     if accounted != d:
         raise DecompositionError(
@@ -279,12 +281,7 @@ def hw_decompose(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HWDecomposition
             "decomposition is incomplete"
         )
 
-    columns = [b_u] if unitary_basis.dim else []
-    for b in blocks:
-        columns.append(b.mult_basis.basis)
-        for _ in range(b.p - 1):
-            columns.append(v @ columns[-1])
-    w = np.hstack(columns) if columns else np.zeros((d, 0), dtype=complex)
+    w = np.hstack(columns)
     gram_defect = adjoint(w) @ w - identity(d)
     if not _norm_within(gram_defect, eps):
         raise DecompositionError(

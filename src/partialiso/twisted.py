@@ -6,11 +6,12 @@ an orthogonal sum of leaves indexed by multiindices over {u} union
 diagonal twists at the truncated-shift slots before it, a truncated shift
 or a leaf unitary at its own position, and the identity elsewhere. The
 recursion peels off the lowest-index operator with its single-operator
-decomposition, restricts the operators still to peel to each reducing
-block and recurses; each leaf reads its unitaries and visible twist
-symbols off the input once, on its first cell. Every restriction, leaf
-datum and the final reconstruction is checked against tolerance;
-violations raise instead of being projected away.
+decomposition, restricts the operators still to peel to each of its
+reducing parts (blocks by order, then the unitary part) and recurses;
+each leaf reads its unitaries and visible twist symbols off the input
+once, on its first cell. Every restriction, leaf datum and the final
+reconstruction is checked against tolerance; violations raise instead of
+being projected away.
 """
 
 from __future__ import annotations
@@ -432,10 +433,12 @@ def _decompose_rec(
 ) -> list[DecompositionLeaf]:
     """Peel ``remaining[0]`` and recurse; ``carried`` holds ``remaining``'s operators on C^dim.
 
-    Below an order-p block each restriction must be block diagonal over
-    C^p, and its top-left mult x mult block carries on. Leaves come back with
-    multiindex, mult_dim and intertwiner only: unitary branch first, then
-    blocks in ascending p.
+    Every part of the peeled operator is peeled alike: an order-p block is
+    graded over C^p and the unitary part, labelled "u", over C^1. Each
+    restriction must be block diagonal over the grading, and its top-left
+    mult x mult block carries on. Parts are peeled in canonical order,
+    blocks in ascending p and then "u", so the leaves come back in canonical
+    order, with multiindex, mult_dim and intertwiner only.
     """
     if not remaining:
         return [DecompositionLeaf(multiindex=(), mult_dim=dim, intertwiner=identity(dim))]
@@ -443,23 +446,18 @@ def _decompose_rec(
     eps = tol.eps
     first, rest = remaining[0], remaining[1:]
     hw = hw_decompose(carried[first], tol)
-    leaves: list[DecompositionLeaf] = []
-
-    if hw.unitary_dim:
-        basis = hw.unitary_basis.basis
-        here = f"{path}/u"
-        sub = {n: _restrict(carried[n], basis, eps, f"{here}: operator {n}") for n in rest}
-        for leaf in _decompose_rec(rest, sub, hw.unitary_dim, tol, here):
-            leaves.append(
-                replace(leaf, multiindex=("u",) + leaf.multiindex, intertwiner=basis @ leaf.intertwiner)
-            )
-
-    at = hw.unitary_dim
-    for block in hw.truncated_blocks:
-        p, mult = block.p, block.mult
-        here = f"{path}/p={p}"
-        wp = hw.intertwiner[:, at : at + p * mult]
+    # (label, grading p, mult, columns), read off the intertwiner's layout [u | blocks]
+    layout = [("u", 1, hw.unitary_dim)] + [(b.p, b.p, b.mult) for b in hw.truncated_blocks]
+    parts, at = [], 0
+    for label, p, mult in layout:
+        parts.append((label, p, mult, hw.intertwiner[:, at : at + p * mult]))
         at += p * mult
+
+    leaves: list[DecompositionLeaf] = []
+    for label, p, mult, wp in parts[1:] + parts[:1]:
+        if not mult:
+            continue
+        here = f"{path}/u" if label == "u" else f"{path}/p={p}"
         sub = {}
         for n in rest:
             c = _restrict(carried[n], wp, eps, f"{here}: operator {n}")
@@ -468,7 +466,7 @@ def _decompose_rec(
             leaves.append(
                 replace(
                     leaf,
-                    multiindex=(p,) + leaf.multiindex,
+                    multiindex=(label,) + leaf.multiindex,
                     intertwiner=wp @ kron(identity(p), leaf.intertwiner),
                 )
             )
@@ -504,11 +502,6 @@ def _read_leaf(t: TwistedTuple, leaf: DecompositionLeaf, eps: float) -> Decompos
     return replace(leaf, slot_twists=slot_twists, unit_ops=unit_ops)
 
 
-def _leaf_sort_key(leaf: DecompositionLeaf) -> tuple:
-    # numeric entries sort ascending, "u" after every shift order
-    return tuple((1,) if e == "u" else (0, e) for e in leaf.multiindex)
-
-
 def _classify(leaves: list[DecompositionLeaf]) -> PartitionReport:
     per_leaf = [dict(enumerate(leaf.multiindex, 1)) for leaf in leaves]
     agree = per_leaf and all(assignment == per_leaf[0] for assignment in per_leaf)
@@ -520,6 +513,10 @@ def _classify(leaves: list[DecompositionLeaf]) -> PartitionReport:
 
 def decompose_tuple(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> DecompositionTree:
     """Recursive decomposition of a twisted tuple into multiindexed leaves.
+
+    Each level peels one operator's parts in canonical order, its blocks in
+    ascending p and then its unitary part (the first column block of its
+    intertwiner, with grading 1), so the leaves come out sorted.
 
     The caller is expected to have run `verify_twisted` first; structural
     failures (non-reducing subspaces, leaf data that is not unitary on the
@@ -535,7 +532,6 @@ def decompose_tuple(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> Decomposit
         tol=tol,
         path="",
     )
-    leaves.sort(key=_leaf_sort_key)
 
     total = sum(leaf.leaf_dim for leaf in leaves)
     if total != t.dim:
@@ -612,8 +608,9 @@ def _match_leaf_unitary(
         return identity(m)
     # X A1 = A2 X and X A1* = A2* X for every pair
     closed = [b for a1, a2 in pairs for b in ((a1, a2), (adjoint(a1), adjoint(a2)))]
-    # unitary pairs give the (tall) stack norm O(1): its null space is cut at an absolute eps
-    _, s, vh = np.linalg.svd(_sylvester_stack(closed), full_matrices=False)
+    # unitary pairs give the (tall) stack norm O(1): its null space is cut at an absolute eps.
+    # It is the null space of the square R factor, so no left factor as tall as the stack is formed
+    _, s, vh = np.linalg.svd(np.linalg.qr(_sylvester_stack(closed), mode="r"))
     basis = [x.conj().reshape(m, m) for x in vh[s <= tol.eps]]
     if not basis:
         return None

@@ -143,6 +143,20 @@ class TestGenerate:
         assert captured.out == ""
         assert size in captured.err and "above the 2 GiB limit" in captured.err
 
+    @pytest.mark.parametrize("route", ["preset", "spec"])
+    def test_negative_scramble_seed_exits_2_naming_the_flag(self, route, tmp_path, capsys):
+        if route == "preset":
+            argv = ["generate", "--preset", "example43"]
+        else:
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(dumps_canonical(model_spec_document(random_model_spec(3, n_ops=2))))
+            argv = ["generate", "--spec", str(spec_path)]
+        assert cli.main([*argv, "--scramble", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "--seed" in captured.err
+
 
 class TestVerify:
     def test_perturbed_twist_fails_with_named_residual(self, pair_file, tmp_path):

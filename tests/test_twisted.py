@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import dataclass
@@ -208,18 +210,20 @@ class TestCommutant:
         with pytest.raises(CommutantTooLargeError):
             is_irreducible(TwistedTuple(dim=150, ops=ops))
 
-    def test_oversized_multiplicity_match_is_refused_before_allocation(self, monkeypatch):
+    def test_oversized_multiplicity_match_is_refused_before_allocation(self):
         # two commuting unitaries at d = 77 decompose into one all-"u" leaf of
         # multiplicity 77; matching it stacks 4 * 77^4 complex entries
         t = TwistedTuple(dim=77, ops=random_commuting_unitaries(77, 2, 3))
         s = conjugate_tuple(t, haar_unitary(77, 4))
-
-        def no_kron(*args):
-            raise AssertionError("kron called before the size guard")
-
-        monkeypatch.setattr(twisted, "kron", no_kron)
-        with pytest.raises(CommutantTooLargeError, match="2.1 GiB"):
-            equivalence_check(t, s)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CommutantTooLargeError, match="2.1 GiB"):
+                equivalence_check(t, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 77^2 x 77^2 Sylvester block alone would take 562 MiB
+        assert peak < 128 * 1024**2
 
 
 class TestExtractTwistFactor:
@@ -394,6 +398,17 @@ class TestDecomposeTuple:
         assert str(err.value).startswith(
             "/p=3: operator 2: not block diagonal over the shift grading (off-block mass "
         )
+
+    def test_blocks_are_peeled_before_the_unitary_part(self):
+        # V_2 = 0.1 E_31 maps the unitary part of V_1 into its order-2 block,
+        # so neither part reduces it: the refusal names the block, peeled first
+        v1 = np.zeros((4, 4), dtype=complex)
+        v1[0, 0], v1[1, 1], v1[3, 2] = 1j, -1.0, 1.0
+        v2 = np.zeros((4, 4), dtype=complex)
+        v2[2, 0] = 0.1
+        with pytest.raises(DecompositionError) as err:
+            decompose_tuple(TwistedTuple(dim=4, ops=[v1, v2]))
+        assert str(err.value) == "/p=2: operator 2: subspace is not reducing (off-block norm 1.000e-01)"
 
     def test_leaf_models_reproduce_operators(self):
         scrambled, spec = random_scrambled_model(9, n_ops=3)
@@ -707,7 +722,7 @@ def _oracle_decompose(t, tol=DEFAULT_TOL):
         )
         assert leaf.leaf_dim == old.leaf_dim
         leaves.append(leaf)
-    leaves.sort(key=twisted._leaf_sort_key)
+    leaves.sort(key=lambda leaf: leaf_key((leaf.multiindex, leaf.mult_dim)))
     total = sum(leaf.leaf_dim for leaf in leaves)
     if total != t.dim:
         raise DecompositionError(f"leaf dimensions sum to {total}, ambient is {t.dim}")

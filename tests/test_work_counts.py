@@ -14,16 +14,19 @@ from scipy.linalg import block_diag
 
 from partialiso import (
     ModelSpec,
+    TwistedTuple,
     build_model_tuple,
     build_twisted_shift_pair,
     check_projection_commutation,
     commutant_dimension,
     conjugate_tuple,
     decompose_tuple,
+    equivalence_check,
     haar_unitary,
     is_power_partial_isometry,
     kron,
     power_isometry_residual,
+    random_commuting_unitaries,
     random_model_spec,
     truncated_shift,
     verify_twisted,
@@ -141,6 +144,18 @@ def test_decompose_tuple_takes_one_svd_per_operator_outside_hw_decompose(monkeyp
     decompose_tuple(t)
     # the reconstruction residual of each operator; every other gate is screened
     assert len(svd_calls) - sum(inside) == t.n_ops == 2
+
+
+def test_equivalence_match_factorizes_only_square_operands(svd_calls):
+    # two commuting unitaries decompose into one all-"u" leaf of multiplicity
+    # 6: its match stacks 4 * 36 rows over 36 unknowns, and the null space
+    # comes from the square R factor, not from an SVD of the tall stack
+    t = TwistedTuple(dim=6, ops=random_commuting_unitaries(6, 2, 3))
+    s = conjugate_tuple(t, haar_unitary(6, 4))
+    svd_calls.clear()
+    assert equivalence_check(t, s).verdict == "EQUIVALENT"
+    assert ((36, 36), True) in svd_calls
+    assert all(rows == cols for (rows, cols), _ in svd_calls)
 
 
 def test_commutant_never_forms_singular_vectors(svd_calls):
