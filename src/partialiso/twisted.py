@@ -183,33 +183,65 @@ def check_projection_commutation(
 # ---------------------------------------------------------------------------
 # commutant and irreducibility
 
-# Largest stacked Sylvester system the package will build.
+# Largest peak of a Sylvester system the package will build: its stack and the copies factorizing it makes.
 COMMUTANT_MAX_BYTES = 2 * 1024**3
 
 
 class CommutantTooLargeError(ValueError):
-    """A stacked Sylvester system would exceed COMMUTANT_MAX_BYTES."""
+    """A Sylvester system would peak above COMMUTANT_MAX_BYTES."""
 
 
-def _sylvester_stack(pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """The maps X -> X B1 - B2 X over ``pairs`` (B1, B2), stacked in row-major vectorization.
+def _check_size(maps: int, d: int, peak_blocks: int) -> None:
+    """Refuse ``maps`` Sylvester maps at ``d`` when ``peak_blocks`` d^2 x d^2 complex blocks pass the limit.
 
-    The size is checked before any block is built, and the blocks are
-    filled in place, so they and the stack never coexist.
+    The blocks count the stack and every copy that factorizing it makes.
     """
-    d = pairs[0][0].shape[0]
-    stack_bytes = len(pairs) * d**4 * np.dtype(complex).itemsize
-    if stack_bytes > COMMUTANT_MAX_BYTES:
+    peak_bytes = peak_blocks * d**4 * np.dtype(complex).itemsize
+    if peak_bytes > COMMUTANT_MAX_BYTES:
         raise CommutantTooLargeError(
-            f"{len(pairs)} Sylvester maps at d = {d} need a {stack_bytes / 1024**3:.1f} GiB "
+            f"{maps} Sylvester maps at d = {d} need a {peak_bytes / 1024**3:.1f} GiB "
             f"system, above the {COMMUTANT_MAX_BYTES / 1024**3:.0f} GiB limit"
         )
+
+
+def _sylvester_stack(pairs: list[tuple[np.ndarray, np.ndarray]], peak_blocks: int) -> np.ndarray:
+    """The maps X -> X B1 - B2 X over ``pairs`` (B1, B2), stacked in row-major vectorization.
+
+    The size, ``peak_blocks`` blocks of the stack's d^2 x d^2 shape, is checked
+    before any block is built, and the blocks are filled in place, so they and
+    the stack never coexist.
+    """
+    d = pairs[0][0].shape[0]
+    _check_size(len(pairs), d, peak_blocks)
     eye = identity(d)
     stack = np.empty((len(pairs) * d * d, d * d), dtype=complex)
     for k, (b1, b2) in enumerate(pairs):
         # vec(X B1 - B2 X) = (I x B1^T - B2 x I) vec(X), row-major vec
         stack[k * d * d : (k + 1) * d * d] = kron(eye, b1.T) - kron(b2, eye)
     return stack
+
+
+def _hermitian_sylvester_stack(mats: list[np.ndarray]) -> np.ndarray:
+    """S_H: A -> sqrt(2) (A V - V A) over V in ``mats``, as a real (2N d^2, d^2) Fortran-ordered matrix.
+
+    Columns: the orthonormal Hermitian basis E_jj, (E_jk + E_kj) / sqrt(2), i (E_jk - E_kj) / sqrt(2),
+    j < k. Rows: Re and Im, interleaved, of each entry of sqrt(2) (A V - V A), per V. Entries are written
+    into a complex array viewed as the real stack, so the stack and the SVD's copy of it, 2N complex
+    blocks and checked first, are the peak.
+    """
+    d = mats[0].shape[0]
+    _check_size(2 * len(mats), d, 2 * len(mats))
+    j, k = np.triu_indices(d, 1)
+    diag, sym, anti = np.arange(d), d + np.arange(len(j)), d + len(j) + np.arange(len(j))
+    # basis element b is the sum of gamma / sqrt(2) E_pq over its entries (b, p, q, gamma)
+    b, p, q = (np.concatenate(x) for x in ((diag, sym, sym, anti, anti), (diag, j, k, j, k), (diag, k, j, k, j)))
+    gamma = np.repeat([np.sqrt(2.0), 1.0, 1.0, 1j, -1j], [d] + 4 * [len(j)])[:, None]
+    # (E_pq V - V E_pq)[r, s] = delta_rp V[q, s] - V[r, p] delta_qs; each (b, p) and (b, q) occurs once
+    out = np.zeros((d * d, len(mats), d, d), dtype=complex)
+    for n, v in enumerate(mats):
+        out[b, n, p, :] = gamma * v[q, :]
+        out[b, n, :, q] -= gamma * v[:, p].T
+    return out.reshape(d * d, len(mats) * d * d).view(float).T
 
 
 def commutant_dimension(
@@ -225,16 +257,33 @@ def commutant_dimension(
     the stack is at least as tall as it is wide, so the dimension counts its d^2
     singular values at or below eps, absolute: the cut of every Sylvester null
     space here, as norm-O(1) operators keep rounding far below it. No singular
-    vectors are formed; always >= 1. Dense for any matrices (a certified tuple's
-    is read off its leaves by `DecompositionTree.commutant_dimension`). A stack above
-    COMMUTANT_MAX_BYTES raises `CommutantTooLargeError` before any of it is allocated.
+    vectors are formed; 0 for 0 x 0 operators, else >= 1. Dense for any matrices
+    (a certified tuple's is read off its leaves by `DecompositionTree.commutant_dimension`).
+
+    A star-closed family is solved in real arithmetic. X commutes with it exactly
+    when X* does, so write X = A + iB with A, B Hermitian. The map S of the family
+    sends A to (M_k, -M_k*) and iB to (N_k, N_k*) with M_k = [A, V_k], N_k = [iB, V_k],
+    whose real inner product is sum Re tr(M_k* N_k) - Re tr(M_k N_k*) = 0, and
+    S(iB) = i S(B). So S is, as a real map, the direct sum of two copies of
+    S_H(A) = sqrt(2) ([A, V_k])_k on Hermitian A: the d^2 complex singular values of S
+    are those of the real stack of S_H, a quarter of the SVD's flops on half the bytes.
+
+    Operators that are not square or not all of one shape raise before any stack is
+    built, and a system whose factorization would peak above COMMUTANT_MAX_BYTES
+    raises `CommutantTooLargeError` before any of it is allocated.
     """
-    mats = [as_matrix(a) for a in ops]
+    mats = [_require_square(a) for a in ops]
     if not mats:
         raise ValueError("need at least one operator")
+    for n, m in enumerate(mats[1:], 2):
+        if m.shape != mats[0].shape:
+            raise DimensionMismatchError(f"operator {n} has shape {m.shape}, operator 1 has shape {mats[0].shape}")
     if include_adjoints:
-        mats = mats + [adjoint(a) for a in mats]
-    singular_values = np.linalg.svd(_sylvester_stack([(m, m) for m in mats]), compute_uv=False)
+        stack = _hermitian_sylvester_stack(mats)
+    else:
+        # the stack and the column-major copy numpy's SVD makes
+        stack = _sylvester_stack([(m, m) for m in mats], 2 * len(mats))
+    singular_values = np.linalg.svd(stack, compute_uv=False)
     return int(np.count_nonzero(singular_values <= tol.eps))
 
 
@@ -609,8 +658,10 @@ def _match_leaf_unitary(
     # X A1 = A2 X and X A1* = A2* X for every pair
     closed = [b for a1, a2 in pairs for b in ((a1, a2), (adjoint(a1), adjoint(a2)))]
     # unitary pairs give the (tall) stack norm O(1): its null space is cut at an absolute eps.
-    # It is the null space of the square R factor, so no left factor as tall as the stack is formed
-    _, s, vh = np.linalg.svd(np.linalg.qr(_sylvester_stack(closed), mode="r"))
+    # It is the null space of the square R factor, so no left factor as tall as the stack is formed.
+    # The peak is the stack, the two copies np.linalg.qr makes (astype and its column-major
+    # buffer) and R
+    _, s, vh = np.linalg.svd(np.linalg.qr(_sylvester_stack(closed, 3 * len(closed) + 1), mode="r"))
     basis = [x.conj().reshape(m, m) for x in vh[s <= tol.eps]]
     if not basis:
         return None

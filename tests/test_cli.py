@@ -481,7 +481,7 @@ class TestCommutantAndEquiv:
         assert cli.main(["equiv", *map(str, paths)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "2.1 GiB" in captured.err
+        assert "4 Sylvester maps at d = 77 need a 6.8 GiB" in captured.err
 
     def test_tuple_equivalent_to_its_scramble(self, pair_file, scrambled_file):
         code, report = run_json("equiv", str(pair_file), str(scrambled_file))

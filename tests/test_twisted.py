@@ -198,26 +198,71 @@ class TestCommutant:
         dimension = commutant_dimension(t.ops, include_adjoints=True)
         assert dimension == nullspace(sylvester_stack(family)).dim == 2
 
-    def test_oversized_system_is_refused_before_allocation(self, monkeypatch):
-        def no_kron(*args):
-            raise AssertionError("kron called before the size guard")
-
-        monkeypatch.setattr(twisted, "kron", no_kron)
-        # four 150 x 150 maps stack into 4 * 150^4 complex entries, about 30 GiB
+    def test_oversized_system_is_refused_before_allocation(self):
+        # the star-closed system of two 150 x 150 operators is a real
+        # (4 * 150^2, 150^2) stack of 15.1 GiB, and numpy's SVD copies it
         ops = [truncated_shift(150), np.eye(150, dtype=complex)]
-        with pytest.raises(CommutantTooLargeError, match="30.2 GiB"):
-            commutant_dimension(ops, include_adjoints=True)
-        with pytest.raises(CommutantTooLargeError):
-            is_irreducible(TwistedTuple(dim=150, ops=ops))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CommutantTooLargeError, match="30.2 GiB"):
+                commutant_dimension(ops, include_adjoints=True)
+            with pytest.raises(CommutantTooLargeError):
+                is_irreducible(TwistedTuple(dim=150, ops=ops))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one real 150^2 x 150^2 kron alone would take 3.8 GiB
+        assert peak < 16 * 1024**2
+
+    @staticmethod
+    def _complex_stack_dimension(mats):
+        """The count on the complex stack of the star-closed family, the oracle of the real one."""
+        family = [m for a in mats for m in (a, adjoint(a))]
+        stack = twisted._sylvester_stack([(m, m) for m in family], len(family))
+        return int(np.count_nonzero(np.linalg.svd(stack, compute_uv=False) <= DEFAULT_TOL.eps))
+
+    @pytest.mark.parametrize("f,expected", [(0.99, 8), (0.999, 8), (1.001, 6), (1.01, 6)])
+    def test_star_closed_count_matches_complex_stack_at_the_cutoff(self, f, expected):
+        # X = W E_01 W* and its adjoint give singular value sqrt(2) |l0 - l1| = f eps
+        lam = np.array([0.3, 0.3 + f * DEFAULT_TOL.eps / np.sqrt(2), -0.7, 0.9, 1.4, -1.2])
+        w = haar_unitary(6, 11)
+        a = w @ np.diag(lam) @ adjoint(w)
+        assert commutant_dimension([a], include_adjoints=True) == self._complex_stack_dimension([a]) == expected
+
+    def test_star_closed_count_matches_complex_stack_on_scrambled_models(self):
+        checked = 0
+        for seed in range(192):
+            scrambled, _ = random_scrambled_model(seed, max_dim=20)
+            for size in (0.0, 1e-10, 1e-6):
+                t = perturbed_tuple(scrambled, size, seed) if size else scrambled
+                dimension = commutant_dimension(t.ops, include_adjoints=True)
+                assert dimension == self._complex_stack_dimension(t.ops), (seed, size)
+                checked += 1
+        assert checked == 576
+
+    @pytest.mark.parametrize("include_adjoints", [False, True])
+    def test_non_square_operand_is_refused(self, include_adjoints):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            commutant_dimension([np.eye(4), np.zeros((4, 6))], include_adjoints=include_adjoints)
+
+    @pytest.mark.parametrize("include_adjoints", [False, True])
+    def test_operands_of_different_sizes_are_refused(self, include_adjoints):
+        with pytest.raises(DimensionMismatchError, match=r"\(4, 4\).*\(3, 3\)"):
+            commutant_dimension([np.eye(3), np.eye(4)], include_adjoints=include_adjoints)
+
+    @pytest.mark.parametrize("include_adjoints", [False, True])
+    def test_empty_operators_have_an_empty_commutant(self, include_adjoints):
+        assert commutant_dimension([np.zeros((0, 0))], include_adjoints=include_adjoints) == 0
 
     def test_oversized_multiplicity_match_is_refused_before_allocation(self):
         # two commuting unitaries at d = 77 decompose into one all-"u" leaf of
-        # multiplicity 77; matching it stacks 4 * 77^4 complex entries
+        # multiplicity 77; matching it stacks 4 * 77^4 complex entries, and its
+        # QR peaks at three such stacks and the R factor, 13 * 77^4 entries
         t = TwistedTuple(dim=77, ops=random_commuting_unitaries(77, 2, 3))
         s = conjugate_tuple(t, haar_unitary(77, 4))
         tracemalloc.start()
         try:
-            with pytest.raises(CommutantTooLargeError, match="2.1 GiB"):
+            with pytest.raises(CommutantTooLargeError, match="6.8 GiB"):
                 equivalence_check(t, s)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -750,7 +795,7 @@ def _oracle_match(leaf1, leaf2, tol):
     if not pairs:
         return identity(m)
     closed = [b for a1, a2 in pairs for b in ((a1, a2), (adjoint(a1), adjoint(a2)))]
-    solutions = nullspace(twisted._sylvester_stack(closed), tol)
+    solutions = nullspace(twisted._sylvester_stack(closed, len(closed)), tol)
     if solutions.dim == 0:
         return None
     basis = [solutions.basis[:, r].reshape(m, m) for r in range(solutions.dim)]
