@@ -226,7 +226,7 @@ def power_isometry_residual(v: np.ndarray) -> float:
        isometry), the walk is never cut. An operator with a unitary part
        of dimension k keeps ‖V̂^n‖ ≥ √k, so its walk runs in full anyway.
     """
-    v = as_matrix(v)
+    v = _require_square(v)
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for residual, tail in _residual_walk(v):

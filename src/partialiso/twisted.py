@@ -192,10 +192,7 @@ class CommutantTooLargeError(ValueError):
 
 
 def _check_size(maps: int, d: int, peak_blocks: int) -> None:
-    """Refuse ``maps`` Sylvester maps at ``d`` when ``peak_blocks`` d^2 x d^2 complex blocks pass the limit.
-
-    The blocks count the stack and every copy that factorizing it makes.
-    """
+    """Refuse ``maps`` Sylvester maps at ``d`` when ``peak_blocks`` d^2 x d^2 complex blocks pass the limit."""
     peak_bytes = peak_blocks * d**4 * np.dtype(complex).itemsize
     if peak_bytes > COMMUTANT_MAX_BYTES:
         raise CommutantTooLargeError(
@@ -204,44 +201,38 @@ def _check_size(maps: int, d: int, peak_blocks: int) -> None:
         )
 
 
-def _sylvester_stack(pairs: list[tuple[np.ndarray, np.ndarray]], peak_blocks: int) -> np.ndarray:
-    """The maps X -> X B1 - B2 X over ``pairs`` (B1, B2), stacked in row-major vectorization.
-
-    The size, ``peak_blocks`` blocks of the stack's d^2 x d^2 shape, is checked
-    before any block is built, and the blocks are filled in place, so they and
-    the stack never coexist.
-    """
+def _sylvester_stack(pairs: list[tuple[np.ndarray, np.ndarray]], basis: tuple) -> np.ndarray:
+    """Row b: basis element b, the sum of gamma E_pq over its entries (b, p, q, gamma), under each
+    map X -> X B1 - B2 X of ``pairs`` (B1, B2) in turn, row-major: a complex (d^2, maps d^2) array,
+    written in place, so nothing the size of the stack is formed beside it."""
+    b, p, q, gamma = basis
     d = pairs[0][0].shape[0]
-    _check_size(len(pairs), d, peak_blocks)
-    eye = identity(d)
-    stack = np.empty((len(pairs) * d * d, d * d), dtype=complex)
-    for k, (b1, b2) in enumerate(pairs):
-        # vec(X B1 - B2 X) = (I x B1^T - B2 x I) vec(X), row-major vec
-        stack[k * d * d : (k + 1) * d * d] = kron(eye, b1.T) - kron(b2, eye)
-    return stack
+    out = np.zeros((d * d, len(pairs), d, d), dtype=complex)
+
+    def scaled(entries: np.ndarray) -> np.ndarray:
+        # in place: the gathered entries are the only temporary of each write
+        return np.multiply(gamma, entries, out=entries)
+
+    # (E_pq B1 - B2 E_pq)[r, s] = delta_rp B1[q, s] - B2[r, p] delta_qs; each (b, p) and (b, q) occurs once
+    for n, (b1, b2) in enumerate(pairs):
+        out[b, n, p, :] = scaled(b1[q, :])
+        out[b, n, :, q] -= scaled(b2[:, p].T)
+    return out.reshape(d * d, len(pairs) * d * d)
 
 
-def _hermitian_sylvester_stack(mats: list[np.ndarray]) -> np.ndarray:
-    """S_H: A -> sqrt(2) (A V - V A) over V in ``mats``, as a real (2N d^2, d^2) Fortran-ordered matrix.
+def _matrix_units(d: int) -> tuple:
+    """The row-major basis E_pq of d x d matrices, as entries (b, p, q, gamma) of `_sylvester_stack`."""
+    b = np.arange(d * d)
+    return (b, *np.divmod(b, d), 1.0)
 
-    Columns: the orthonormal Hermitian basis E_jj, (E_jk + E_kj) / sqrt(2), i (E_jk - E_kj) / sqrt(2),
-    j < k. Rows: Re and Im, interleaved, of each entry of sqrt(2) (A V - V A), per V. Entries are written
-    into a complex array viewed as the real stack, so the stack and the SVD's copy of it, 2N complex
-    blocks and checked first, are the peak.
-    """
-    d = mats[0].shape[0]
-    _check_size(2 * len(mats), d, 2 * len(mats))
+
+def _hermitian_units(d: int) -> tuple:
+    """sqrt(2) E_jj, E_jk + E_kj, i (E_jk - E_kj), j < k: sqrt(2) times an orthonormal Hermitian basis."""
     j, k = np.triu_indices(d, 1)
     diag, sym, anti = np.arange(d), d + np.arange(len(j)), d + len(j) + np.arange(len(j))
-    # basis element b is the sum of gamma / sqrt(2) E_pq over its entries (b, p, q, gamma)
     b, p, q = (np.concatenate(x) for x in ((diag, sym, sym, anti, anti), (diag, j, k, j, k), (diag, k, j, k, j)))
     gamma = np.repeat([np.sqrt(2.0), 1.0, 1.0, 1j, -1j], [d] + 4 * [len(j)])[:, None]
-    # (E_pq V - V E_pq)[r, s] = delta_rp V[q, s] - V[r, p] delta_qs; each (b, p) and (b, q) occurs once
-    out = np.zeros((d * d, len(mats), d, d), dtype=complex)
-    for n, v in enumerate(mats):
-        out[b, n, p, :] = gamma * v[q, :]
-        out[b, n, :, q] -= gamma * v[:, p].T
-    return out.reshape(d * d, len(mats) * d * d).view(float).T
+    return b, p, q, gamma
 
 
 def commutant_dimension(
@@ -269,8 +260,9 @@ def commutant_dimension(
     are those of the real stack of S_H, a quarter of the SVD's flops on half the bytes.
 
     Operators that are not square or not all of one shape raise before any stack is
-    built, and a system whose factorization would peak above COMMUTANT_MAX_BYTES
-    raises `CommutantTooLargeError` before any of it is allocated.
+    built. The stack, N complex d^2 x d^2 blocks on either branch (the real one holds Re and
+    Im of each entry in turn), and the copy numpy's SVD makes are all that is allocated at
+    that size; above COMMUTANT_MAX_BYTES they raise `CommutantTooLargeError` first.
     """
     mats = [_require_square(a) for a in ops]
     if not mats:
@@ -278,11 +270,12 @@ def commutant_dimension(
     for n, m in enumerate(mats[1:], 2):
         if m.shape != mats[0].shape:
             raise DimensionMismatchError(f"operator {n} has shape {m.shape}, operator 1 has shape {mats[0].shape}")
+    d, pairs = mats[0].shape[0], [(m, m) for m in mats]
+    _check_size(len(mats) * (2 if include_adjoints else 1), d, 2 * len(mats))
     if include_adjoints:
-        stack = _hermitian_sylvester_stack(mats)
+        stack = _sylvester_stack(pairs, _hermitian_units(d)).view(float).T
     else:
-        # the stack and the column-major copy numpy's SVD makes
-        stack = _sylvester_stack([(m, m) for m in mats], 2 * len(mats))
+        stack = _sylvester_stack(pairs, _matrix_units(d)).T
     singular_values = np.linalg.svd(stack, compute_uv=False)
     return int(np.count_nonzero(singular_values <= tol.eps))
 
@@ -659,9 +652,10 @@ def _match_leaf_unitary(
     closed = [b for a1, a2 in pairs for b in ((a1, a2), (adjoint(a1), adjoint(a2)))]
     # unitary pairs give the (tall) stack norm O(1): its null space is cut at an absolute eps.
     # It is the null space of the square R factor, so no left factor as tall as the stack is formed.
-    # The peak is the stack, the two copies np.linalg.qr makes (astype and its column-major
-    # buffer) and R
-    _, s, vh = np.linalg.svd(np.linalg.qr(_sylvester_stack(closed, 3 * len(closed) + 1), mode="r"))
+    # The peak, all of it counted by the guard, is the stack (written in place), the two copies
+    # np.linalg.qr makes (astype and its column-major buffer) and R
+    _check_size(len(closed), m, 3 * len(closed) + 1)
+    _, s, vh = np.linalg.svd(np.linalg.qr(_sylvester_stack(closed, _matrix_units(m)).T, mode="r"))
     basis = [x.conj().reshape(m, m) for x in vh[s <= tol.eps]]
     if not basis:
         return None

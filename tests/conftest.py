@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 from scipy.linalg import block_diag
 
@@ -122,11 +124,26 @@ def single_op_tuple(m: np.ndarray) -> TwistedTuple:
     return TwistedTuple(dim=m.shape[0], ops=[m])
 
 
+def sylvester_pair_stack(pairs) -> np.ndarray:
+    """The stacked maps X -> X B1 - B2 X over pairs (B1, B2), row-major vectorized, built from kron."""
+    d = pairs[0][0].shape[0]
+    eye = identity(d)
+    return np.vstack([kron(eye, b1.T) - kron(b2, eye) for b1, b2 in pairs])
+
+
 def sylvester_stack(mats) -> np.ndarray:
     """The stacked maps X -> XA - AX, row-major vectorized, one block per A."""
-    d = mats[0].shape[0]
-    eye = identity(d)
-    return np.vstack([kron(eye, m.T) - kron(m, eye) for m in mats])
+    return sylvester_pair_stack([(m, m) for m in mats])
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of ``call()``; tracing stops whether it returns or raises."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _has_clean_rank_gap(mats) -> bool:

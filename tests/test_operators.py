@@ -254,6 +254,18 @@ class TestNonFinitePowers:
         assert is_partial_isometry(np.diag([1e200, 0.0])) == (False, np.inf)
 
 
+@pytest.mark.parametrize("check", [power_isometry_residual, is_power_partial_isometry])
+class TestPowerChecksRefuseNonOperators:
+    @pytest.mark.parametrize("v", [np.zeros((2, 3)), np.ones((2, 3))], ids=["zeros", "ones"])
+    def test_non_square_input(self, check, v):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            check(v)
+
+    def test_non_finite_entries(self, check):
+        with pytest.raises(ValueError, match="non-finite"):
+            check(np.diag([np.nan, 1.0]))
+
+
 class TestTwistedShiftPair:
     def test_passes_verification(self):
         t = build_twisted_shift_pair(2, 1j)

@@ -49,7 +49,9 @@ from conftest import (
     random_decomposition_instance,
     random_scrambled_model,
     single_op_tuple,
+    sylvester_pair_stack,
     sylvester_stack,
+    traced_peak,
 )
 
 
@@ -199,26 +201,32 @@ class TestCommutant:
         assert dimension == nullspace(sylvester_stack(family)).dim == 2
 
     def test_oversized_system_is_refused_before_allocation(self):
-        # the star-closed system of two 150 x 150 operators is a real
-        # (4 * 150^2, 150^2) stack of 15.1 GiB, and numpy's SVD copies it
+        # two 150 x 150 operators stack a complex (2 * 150^2, 150^2) system, or star-closed a
+        # real (4 * 150^2, 150^2) one, and numpy's SVD copies it
         ops = [truncated_shift(150), np.eye(150, dtype=complex)]
-        tracemalloc.start()
-        try:
-            with pytest.raises(CommutantTooLargeError, match="30.2 GiB"):
-                commutant_dimension(ops, include_adjoints=True)
+
+        def refuse():
+            for include_adjoints in (False, True):
+                with pytest.raises(CommutantTooLargeError, match="30.2 GiB"):
+                    commutant_dimension(ops, include_adjoints=include_adjoints)
             with pytest.raises(CommutantTooLargeError):
                 is_irreducible(TwistedTuple(dim=150, ops=ops))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # one real 150^2 x 150^2 kron alone would take 3.8 GiB
-        assert peak < 16 * 1024**2
+
+        # either stack alone would take 15.1 GiB
+        assert traced_peak(refuse) < 16 * 1024**2
+
+    def test_dense_commutant_allocates_nothing_beside_its_stack(self):
+        # one operator at d = 24 stacks 24^4 complex entries; the copy numpy's SVD makes
+        # is not traced, so the guard's other block does not show here
+        a = haar_unitary(24, 5)
+        stack_bytes = 24**4 * np.dtype(complex).itemsize
+        assert traced_peak(lambda: commutant_dimension([a])) < 1.25 * stack_bytes
 
     @staticmethod
     def _complex_stack_dimension(mats):
         """The count on the complex stack of the star-closed family, the oracle of the real one."""
         family = [m for a in mats for m in (a, adjoint(a))]
-        stack = twisted._sylvester_stack([(m, m) for m in family], len(family))
+        stack = sylvester_stack(family)
         return int(np.count_nonzero(np.linalg.svd(stack, compute_uv=False) <= DEFAULT_TOL.eps))
 
     @pytest.mark.parametrize("f,expected", [(0.99, 8), (0.999, 8), (1.001, 6), (1.01, 6)])
@@ -260,15 +268,32 @@ class TestCommutant:
         # QR peaks at three such stacks and the R factor, 13 * 77^4 entries
         t = TwistedTuple(dim=77, ops=random_commuting_unitaries(77, 2, 3))
         s = conjugate_tuple(t, haar_unitary(77, 4))
-        tracemalloc.start()
-        try:
+
+        def refuse():
             with pytest.raises(CommutantTooLargeError, match="6.8 GiB"):
                 equivalence_check(t, s)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
         # one 77^2 x 77^2 Sylvester block alone would take 562 MiB
-        assert peak < 128 * 1024**2
+        assert traced_peak(refuse) < 128 * 1024**2
+
+    def test_multiplicity_match_allocates_nothing_beside_its_stack(self, monkeypatch):
+        # a unitary at d = 24 decomposes into one "u" leaf of multiplicity 24; matching it
+        # stacks X U1 - U2 X and X U1* - U2* X, 2 * 24^4 complex entries, and factorizes them
+        t = single_op_tuple(haar_unitary(24, 5))
+        s = conjugate_tuple(t, haar_unitary(24, 6))
+        built = []
+        qr = np.linalg.qr
+
+        def recording(a, mode="reduced"):
+            # the peak so far, before QR copies the stack it is handed
+            built.append((tracemalloc.get_traced_memory()[1], a.nbytes))
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        traced_peak(lambda: equivalence_check(t, s))
+        [(peak, stack_bytes)] = built
+        assert stack_bytes == 2 * 24**4 * np.dtype(complex).itemsize
+        assert peak < 1.25 * stack_bytes
 
 
 class TestExtractTwistFactor:
@@ -795,7 +820,7 @@ def _oracle_match(leaf1, leaf2, tol):
     if not pairs:
         return identity(m)
     closed = [b for a1, a2 in pairs for b in ((a1, a2), (adjoint(a1), adjoint(a2)))]
-    solutions = nullspace(twisted._sylvester_stack(closed, len(closed)), tol)
+    solutions = nullspace(sylvester_pair_stack(closed), tol)
     if solutions.dim == 0:
         return None
     basis = [solutions.basis[:, r].reshape(m, m) for r in range(solutions.dim)]

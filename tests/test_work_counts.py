@@ -159,19 +159,26 @@ def test_equivalence_match_factorizes_only_square_operands(svd_calls):
 
 
 def test_commutant_never_forms_singular_vectors(svd_calls, monkeypatch):
-    operands = []
-    original = twisted._hermitian_sylvester_stack
+    stacks, operands = [], []
+    original, counting = twisted._sylvester_stack, np.linalg.svd
 
-    def recording(mats):
-        operands.append(original(mats))
-        return operands[-1]
+    def recording(pairs, basis):
+        stacks.append(original(pairs, basis))
+        return stacks[-1]
 
-    monkeypatch.setattr(twisted, "_hermitian_sylvester_stack", recording)
+    def factorizing(a, *args, **kwargs):
+        operands.append(a)
+        return counting(a, *args, **kwargs)
+
+    monkeypatch.setattr(twisted, "_sylvester_stack", recording)
+    monkeypatch.setattr(np.linalg, "svd", factorizing)
     t = build_twisted_shift_pair(2, np.exp(0.7j))
     assert commutant_dimension(t.ops, include_adjoints=True) == 2
     # two operators at d = 8: Re and Im rows of each map over 64 Hermitian unknowns
     assert svd_calls == [((4 * 64, 64), False)]
-    assert [stack.dtype for stack in operands] == [np.float64]
+    # the SVD is handed a real view of the one stack built, not a copy of it
+    assert [a.dtype for a in operands] == [np.float64]
+    assert [np.shares_memory(a, stack) for a, stack in zip(operands, stacks)] == [True]
 
 
 @pytest.mark.parametrize(
@@ -255,14 +262,15 @@ def test_d324_model_tuple_verifies_forming_few_powers(power_draws):
 
 def test_cli_commutant_builds_only_leaf_sized_sylvester_stacks(monkeypatch, tmp_path, capsys):
     widths = []
-    original = twisted._hermitian_sylvester_stack
+    original = twisted._sylvester_stack
 
-    def recording(mats):
-        stack = original(mats)
-        widths.append(stack.shape[1])
+    def recording(pairs, basis):
+        stack = original(pairs, basis)
+        # one row per unknown
+        widths.append(stack.shape[0])
         return stack
 
-    monkeypatch.setattr(twisted, "_hermitian_sylvester_stack", recording)
+    monkeypatch.setattr(twisted, "_sylvester_stack", recording)
     t = build_twisted_shift_pair(3, np.exp(0.7j))
     path = tmp_path / "d18.json"
     path.write_text(dumps_canonical(tuple_document(conjugate_tuple(t, haar_unitary(t.dim, 3)))))
