@@ -75,8 +75,11 @@ def _write(doc: dict, args) -> None:
         doc["timing"] = time.perf_counter() - args.started
     text = dumps_canonical(doc) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

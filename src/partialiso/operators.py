@@ -14,7 +14,7 @@ the residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, permutations
 from math import inf, isfinite, prod, sqrt
 
 import numpy as np
@@ -322,6 +322,28 @@ class TwistedTuple:
         return sorted(self.twists.keys())
 
 
+def _relation_defects(t: TwistedTuple):
+    """(key, defects) for every relation of ``t`` but the power checks, in report order.
+
+    A relation holds when its defects vanish; a key's defects are formed only when it is drawn.
+    """
+    pairs = t.pair_keys()
+    eye = identity(t.dim)
+    for p in pairs:
+        u = t.twists[p]
+        yield ("twist-unitary", *p), (adjoint(u) @ u - eye, u @ adjoint(u) - eye)
+    for a, p in enumerate(pairs):
+        for q in pairs[a + 1 :]:
+            yield ("twist-commuting-family", *p, *q), (t.twists[p] @ t.twists[q] - t.twists[q] @ t.twists[p],)
+    for k, v in enumerate(t.ops, 1):
+        for p in pairs:
+            yield ("twist-commute", k, *p), (v @ t.twists[p] - t.twists[p] @ v,)
+    for i, j in permutations(range(1, t.n_ops + 1), 2):
+        vi, vj = t.ops[i - 1], t.ops[j - 1]
+        yield ("star-cross", i, j), (adjoint(vi) @ vj - t.twist(i, j) @ vj @ adjoint(vi),)
+        yield ("plain-cross", i, j), (vi @ vj - t.twist(j, i) @ vj @ vi,)
+
+
 def build_twisted_shift_pair(
     p: int, lam: complex, tol: Tolerance = DEFAULT_TOL
 ) -> TwistedTuple:
@@ -347,6 +369,15 @@ def build_twisted_shift_pair(
     return TwistedTuple(dim=2 * p * p, ops=[v1, v2], twists={(1, 2): u})
 
 
+def _positive_int(value, what: str) -> int:
+    """``value`` as an int; bools, other non-integers and values below 1 are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1, got {value}")
+    return int(value)
+
+
 @dataclass
 class ModelSpec:
     """Slot data for a tensor model tuple.
@@ -365,19 +396,12 @@ class ModelSpec:
     slot_unitaries: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.aux_dim < 1:
-            raise ValueError("aux_dim must be >= 1")
-        kinds: list[object] = []
-        for k, kind in enumerate(self.slot_kinds, 1):
-            if kind == "u":
-                kinds.append("u")
-            else:
-                p = int(kind)
-                if p < 1:
-                    raise ValueError(f"slot {k}: shift size must be >= 1, got {p}")
-                kinds.append(p)
-        self.slot_kinds = kinds
-        n = len(kinds)
+        self.aux_dim = _positive_int(self.aux_dim, "aux_dim")
+        self.slot_kinds = [
+            "u" if kind == "u" else _positive_int(kind, f"slot {k}: shift size")
+            for k, kind in enumerate(self.slot_kinds, 1)
+        ]
+        n = len(self.slot_kinds)
         full: dict[tuple[int, int], np.ndarray] = {}
         for (i, j), u in self.twist_data.items():
             if not (1 <= i < j <= n):
@@ -404,44 +428,25 @@ class ModelSpec:
         return _pair_lookup(self.twist_data, slot, op)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        """Raise ValueError on any relation violation above tolerance."""
-        e = self.aux_dim
-        pairs = sorted(self.twist_data)
-        for key in pairs:
-            u = self.twist_data[key]
-            if u.shape != (e, e):
-                raise ValueError(f"twist {key} must act on C^{e}")
-            if not _unitary_within(u, tol.eps):
-                raise ValueError(f"twist {key} is not unitary at tolerance")
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                ua, ub = self.twist_data[pairs[a]], self.twist_data[pairs[b]]
-                if not _norm_within(ua @ ub - ub @ ua, tol.eps):
-                    raise ValueError(f"twists {pairs[a]} and {pairs[b]} do not commute")
+        """Raise ValueError on any relation violation above tolerance.
+
+        These are the relations of the order-1 model on E (twists, slot unitaries, J_1 = 0 at
+        shift slots) but its plain ones and its star ones with i > j, which unitaries imply.
+        """
         u_slots = self.unitary_slots()
         for i in u_slots:
             if i not in self.slot_unitaries:
                 raise ValueError(f"unitary slot {i} is missing its slot unitary")
-            ui = self.slot_unitaries[i]
-            if ui.shape != (e, e):
-                raise ValueError(f"slot unitary {i} must act on C^{e}")
-            if not _unitary_within(ui, tol.eps):
-                raise ValueError(f"slot unitary {i} is not unitary at tolerance")
-            for key in pairs:
-                upq = self.twist_data[key]
-                if not _norm_within(ui @ upq - upq @ ui, tol.eps):
-                    raise ValueError(f"slot unitary {i} does not commute with twist {key}")
+        zero = np.zeros((self.aux_dim, self.aux_dim), dtype=complex)
+        ops = [self.slot_unitaries[i] if i in u_slots else zero for i in range(1, self.n_ops + 1)]
+        model = TwistedTuple(dim=self.aux_dim, ops=ops, twists=self.twist_data)
         for i in u_slots:
-            for j in u_slots:
-                if i >= j:
-                    continue
-                ui, uj = self.slot_unitaries[i], self.slot_unitaries[j]
-                lhs = adjoint(ui) @ uj
-                rhs = self.twist_data[(i, j)] @ uj @ adjoint(ui)
-                if not _norm_within(lhs - rhs, tol.eps):
-                    raise ValueError(
-                        f"slot unitaries {i}, {j} violate the twisted relation with U_{i}{j}"
-                    )
+            if not _unitary_within(model.ops[i - 1], tol.eps):
+                raise ValueError(f"slot unitary {i} is not unitary at tolerance")
+        for key, defects in _relation_defects(model):
+            skipped = key[0] == "plain-cross" or key[0] == "star-cross" and key[1] > key[2]
+            if not skipped and not all(_norm_within(a, tol.eps) for a in defects):
+                raise ValueError(f"relation {key[0]} {list(key[1:])} fails at tolerance")
 
 
 def _model_operator(

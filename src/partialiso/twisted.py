@@ -17,7 +17,7 @@ being projected away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import inf, isfinite, prod
+from math import inf, isfinite, nan, prod
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .operators import (
     TwistedTuple,
     _block_diag,
     _model_operator,
+    _relation_defects,
     _unitary_within,
     diag_twist,
     power_isometry_residual,
@@ -108,31 +109,16 @@ def verify_twisted(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> TwistReport
     failures live in the report, and a residual that is not finite fails it
     with ``max_residual`` = inf.
     """
-    n = t.n_ops
-    pairs = t.pair_keys()
     residuals: dict[tuple, float] = {}
-
-    def commutator(a, b):
-        return op_norm(a @ b - b @ a)
-
-    for i, j in pairs:
-        residuals[("twist-unitary", i, j)] = unitarity_residual(t.twists[(i, j)])
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            key = ("twist-commuting-family", *pairs[a], *pairs[b])
-            residuals[key] = commutator(t.twists[pairs[a]], t.twists[pairs[b]])
-    for k in range(1, n + 1):
-        for i, j in pairs:
-            residuals[("twist-commute", k, i, j)] = commutator(t.ops[k - 1], t.twists[(i, j)])
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            vi, vj = t.ops[i - 1], t.ops[j - 1]
-            residuals[("star-cross", i, j)] = op_norm(adjoint(vi) @ vj - t.twist(i, j) @ vj @ adjoint(vi))
-            residuals[("plain-cross", i, j)] = op_norm(vi @ vj - t.twist(j, i) @ vj @ vi)
-    for i in range(1, n + 1):
-        residuals[("ppi", i)] = power_isometry_residual(t.ops[i - 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key, defects in _relation_defects(t):
+            try:
+                residuals[key] = max(map(op_norm, defects))
+            except np.linalg.LinAlgError:
+                # an overflowed product (inf - inf) leaves NaN entries, on which the SVD fails
+                residuals[key] = nan
+    for i, v in enumerate(t.ops, 1):
+        residuals[("ppi", i)] = power_isometry_residual(v)
 
     # max() cannot rank NaN, so a residual that is not finite fails outright
     worst = max(residuals.values()) if all(map(isfinite, residuals.values())) else inf
@@ -663,10 +649,10 @@ def _match_leaf_unitary(
         rng = np.random.default_rng(attempt)
         coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         z = sum(c * x for c, x in zip(coeffs, basis))
-        s = np.linalg.svd(z, compute_uv=False)
+        w, s, vh = np.linalg.svd(z)
         if s[0] == 0 or s[-1] < 1e-8 * s[0]:
             continue
-        u = _polar_unitary(z)
+        u = w @ vh  # the polar factor, as `_polar_unitary(z)` forms it
         if all(_norm_within(u @ a1 - a2 @ u, tol.eps * 100) for a1, a2 in pairs):
             return u
     return None

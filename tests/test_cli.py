@@ -8,6 +8,7 @@ import pytest
 
 from partialiso import (
     DecompositionError,
+    TwistedTuple,
     build_model_tuple,
     cli,
     commutant_dimension,
@@ -233,6 +234,16 @@ class TestNonFiniteResiduals:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: relation twist-unitary [1, 3] has a non-finite residual\n"
+
+    @pytest.mark.parametrize("command", ["verify", "decompose", "equiv", "commutant"])
+    def test_overflowing_relation_product_exits_2_naming_the_relation(self, command, tmp_path, capsys):
+        v = np.diag([1e200, 0.0])
+        path = self._document(tmp_path, TwistedTuple(dim=2, ops=[v, v]))
+        inputs = [path, path] if command == "equiv" else [path]
+        assert cli.main([command, *inputs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: relation star-cross [1, 2] has a non-finite residual\n"
 
     def test_hw_reports_the_first_power(self, tmp_path, capsys):
         path = self._document(tmp_path, single_op_tuple(np.diag([1e200, 0.0])))
@@ -588,6 +599,16 @@ class TestDeterminismAndContract:
         bad_schema.write_text('{"schema_version":"1"}')
         assert run_cli("verify", str(bad_schema)).returncode == 2
         assert run_cli("verify", str(tmp_path / "missing.json")).returncode == 2
+
+    @pytest.mark.parametrize("command", ["verify", "generate"])
+    def test_unwritable_output_exits_2_with_one_error_line(self, command, pair_file, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        inputs = [str(pair_file)] if command == "verify" else ["--preset", "example43"]
+        assert cli.main([command, *inputs, "--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("kind", ["not-utf8", "too-deep", "beyond-float"])
     def test_malformed_input_exits_2_with_one_error_line(self, kind, pair_file, tmp_path):

@@ -23,7 +23,14 @@ from partialiso import (
     truncated_shift,
     verify_twisted,
 )
-from conftest import non_power_partial_isometry_3d, random_hw_instance
+from partialiso.linalg import _norm_within, adjoint
+from partialiso.operators import _unitary_within, unitarity_residual
+from conftest import (
+    non_power_partial_isometry_3d,
+    perturbed_tuple,
+    random_hw_instance,
+    random_scrambled_model,
+)
 
 
 class TestTruncatedShift:
@@ -346,6 +353,26 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(slot_kinds=[0], aux_dim=1)
 
+    @pytest.mark.parametrize(
+        "kinds, aux_dim, named",
+        [
+            (["3"], 1, "slot 1"),
+            ([2, 2.7], 1, "slot 2"),
+            ([True], 1, "slot 1"),
+            ([np.float64(2.0)], 1, "slot 1"),
+            ([2], 2.5, "aux_dim"),
+            ([2], True, "aux_dim"),
+        ],
+    )
+    def test_refuses_slot_sizes_that_are_not_integers(self, kinds, aux_dim, named):
+        with pytest.raises(ValueError, match=named):
+            ModelSpec(slot_kinds=kinds, aux_dim=aux_dim)
+
+    def test_accepts_numpy_integer_slot_sizes(self):
+        spec = ModelSpec(slot_kinds=[np.int64(2), "u"], aux_dim=np.int32(1), slot_unitaries={2: [[1j]]})
+        assert spec.slot_kinds == [2, "u"] and spec.aux_dim == 1
+        assert all(type(k) is int for k in (spec.slot_kinds[0], spec.aux_dim))
+
     def test_rejects_noncommuting_twist_family(self):
         a = np.diag([1.0, -1.0]).astype(complex)
         b = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -436,3 +463,175 @@ class TestTupleHelpers:
     def test_missing_twists_default_to_identity(self):
         t = TwistedTuple(dim=2, ops=[np.eye(2), truncated_shift(2)])
         np.testing.assert_allclose(t.twists[(1, 2)], np.eye(2))
+
+
+def _verify_loops(t):
+    """The relation loops `verify_twisted` ran before the relations were written once."""
+    n = t.n_ops
+    pairs = t.pair_keys()
+    residuals = {}
+
+    def commutator(a, b):
+        return op_norm(a @ b - b @ a)
+
+    for i, j in pairs:
+        residuals[("twist-unitary", i, j)] = unitarity_residual(t.twists[(i, j)])
+    for a in range(len(pairs)):
+        for b in range(a + 1, len(pairs)):
+            key = ("twist-commuting-family", *pairs[a], *pairs[b])
+            residuals[key] = commutator(t.twists[pairs[a]], t.twists[pairs[b]])
+    for k in range(1, n + 1):
+        for i, j in pairs:
+            residuals[("twist-commute", k, i, j)] = commutator(t.ops[k - 1], t.twists[(i, j)])
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            vi, vj = t.ops[i - 1], t.ops[j - 1]
+            residuals[("star-cross", i, j)] = op_norm(adjoint(vi) @ vj - t.twist(i, j) @ vj @ adjoint(vi))
+            residuals[("plain-cross", i, j)] = op_norm(vi @ vj - t.twist(j, i) @ vj @ vi)
+    for i in range(1, n + 1):
+        residuals[("ppi", i)] = power_isometry_residual(t.ops[i - 1])
+    return residuals
+
+
+def _validate_loops(spec, eps=1e-9):
+    """The loops of `ModelSpec.validate` before the relations were written once: True to accept."""
+    e = spec.aux_dim
+    pairs = sorted(spec.twist_data)
+    for key in pairs:
+        u = spec.twist_data[key]
+        if u.shape != (e, e) or not _unitary_within(u, eps):
+            return False
+    for a in range(len(pairs)):
+        for b in range(a + 1, len(pairs)):
+            ua, ub = spec.twist_data[pairs[a]], spec.twist_data[pairs[b]]
+            if not _norm_within(ua @ ub - ub @ ua, eps):
+                return False
+    u_slots = spec.unitary_slots()
+    for i in u_slots:
+        if i not in spec.slot_unitaries:
+            return False
+        ui = spec.slot_unitaries[i]
+        if ui.shape != (e, e) or not _unitary_within(ui, eps):
+            return False
+        for key in pairs:
+            upq = spec.twist_data[key]
+            if not _norm_within(ui @ upq - upq @ ui, eps):
+                return False
+    for i in u_slots:
+        for j in u_slots:
+            if i >= j:
+                continue
+            ui, uj = spec.slot_unitaries[i], spec.slot_unitaries[j]
+            lhs = adjoint(ui) @ uj
+            rhs = spec.twist_data[(i, j)] @ uj @ adjoint(ui)
+            if not _norm_within(lhs - rhs, eps):
+                return False
+    return True
+
+
+def _unit_noise(rng, shape):
+    e = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return e / op_norm(e)
+
+
+def _relation_corpus():
+    """Scrambled and noisy model tuples, example 4.3 and random tuples that are not twisted."""
+    rng = np.random.default_rng(14)
+    out = []
+    for seed in range(40):
+        t, _ = random_scrambled_model(seed, max_dim=24)
+        out += [t, perturbed_tuple(t, rng.choice([1e-12, 1e-9, 1e-6]), seed)]
+    for p in (1, 2, 3):
+        t = build_twisted_shift_pair(p, np.exp(0.7j))
+        out += [t, conjugate_tuple(t, haar_unitary(t.dim, p))]
+    for _ in range(40):
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        ops = [_unit_noise(rng, (d, d)) * 2 for _ in range(n)]
+        twists = {
+            (i, j): haar_unitary(d, rng) if rng.random() < 0.5 else _unit_noise(rng, (d, d))
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+            if rng.random() < 0.8
+        }
+        out.append(TwistedTuple(dim=d, ops=ops, twists=twists))
+    zero = np.zeros((2, 2), dtype=complex)
+    out.append(TwistedTuple(dim=2, ops=[-zero, zero], twists={(1, 2): -np.eye(2)}))
+    return out
+
+
+def _spec_mutations():
+    """Model specs moved off their relations, many of them within a few eps."""
+    rng = np.random.default_rng(41)
+    out = []
+    for seed in range(80):
+        spec = random_model_spec(seed)
+        e, kinds = spec.aux_dim, list(spec.slot_kinds)
+        pairs, slots = sorted(spec.twist_data), sorted(spec.slot_unitaries)
+
+        def mutated(twists=None, units=None):
+            return ModelSpec(kinds, e, twists or dict(spec.twist_data), units or dict(spec.slot_unitaries))
+
+        out.append(spec)
+        for delta in (0.3, 0.9, 1.1, 3.0):
+            if pairs:
+                key = pairs[int(rng.integers(len(pairs)))]
+                out.append(mutated(twists={**spec.twist_data, key: spec.twist_data[key]
+                                           + delta * 1e-9 * _unit_noise(rng, (e, e))}))
+            if slots:
+                i = slots[int(rng.integers(len(slots)))]
+                out.append(mutated(units={**spec.slot_unitaries, i: spec.slot_unitaries[i]
+                                          + delta * 1e-9 * _unit_noise(rng, (e, e))}))
+                # a unitary rotation of the slot unitary breaks commutation and the star relation only
+                w, q = np.linalg.eigh(_unit_noise(rng, (e, e)) + _unit_noise(rng, (e, e)).conj().T)
+                turn = q @ np.diag(np.exp(1j * delta * 1e-9 * w)) @ q.conj().T
+                out.append(mutated(units={**spec.slot_unitaries, i: turn @ spec.slot_unitaries[i]}))
+        if pairs and e > 1:
+            out.append(mutated(twists={**spec.twist_data, pairs[0]: haar_unitary(e, rng)}))
+        if pairs:
+            out.append(mutated(twists={**spec.twist_data, pairs[-1]: np.eye(e + 1)}))
+        if slots:
+            units = dict(spec.slot_unitaries)
+            del units[slots[0]]
+            out.append(ModelSpec(kinds, e, dict(spec.twist_data), units))
+            out.append(mutated(units={**spec.slot_unitaries, slots[0]: np.eye(e + 1)}))
+            out.append(mutated(units={**spec.slot_unitaries, slots[0]: np.ones((e, e + 1))}))
+            if e > 1:
+                out.append(mutated(units={**spec.slot_unitaries, slots[0]: haar_unitary(e, rng)}))
+    clock, shift, omega = clock_shift_unitaries(3)
+    for delta in (0.0, 0.9, 1.1, 3.0):
+        lam = np.conj(omega) * np.exp(1j * delta * 1e-9)
+        out.append(ModelSpec(["u", 2, "u"], 3, {(1, 3): lam * np.eye(3)}, {1: clock, 3: shift}))
+    return out
+
+
+class TestOneRelationList:
+    """`verify_twisted` and `ModelSpec.validate` keep the answers of their separate loops."""
+
+    def test_residuals_are_bit_identical(self):
+        def bits(residuals):
+            return [(key, np.float64(value).tobytes()) for key, value in residuals.items()]
+
+        corpus = _relation_corpus()
+        assert {verify_twisted(t).passed for t in corpus} == {True, False}
+        for t in corpus:
+            assert bits(verify_twisted(t).residuals) == bits(_verify_loops(t))
+
+    def test_validate_verdicts_are_unchanged(self):
+        verdicts = []
+        for spec in _spec_mutations():
+            try:
+                spec.validate()
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == _validate_loops(spec)
+            verdicts.append(accepted)
+        assert 100 < sum(verdicts) < len(verdicts) - 100
+
+    def test_a_failing_relation_is_named_as_verify_reports_it(self):
+        u12 = np.diag([1.0, -1.0])
+        spec = ModelSpec([2, "u"], 2, {(1, 2): u12}, {2: np.array([[0.0, 1.0], [1.0, 0.0]])})
+        with pytest.raises(ValueError, match=r"^relation twist-commute \[2, 1, 2\] fails at tolerance$"):
+            spec.validate()

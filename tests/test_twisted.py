@@ -108,6 +108,16 @@ class TestVerifyTwisted:
         assert report.worst()[0] == ("twist-unitary", 1, 3)
 
     @pytest.mark.filterwarnings("error")
+    def test_overflowing_relation_product_is_nan_not_an_svd_error(self):
+        # V_1* V_2 and V_2 V_1* overflow to inf, so the star defect holds inf - inf = NaN
+        v = np.diag([1e200, 0.0])
+        report = verify_twisted(TwistedTuple(dim=2, ops=[v, v]))
+        assert np.isnan(report.residuals[("star-cross", 1, 2)])
+        assert not report.passed
+        assert report.max_residual == np.inf
+        assert report.worst()[0] == ("star-cross", 1, 2)
+
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_power_fails(self):
         report = verify_twisted(single_op_tuple(np.diag([1e200, 0.0])))
         assert report.residuals == {("ppi", 1): np.inf}

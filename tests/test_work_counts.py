@@ -33,7 +33,7 @@ from partialiso import (
 )
 from partialiso import cli, halmos_wallen, operators, twisted
 from partialiso.documents import dumps_canonical, tuple_document
-from partialiso.linalg import _BOUND_SLACK, _frobenius, _norm_within, identity, op_norm
+from partialiso.linalg import DEFAULT_TOL, _BOUND_SLACK, _frobenius, _norm_within, identity, op_norm
 
 
 @pytest.fixture
@@ -156,6 +156,27 @@ def test_equivalence_match_factorizes_only_square_operands(svd_calls):
     assert equivalence_check(t, s).verdict == "EQUIVALENT"
     assert ((36, 36), True) in svd_calls
     assert all(rows == cols for (rows, cols), _ in svd_calls)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_each_match_attempt_factors_its_candidate_once(svd_calls, monkeypatch, m):
+    # the conditioning test and the polar factor read one SVD of the candidate
+    t = TwistedTuple(dim=m, ops=random_commuting_unitaries(m, 2, m))
+    s = conjugate_tuple(t, haar_unitary(m, m + 1))
+    (leaf1,), (leaf2,) = decompose_tuple(t).leaves, decompose_tuple(s).leaves
+    attempts = []
+    original = np.random.default_rng
+
+    def counting(seed):
+        attempts.append(seed)
+        return original(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    svd_calls.clear()
+    assert twisted._match_leaf_unitary(leaf1, leaf2, DEFAULT_TOL) is not None
+    candidates = [call for call in svd_calls if call[0] == (m, m)]
+    assert attempts and len(candidates) == len(attempts)
+    assert all(compute_uv for _, compute_uv in candidates)
 
 
 def test_commutant_never_forms_singular_vectors(svd_calls, monkeypatch):
