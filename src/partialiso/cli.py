@@ -46,6 +46,9 @@ __all__ = ["entry", "main"]
 
 PRESETS = ("example43",)
 
+# Relation rows a document may ask of `verify`: eight operators ask for 750.
+MAX_RELATION_ROWS = 100_000
+
 
 def _tolerance(args) -> Tolerance:
     if not (np.isfinite(args.tol) and args.tol > 0):
@@ -65,8 +68,28 @@ def _load_json(path: str):
         raise SchemaError(f"{path} nests deeper than the parser can follow") from exc
 
 
+def _relation_rows(n_ops: int) -> int:
+    """Rows of `verify_twisted` for N operators, about N^4 / 8: every pair has a twist (the
+    identity when a document leaves it out), and the twists are checked pair by pair."""
+    twists = n_ops * (n_ops - 1) // 2
+    return twists * (twists + 1) // 2 + n_ops * twists + 2 * n_ops * (n_ops - 1) + n_ops
+
+
+def _require_rows_fit(n_ops: int) -> None:
+    rows = _relation_rows(n_ops)
+    if rows > MAX_RELATION_ROWS:
+        raise SchemaError(
+            f"{n_ops} operators ask for {rows} relation rows, above the {MAX_RELATION_ROWS} limit"
+        )
+
+
 def _load_tuple(path: str):
-    return parse_tuple_document(_load_json(path))
+    doc = _load_json(path)
+    # refused before the parser builds a twist for every pair
+    operators = doc.get("operators") if isinstance(doc, dict) else None
+    if isinstance(operators, list):
+        _require_rows_fit(len(operators))
+    return parse_tuple_document(doc)
 
 
 def _write(doc: dict, args) -> None:
@@ -262,6 +285,7 @@ def cmd_generate(args) -> int:
         raise SchemaError(f"--seed must be >= 0 with --scramble, got {args.seed}")
     if args.spec is not None:
         spec = parse_model_spec_document(_load_json(args.spec))
+        _require_rows_fit(spec.n_ops)
         _require_generate_fits(spec.n_ops, prod(k for k in spec.slot_kinds if k != "u") * spec.aux_dim)
         try:
             t = build_model_tuple(spec, tol)

@@ -17,7 +17,7 @@ being projected away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import inf, isfinite, nan, prod
+from math import frexp, fsum, inf, isfinite, ldexp, nan, prod, sqrt
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .halmos_wallen import (
     truncated_block_projection,
 )
 from .linalg import (
+    _BOUND_SLACK,
     DEFAULT_TOL,
     DimensionMismatchError,
     Tolerance,
@@ -113,7 +114,7 @@ def verify_twisted(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> TwistReport
     with np.errstate(over="ignore", invalid="ignore"):
         for key, defects in _relation_defects(t):
             try:
-                residuals[key] = max(map(op_norm, defects))
+                residuals[key] = max(map(op_norm, defects()))
             except np.linalg.LinAlgError:
                 # an overflowed product (inf - inf) leaves NaN entries, on which the SVD fails
                 residuals[key] = nan
@@ -172,12 +173,17 @@ def check_projection_commutation(
 # Largest peak of a Sylvester system the package will build: its stack and the copies factorizing it makes.
 COMMUTANT_MAX_BYTES = 2 * 1024**3
 
+# The unit roundoff of double precision, and a bound on the underflow of every Gram-count
+# product: each is at most (m + n + k)^2 n 2^-1074 < 2^-980 at any size the guard admits.
+_UNIT_ROUNDOFF = 2.0**-53
+_UNDERFLOW = 2.0**-900
+
 
 class CommutantTooLargeError(ValueError):
     """A Sylvester system would peak above COMMUTANT_MAX_BYTES."""
 
 
-def _check_size(maps: int, d: int, peak_blocks: int) -> None:
+def _check_size(maps: int, d: int, peak_blocks: float) -> None:
     """Refuse ``maps`` Sylvester maps at ``d`` when ``peak_blocks`` d^2 x d^2 complex blocks pass the limit."""
     peak_bytes = peak_blocks * d**4 * np.dtype(complex).itemsize
     if peak_bytes > COMMUTANT_MAX_BYTES:
@@ -221,6 +227,85 @@ def _hermitian_units(d: int) -> tuple:
     return b, p, q, gamma
 
 
+def _gamma(j: int) -> float:
+    """gamma_j = j u / (1 - j u): the relative rounding of j chained products and sums."""
+    return j * _UNIT_ROUNDOFF / (1.0 - j * _UNIT_ROUNDOFF)
+
+
+def _sum_of_squares(a: np.ndarray) -> float:
+    """An upper bound on the sum of the squared entries of ``a``, from one BLAS dot."""
+    return float(np.vdot(a, a)) * (1.0 + 2.0 * _gamma(a.size + 1)) + _UNDERFLOW
+
+
+def _gram_split(gram: np.ndarray, m: int, eps: float):
+    """Steps 1-3 of the star-closed count: (k, Q_k, q, F^, delta) once at most k singular values
+    are certified <= eps + delta, else None. ``gram`` is shifted in place."""
+    n = gram.shape[0]
+    trace = float(np.trace(gram))
+    if not isfinite(trace):
+        return None
+    f_bar = trace * (1.0 + 2.0 * _gamma(m + n)) + _UNDERFLOW
+    delta = n * _UNIT_ROUNDOFF * sqrt(f_bar)
+    try:
+        w, q = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError:
+        return None
+    k = int(np.count_nonzero(w <= (eps + delta) ** 2 + 2.0 * _gamma(m + n + 8) * f_bar))
+    q_k = np.ascontiguousarray(q[:, :k])
+    q_bar = _sum_of_squares(q_k)
+    if k < n:
+        c = ldexp(1.0, frexp(float(w[k]))[1])
+        del w, q
+        tau = (eps + delta) ** 2 + 2.0 * _gamma(m + n + k + 8) * (f_bar + c * q_bar) + 4 * _UNDERFLOW
+        deflation = q_k @ q_k.T
+        deflation *= c
+        gram += deflation
+        del deflation
+        gram.flat[:: n + 1] -= tau * (1.0 + _BOUND_SLACK)
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return None
+    return k, q_k, q_bar, f_bar, delta
+
+
+def _spans_small_values(rows: np.ndarray, q_k: np.ndarray, q_bar: float, f_bar: float, limit: float) -> bool:
+    """Step 4 of the star-closed count: the range of ``q_k`` certifies k singular values of the
+    stack S (``rows`` is S^T) at or below ``limit``."""
+    n, m = rows.shape
+    k = q_k.shape[1]
+    gram_k = q_k.T @ q_k
+    gram_k.flat[:: k + 1] -= 1.0
+    phi = sqrt(_sum_of_squares(gram_k)) * (1.0 + 2.0 * _UNIT_ROUNDOFF) + _gamma(n) * q_bar + _UNDERFLOW
+    # S Q_k in slices of at most n^2 entries, the size of the Gram matrix
+    step = max(1, n * n // max(m, 1))
+    image = fsum(_sum_of_squares(q_k[:, j : j + step].T @ rows) for j in range(0, k, step))
+    eta = sqrt(image) + _gamma(n) * sqrt(f_bar * q_bar) + _UNDERFLOW
+    return phi <= 0.5 and limit > 0.0 and eta**2 * (1.0 + _BOUND_SLACK) <= limit**2 * (1.0 - phi)
+
+
+def _star_closed_count(pairs: list[tuple[np.ndarray, np.ndarray]], d: int, eps: float) -> int:
+    """The star-closed count of `commutant_dimension`: certified from the Gram matrix, else the SVD."""
+    basis = _hermitian_units(d)
+
+    def stack_rows() -> np.ndarray:
+        # S^T, real: row b holds the image of unknown b, Re and Im of each entry in turn
+        return _sylvester_stack(pairs, basis).view(float)
+
+    rows = stack_rows()
+    m = rows.shape[1]
+    gram = rows @ rows.T
+    del rows
+    split = _gram_split(gram, m, eps)
+    del gram
+    rows = stack_rows()
+    if split is not None:
+        k, q_k, q_bar, f_bar, delta = split
+        if _spans_small_values(rows, q_k, q_bar, f_bar, eps - delta):
+            return k
+    return int(np.count_nonzero(np.linalg.svd(rows.T, compute_uv=False) <= eps))
+
+
 def commutant_dimension(
     ops: list[np.ndarray],
     tol: Tolerance = DEFAULT_TOL,
@@ -243,12 +328,55 @@ def commutant_dimension(
     whose real inner product is sum Re tr(M_k* N_k) - Re tr(M_k N_k*) = 0, and
     S(iB) = i S(B). So S is, as a real map, the direct sum of two copies of
     S_H(A) = sqrt(2) ([A, V_k])_k on Hermitian A: the d^2 complex singular values of S
-    are those of the real stack of S_H, a quarter of the SVD's flops on half the bytes.
+    are those of the real stack of S_H, m = 2 N d^2 rows over n = d^2 unknowns.
+
+    The star-closed count is read off the Gram matrix G = S^T S of that real stack S,
+    with its SVD only where the bounds below cannot decide. Write u = 2^-53,
+    gamma_j = j u / (1 - j u), F = ||S||_F^2 and mu = 2^-900, which covers every
+    underflow term; each bound is evaluated with 1 + `_BOUND_SLACK` to spare, far
+    above its own rounding.
+
+    1. Gram. A computed product of inner dimension j, in any order of its sums, errs
+       entrywise by gamma_j times the product of the absolute values (Higham,
+       *Accuracy and Stability*, section 3.5), so G^ = fl(S^T S) is within gamma_m F
+       of S^T S in norm. Its diagonal sums squares, so F <= F^ = tr G^ (1 + 2 gamma_{m+n}) + mu.
+       The band delta = n u sqrt(F^) sits n times above LAPACK's own error estimate
+       u ||S||_2 for the singular values its SVD returns.
+    2. Split. eigh(G^) gives ascending w and eigenvectors Q; k counts the w_i at or below
+       (eps + delta)^2 + 2 gamma_{m+n+8} F^, and Q_k holds their columns. Nothing below
+       assumes that w or Q is accurate: a poor split only makes a check fail.
+    3. At most k. Let c be the power of two at or above w_{k+1}, q >= ||Q_k||_F^2 and
+       tau = (eps + delta)^2 + 2 gamma_{m+n+k+8} (F^ + c q) + 4 mu. The matrix
+       M = fl(G^ + c fl(Q_k Q_k^T) - tau I) differs from A = S^T S + c Q_k Q_k^T - tau I
+       by at most gamma_{m+3} F + gamma_{k+3} c q + u tau + 3 mu, and its trace is at most
+       (1 + gamma_{m+1}) F + (1 + gamma_{k+1}) c q + mu. If Cholesky runs to completion on
+       M, its factor gives M + dM = R^T R positive definite with ||dM||_2 <= gamma_{n+1}
+       tr(M) / (1 - gamma_{n+1}) (ibid., Thm 10.3). The two bounds sum to less than
+       tau - (eps + delta)^2, so lambda_min(A) > (eps + delta)^2 - tau. As c Q_k Q_k^T is
+       positive semidefinite of rank <= k, Weyl's inequalities give lambda_min(A) <=
+       lambda_{k+1}(S^T S) - tau: at most k singular values of S are <= eps + delta.
+    4. At least k. With the stack rebuilt, phi = ||fl(Q_k^T Q_k) - I||_F (1 + 2u) +
+       gamma_n q + mu bounds ||Q_k^T Q_k - I||_2 and eta = ||fl(S Q_k)||_F +
+       gamma_n sqrt(F^ q) + mu bounds ||S Q_k||_2. If phi <= 1/2, each x = Q_k y of the
+       k-dimensional range of Q_k has ||S x|| <= eta ||y|| <= eta ||x|| / sqrt(1 - phi), so
+       by Courant-Fischer at least k singular values are at most eta / sqrt(1 - phi). The
+       check asks for eps - delta.
+    5. Fallback. When either check fails, G^ overflows or eigh does not converge, the count
+       is that of the values-only SVD of the rebuilt stack, as before.
+
+    Steps 3 and 4 leave no singular value of S within delta of eps, so the certified count
+    is the one that SVD would return unless its values erred by n times LAPACK's estimate.
+    Exact models keep a wide gap on both sides; near the cutoff, or when noise moves a
+    commutant direction off zero by far more than eps, a check fails and the SVD decides.
+    The plain branch keeps its SVD: its one-operator stack is square, so G would be as
+    large as the stack.
 
     Operators that are not square or not all of one shape raise before any stack is
-    built. The stack, N complex d^2 x d^2 blocks on either branch (the real one holds Re and
-    Im of each entry in turn), and the copy numpy's SVD makes are all that is allocated at
-    that size; above COMMUTANT_MAX_BYTES they raise `CommutantTooLargeError` first.
+    built. Above COMMUTANT_MAX_BYTES a system raises `CommutantTooLargeError` first. The
+    plain branch peaks at its stack of N complex d^2 x d^2 blocks and the copy numpy's SVD
+    makes. The star-closed stack is the same size (Re and Im of each entry in turn); the
+    Gram path adds G beside it, then G, its copy in eigh, the 2 n^2 workspace of LAPACK's
+    syevd and Q, 2.5 blocks in all, and the fallback peaks as the plain branch does.
     """
     mats = [_require_square(a) for a in ops]
     if not mats:
@@ -257,12 +385,11 @@ def commutant_dimension(
         if m.shape != mats[0].shape:
             raise DimensionMismatchError(f"operator {n} has shape {m.shape}, operator 1 has shape {mats[0].shape}")
     d, pairs = mats[0].shape[0], [(m, m) for m in mats]
-    _check_size(len(mats) * (2 if include_adjoints else 1), d, 2 * len(mats))
     if include_adjoints:
-        stack = _sylvester_stack(pairs, _hermitian_units(d)).view(float).T
-    else:
-        stack = _sylvester_stack(pairs, _matrix_units(d)).T
-    singular_values = np.linalg.svd(stack, compute_uv=False)
+        _check_size(2 * len(mats), d, max(2 * len(mats), 2.5))
+        return _star_closed_count(pairs, d, tol.eps)
+    _check_size(len(mats), d, 2 * len(mats))
+    singular_values = np.linalg.svd(_sylvester_stack(pairs, _matrix_units(d)).T, compute_uv=False)
     return int(np.count_nonzero(singular_values <= tol.eps))
 
 

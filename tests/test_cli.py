@@ -610,6 +610,57 @@ class TestDeterminismAndContract:
         assert captured.err.startswith(f"error: cannot write {target}: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["verify", "decompose", "commutant"])
+    def test_many_operators_are_refused_before_any_relation_row(self, command, tmp_path, capsys, monkeypatch):
+        # 100 operators of size 1 x 1 would ask for 12.8 M relation rows
+        doc = tuple_document(single_op_tuple(np.zeros((1, 1))))
+        doc["operators"] = [dict(doc["operators"][0], name=f"V{k}") for k in range(1, 101)]
+        path = tmp_path / "many.json"
+        path.write_text(dumps_canonical(doc))
+
+        def unreachable(*args):
+            raise AssertionError("document parsed")
+
+        monkeypatch.setattr(cli, "parse_tuple_document", unreachable)
+        started = time.perf_counter()
+        assert cli.main([command, str(path)]) == 2
+        assert time.perf_counter() - started < 5.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: 100 operators ask for 12768625 relation rows, above the {cli.MAX_RELATION_ROWS} limit\n"
+        )
+
+    def test_eight_operators_stay_within_the_row_budget(self, tmp_path, capsys):
+        t = TwistedTuple(dim=1, ops=[np.zeros((1, 1))] * 8)
+        path = tmp_path / "eight.json"
+        path.write_text(dumps_canonical(tuple_document(t)))
+        assert cli.main(["verify", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["residuals"]) == cli._relation_rows(8) == 750
+
+    def test_spec_with_many_slots_is_refused_before_it_is_built(self, tmp_path, capsys):
+        spec = ModelSpec(slot_kinds=[1] * 30, aux_dim=1)
+        path = tmp_path / "spec.json"
+        path.write_text(dumps_canonical(model_spec_document(spec)))
+        assert cli.main(["generate", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 30 operators ask for ") and captured.err.count("\n") == 1
+
+    def test_commutant_command_loads_no_scipy(self, tmp_path):
+        # the dense count is numpy only, so `commutant` starts no slower than `verify`
+        path = tmp_path / "d18.json"
+        assert cli.main(["generate", "--preset", "example43", "--p", "3", "--lambda", "0.6,0.8",
+                         "--scramble", "--seed", "3", "--output", str(path)]) == 0
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "partialiso", "commutant", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["dimension"] == 2
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "partialiso.twisted" in imported
+        assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
     @pytest.mark.parametrize("kind", ["not-utf8", "too-deep", "beyond-float"])
     def test_malformed_input_exits_2_with_one_error_line(self, kind, pair_file, tmp_path):
         path = tmp_path / "malformed.json"

@@ -232,6 +232,23 @@ class TestCommutant:
         stack_bytes = 24**4 * np.dtype(complex).itemsize
         assert traced_peak(lambda: commutant_dimension([a])) < 1.25 * stack_bytes
 
+    def test_star_closed_commutant_allocates_its_stack_and_one_gram_matrix(self):
+        # two operators at d = 24: a real (4 * 24^2, 24^2) stack, then its 24^2 x 24^2 Gram
+        # matrix; eigh's and Cholesky's copies and workspaces are not traced
+        t = conjugate_tuple(build_twisted_shift_pair(2, 1j), haar_unitary(8, 5))
+        ops = [kron(v, haar_unitary(3, 6)) for v in t.ops]
+        n = 24**2
+        stack_bytes, gram_bytes = 4 * n * n * 8, n * n * 8
+        peak = traced_peak(lambda: commutant_dimension(ops, include_adjoints=True))
+        # beside the two, only the basis index arrays of the stack builder
+        assert stack_bytes + gram_bytes < peak < stack_bytes + 1.05 * gram_bytes
+
+    def test_one_star_closed_operator_is_refused_at_its_gram_peak(self):
+        # the stack of one operator is one complex d^2 x d^2 block; G, its copy in eigh, the
+        # 2 d^4 workspace of syevd and the eigenvectors make 2.5, 2.2 GiB at d = 88
+        with pytest.raises(CommutantTooLargeError, match="2 Sylvester maps at d = 88 need a 2.2 GiB"):
+            commutant_dimension([truncated_shift(88)], include_adjoints=True)
+
     @staticmethod
     def _complex_stack_dimension(mats):
         """The count on the complex stack of the star-closed family, the oracle of the real one."""

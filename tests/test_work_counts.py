@@ -34,6 +34,7 @@ from partialiso import (
 from partialiso import cli, halmos_wallen, operators, twisted
 from partialiso.documents import dumps_canonical, tuple_document
 from partialiso.linalg import DEFAULT_TOL, _BOUND_SLACK, _frobenius, _norm_within, identity, op_norm
+from conftest import perturbed_tuple, random_scrambled_model
 
 
 @pytest.fixture
@@ -179,7 +180,19 @@ def test_each_match_attempt_factors_its_candidate_once(svd_calls, monkeypatch, m
     assert all(compute_uv for _, compute_uv in candidates)
 
 
-def test_commutant_never_forms_singular_vectors(svd_calls, monkeypatch):
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_star_closed_commutant_of_exact_example43_takes_no_svd(svd_calls, p):
+    # d = 8, 18 and 32: the Gram certificate decides, with no SVD of any kind
+    t = build_twisted_shift_pair(p, np.exp(0.7j))
+    t = conjugate_tuple(t, haar_unitary(t.dim, p))
+    svd_calls.clear()
+    assert commutant_dimension(t.ops, include_adjoints=True) == 2
+    assert svd_calls == []
+
+
+@pytest.mark.parametrize("f,expected", [(0.99, 8), (0.999, 8), (1.001, 6), (1.01, 6)])
+def test_star_closed_commutant_at_the_cutoff_takes_one_svd_of_its_stack(svd_calls, monkeypatch, f, expected):
+    # two singular values at f eps: the certificate cannot decide, so the SVD does
     stacks, operands = [], []
     original, counting = twisted._sylvester_stack, np.linalg.svd
 
@@ -193,13 +206,48 @@ def test_commutant_never_forms_singular_vectors(svd_calls, monkeypatch):
 
     monkeypatch.setattr(twisted, "_sylvester_stack", recording)
     monkeypatch.setattr(np.linalg, "svd", factorizing)
-    t = build_twisted_shift_pair(2, np.exp(0.7j))
-    assert commutant_dimension(t.ops, include_adjoints=True) == 2
-    # two operators at d = 8: Re and Im rows of each map over 64 Hermitian unknowns
-    assert svd_calls == [((4 * 64, 64), False)]
-    # the SVD is handed a real view of the one stack built, not a copy of it
+    lam = np.array([0.3, 0.3 + f * DEFAULT_TOL.eps / np.sqrt(2), -0.7, 0.9, 1.4, -1.2])
+    w = haar_unitary(6, 11)
+    assert commutant_dimension([w @ np.diag(lam) @ w.conj().T], include_adjoints=True) == expected
+    # one operator at d = 6: Re and Im rows of each map over 36 Hermitian unknowns
+    assert svd_calls == [((2 * 36, 36), False)]
+    # the SVD is handed a real view of the last stack built, not a copy of it
     assert [a.dtype for a in operands] == [np.float64]
-    assert [np.shares_memory(a, stack) for a, stack in zip(operands, stacks)] == [True]
+    assert np.shares_memory(operands[0], stacks[-1])
+
+
+@pytest.mark.parametrize("claimed", [1, 3])
+def test_a_wrong_gram_split_falls_back_to_the_svd(svd_calls, monkeypatch, claimed):
+    # eigh made to claim 1 or 3 small eigenvalues where there are 2: the Cholesky check
+    # refuses too few and the check on the rebuilt stack too many, so the SVD decides
+    original = np.linalg.eigh
+
+    def misleading(a):
+        w, q = original(a)
+        w = w.copy()
+        w[1], w[2] = (w[2], w[2]) if claimed == 1 else (w[1], 0.0)
+        return w, q
+
+    monkeypatch.setattr(np.linalg, "eigh", misleading)
+    t = conjugate_tuple(build_twisted_shift_pair(2, np.exp(0.7j)), haar_unitary(8, 2))
+    svd_calls.clear()
+    assert commutant_dimension(t.ops, include_adjoints=True) == 2
+    assert svd_calls == [((4 * 64, 64), False)]
+
+
+def test_gram_count_certifies_exact_and_slightly_noisy_models(svd_calls):
+    # the agreement with the complex stack is checked on the same families in test_twisted
+    fallbacks = {0.0: 0, 1e-10: 0, 1e-6: 0}
+    for seed in range(192):
+        scrambled, _ = random_scrambled_model(seed, max_dim=20)
+        for size in fallbacks:
+            t = perturbed_tuple(scrambled, size, seed) if size else scrambled
+            svd_calls.clear()
+            commutant_dimension(t.ops, include_adjoints=True)
+            fallbacks[size] += len(svd_calls)
+    # noise of 1e-6 moves commutant directions far above eps but inside the Gram's rounding
+    assert fallbacks[0.0] == fallbacks[1e-10] == 0
+    assert 0 < fallbacks[1e-6] < 192
 
 
 @pytest.mark.parametrize(
@@ -297,5 +345,6 @@ def test_cli_commutant_builds_only_leaf_sized_sylvester_stacks(monkeypatch, tmp_
     path.write_text(dumps_canonical(tuple_document(conjugate_tuple(t, haar_unitary(t.dim, 3)))))
     assert cli.main(["commutant", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["dimension"] == 2
-    # one leaf (3, 3) of multiplicity m = 2: m^2 = 4 unknowns, not d^2 = 324
-    assert widths == [2 * 2]
+    # one leaf (3, 3) of multiplicity m = 2: m^2 = 4 unknowns, not d^2 = 324, built for its
+    # Gram matrix and again for the certificate
+    assert widths == [2 * 2, 2 * 2]
