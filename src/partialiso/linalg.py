@@ -11,7 +11,8 @@ are O(1)) and `rank_eps` = eps / 10 the relative singular value cutoff of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite
+from itertools import chain
+from math import frexp, inf, isfinite, ldexp, sqrt
 
 import numpy as np
 
@@ -134,6 +135,146 @@ def _frobenius(a: np.ndarray) -> float:
     if scale == 0.0 or not isfinite(scale):
         return scale
     return scale * float(np.linalg.norm(moduli / scale))
+
+
+def _gram_power_bound(a: np.ndarray, f: float) -> float:
+    """A bound h with ||a||_2 <= h from three products; ``f`` = `_frobenius(a)`, finite, > 0.
+
+    With f = m 2^k (1/2 <= m < 1), A = 2^-k a is scaled exactly but for
+    underflow, B = A*A (AA* for a wide ``a``) is squared twice, and
+    ||a||_2 = 2^k ||B||_2^(1/2) = 2^k ||B^4||_2^(1/8) <= 2^k ||B^4||_F^(1/8).
+    For singular values s_1 >= s_2 >= ... this is s_1 (sum_i (s_i / s_1)^16)^(1/16)
+    up to rounding, at most 1.08 s_1 on the power-walk residuals of the
+    example-4.3 and model tuples up to d = 96. Outside 2^-900 <= f < 2^900
+    the bound is f.
+
+    Rounding, in the model and constants of `power_isometry_residual`
+    (n the larger side of ``a``; γ = 4(n + 2)u, μ = 16n²2^-1074,
+    ρ = 2(n² + n + 8)u, u = 2^-53; ‖·‖ the Frobenius norm):
+    ‖fl(XY) − XY‖ ≤ γ‖X‖‖Y‖ + μ, and `_frobenius` is within 1 + ρ and
+    half a subnormal step.
+
+    1. Scaling. ‖a‖ ≤ (1 + ρ)f < 2^k (1 + ρ), so the exact A has
+       ‖A‖ < 1 + ρ, and the computed Â differs from it by underflow
+       alone: ‖Â − A‖ ≤ μ, ‖Â‖ ≤ α = 1 + ρ + μ. Nothing overflows.
+    2. Products. With H = Â*Â exactly (Hermitian, ‖H‖ ≤ β = α²), the
+       computed B̂ = H + E₁ has ‖E₁‖ ≤ e₁ = γβ + μ. Squaring,
+       ‖fl(B̂²) − H²‖ ≤ e₂ = γ(β + e₁)² + μ + 2βe₁ + e₁², and once more
+       ‖fl(fl(B̂²)²) − H⁴‖ ≤ e₃ = γ(β² + e₂)² + μ + 2β²e₂ + e₂².
+    3. Bound. ||A||_2 ≤ ||Â||_2 + μ = ||H⁴||_2^(1/8) + μ and
+       ||H⁴||_2 ≤ ‖H⁴‖ ≤ (1 + ρ)²√(σ + μ) + e₃, with σ the sum of the
+       squared moduli of the computed fourth power in one BLAS dot, as
+       the walk bounds its norms. The result is 2^k times that, times
+       (1 + ρ)² for the some 20 roundings of evaluating it; the
+       comparison with an SVD's value leaves `_BOUND_SLACK` for the SVD.
+    """
+    _, k = frexp(f)
+    if not -900 <= k < 900:
+        return f
+    rows, cols = a.shape
+    n = max(rows, cols)
+    u = 2.0**-53
+    gamma = 4 * (n + 2) * u
+    mu = 16 * n * n * 2.0**-1074
+    rho = 2 * (n * n + n + 8) * u
+    scaled = a * ldexp(1.0, -k)
+    gram = adjoint(scaled) @ scaled if rows >= cols else scaled @ adjoint(scaled)
+    gram = gram @ gram
+    fourth = gram @ gram
+    beta = (1 + rho + mu) ** 2
+    e1 = gamma * beta + mu
+    e2 = gamma * (beta + e1) ** 2 + mu + 2 * beta * e1 + e1 * e1
+    e3 = gamma * (beta * beta + e2) ** 2 + mu + 2 * beta * beta * e2 + e2 * e2
+    root = ((1 + rho) ** 2 * sqrt(np.vdot(fourth, fourth).real + mu) + e3) ** 0.125 + mu
+    return ldexp(root * (1 + rho) ** 2, k)
+
+
+# At most this many terms wait for an SVD in `_ScreenedMax`: 16 matrices held at once.
+_PENDING = 16
+
+
+class _ScreenedMax:
+    """The running ``max(op_norm(a) for a in terms)``, the same float, with an SVD only
+    for a term whose bound can still beat the largest value taken so far.
+
+    A term is dropped when its Frobenius norm, and then its `_gram_power_bound`, times
+    1 + `_BOUND_SLACK` is at most that value: a computed spectral norm never exceeds
+    either bound times that. The Gram bound is formed only once there is a value to
+    decide against. Other terms wait, at most `_PENDING` of them, and `settle` takes
+    them by descending bound (the Frobenius norm where no Gram bound is formed yet),
+    screening each again against the value the SVDs before it have set.
+    """
+
+    def __init__(self) -> None:
+        self.worst = 0.0
+        # [Gram bound or None, Frobenius norm, matrix]
+        self._pending: list[list] = []
+
+    def _dominated(self, term: list) -> bool:
+        """Whether ``term`` cannot beat ``worst``; its Gram bound is formed and kept if needed."""
+        h, f, a = term
+        if f * (1.0 + _BOUND_SLACK) <= self.worst:
+            return True
+        if self.worst == 0.0:
+            return False
+        if h is None:
+            h = term[0] = _gram_power_bound(a, f)
+        return h * (1.0 + _BOUND_SLACK) <= self.worst
+
+    def add(self, a: np.ndarray) -> bool:
+        """Screen ``a`` in; False, recording nothing, if it has an entry that is not finite."""
+        a = np.asarray(a)
+        if a.size == 0:
+            return True
+        f = _frobenius(a)
+        if not isfinite(f):
+            return False
+        term = [None, f, a]
+        if not self._dominated(term):
+            self._pending.append(term)
+            if len(self._pending) == _PENDING:
+                self.settle()
+        return True
+
+    def ceiling(self) -> float:
+        """A bound on what `settle` can return."""
+        return max([self.worst, *(_term_bound(term) * (1.0 + _BOUND_SLACK) for term in self._pending)])
+
+    def settle(self) -> float:
+        """Take the SVDs still needed, largest bound first, and return the maximum."""
+        pending, self._pending = self._pending, []
+        pending.sort(key=_term_bound, reverse=True)
+        for term in pending:
+            if not self._dominated(term):
+                self.worst = max(self.worst, op_norm(term[2]))
+        return self.worst
+
+
+def _term_bound(term: list) -> float:
+    """The bound a waiting term of `_ScreenedMax` is ranked by: its Gram bound once formed, else its Frobenius norm."""
+    h, f, _ = term
+    return f if h is None else h
+
+
+def _max_op_norm(matrices) -> float:
+    """``max(op_norm(a) for a in matrices)``, the same float, by `_ScreenedMax`; 0.0 for none.
+
+    A single term is its own maximum and takes its SVD unscreened. From the first term
+    with an entry that is not finite on, every term takes its `op_norm` as the
+    unscreened maximum would: NaN, or the LinAlgError of its SVD.
+    """
+    terms = iter(matrices)
+    first = next(terms, None)
+    second = None if first is None else next(terms, None)
+    if second is None:
+        return 0.0 if first is None else op_norm(first)
+    terms = chain((first, second), terms)
+    screened = _ScreenedMax()
+    for k, a in enumerate(terms):
+        if not screened.add(a):
+            rest = [op_norm(b) for b in (a, *terms)]
+            return max([screened.settle(), *rest]) if k else max(rest)
+    return screened.settle()
 
 
 def _norm_within(a: np.ndarray, eps: float) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice, permutations
-from math import inf, isfinite, prod, sqrt
+from math import inf, prod, sqrt
 
 import numpy as np
 
@@ -23,15 +23,15 @@ from .linalg import (
     DEFAULT_TOL,
     _BOUND_SLACK,
     Tolerance,
-    _frobenius,
+    _max_op_norm,
     _norm_within,
     _require_square,
+    _ScreenedMax,
     adjoint,
     as_matrix,
     identity,
     kron,
     op_norm,
-    op_norm_diff,
 )
 
 __all__ = [
@@ -68,12 +68,9 @@ def truncated_shift(p: int) -> np.ndarray:
 
 
 def unitarity_residual(u: np.ndarray) -> float:
-    n = u.shape[0]
+    eye = identity(u.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        return max(
-            op_norm_diff(adjoint(u) @ u, identity(n)),
-            op_norm_diff(u @ adjoint(u), identity(n)),
-        )
+        return _max_op_norm((adjoint(u) @ u - eye, u @ adjoint(u) - eye))
 
 
 def _unitary_within(u: np.ndarray, eps: float) -> bool:
@@ -184,11 +181,12 @@ def _residual_walk(v: np.ndarray):
 def power_isometry_residual(v: np.ndarray) -> float:
     """Worst partial-isometry residual ||V^n V^n* V^n - V^n|| over n = 1..d+1.
 
-    A power whose Frobenius norm (an upper bound on its spectral norm)
-    cannot beat the worst residual so far skips its SVD, and the walk ends
-    once a bound shows that no later power can beat it; the result is the
-    same float as the spectral norm of every power would give. A residual
-    that is not finite (V^n overflowed) gives inf.
+    The residuals go through `linalg._ScreenedMax`, so a power takes an SVD
+    only if its Frobenius norm and then its Gram-power bound can still beat
+    the worst residual, and the walk ends once a bound shows that no later
+    power can beat it; the result is the same float as the spectral norm of
+    every power would give. A residual that is not finite (V^n overflowed)
+    gives inf.
 
     The bound. Write u = 2^-53, ‖·‖ for the Frobenius norm, and hats for
     computed matrices. A computed complex product of inner dimension d
@@ -217,7 +215,10 @@ def power_isometry_residual(v: np.ndarray) -> float:
     4. Stop. At n = 1, 2, 4, ..., with K = d + 1 − n powers left, the walk
        ends when that bound times 1 + `_BOUND_SLACK` is below the worst
        residual so far: each later power would then skip its SVD and leave
-       the worst as it is, and no later residual can be inf. Zero rule: at
+       the worst as it is, and no later residual can be inf. Residuals
+       still waiting for their SVD are settled first whenever their bounds
+       could lift the worst above the stop bound, so the walk ends at the
+       same power as one that takes every SVD at once. Zero rule: at
        the same powers, a V̂^n that is exactly zero ends the walk whatever
        the bound says, as every later power is exactly zero. Exact models
        have a worst residual of 0.0, so only this rule ends their walks.
@@ -227,17 +228,15 @@ def power_isometry_residual(v: np.ndarray) -> float:
        of dimension k keeps ‖V̂^n‖ ≥ √k, so its walk runs in full anyway.
     """
     v = _require_square(v)
-    worst = 0.0
+    residuals = _ScreenedMax()
     with np.errstate(over="ignore", invalid="ignore"):
         for residual, tail in _residual_walk(v):
-            frobenius = _frobenius(residual)
-            if not isfinite(frobenius):
+            if not residuals.add(residual):
                 return inf
-            if frobenius * (1.0 + _BOUND_SLACK) > worst:
-                worst = max(worst, op_norm(residual))
-            if tail * (1.0 + _BOUND_SLACK) < worst:
+            stop = tail * (1.0 + _BOUND_SLACK)
+            if stop < residuals.ceiling() and stop < residuals.settle():
                 break
-    return worst
+        return residuals.settle()
 
 
 def is_power_partial_isometry(

@@ -32,6 +32,8 @@ from .linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
     Tolerance,
+    _frobenius,
+    _max_op_norm,
     _norm_within,
     _require_square,
     _svd_rank,
@@ -106,7 +108,10 @@ def verify_twisted(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> TwistReport
     V_i* V_j = U_ij V_j V_i* and the plain relation V_i V_j = U_ji V_j V_i;
     for every operator and twist pair the commutation V_k U_ij = U_ij V_k;
     unitarity of each twist; commutation within the twist family; and the
-    power-partial-isometry residual of each operator. Nothing is thrown:
+    power-partial-isometry residual of each operator. Each residual is the
+    spectral norm of its defect (the larger of U*U - I and UU* - I for
+    `twist-unitary`), taken by `linalg._max_op_norm`, which factorizes only
+    a defect whose bound can still be the largest. Nothing is thrown:
     failures live in the report, and a residual that is not finite fails it
     with ``max_residual`` = inf.
     """
@@ -114,7 +119,7 @@ def verify_twisted(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> TwistReport
     with np.errstate(over="ignore", invalid="ignore"):
         for key, defects in _relation_defects(t):
             try:
-                residuals[key] = max(map(op_norm, defects()))
+                residuals[key] = _max_op_norm(defects())
             except np.linalg.LinAlgError:
                 # an overflowed product (inf - inf) leaves NaN entries, on which the SVD fails
                 residuals[key] = nan
@@ -141,6 +146,14 @@ def check_projection_commutation(
     with W; the residuals are returned keyed by projection name. Nothing
     is assumed about the input pair, so a random pair simply reports large
     values; V must be square and W of the same shape.
+
+    A block pi_p = sum_n (R_{n-1} - R_n)(S_{p-n} - S_{p-n+1}) of spectral
+    norm at most 1/2 is left out. It is not even formed when the Frobenius
+    norms of its factors, taken once per ladder step, give
+    sum_n ||R_{n-1} - R_n|| ||S_{p-n} - S_{p-n+1}|| (1 + `_BOUND_SLACK`) <= 1/2:
+    the computed block's Frobenius norm is at most that sum times
+    (1 + ρ)²(1 + γ)(1 + u)^{2p} plus pμ, in the constants of
+    `power_isometry_residual`, which the slack covers with room for the SVD.
     """
     v = _require_square(v)
     w = as_matrix(w)
@@ -160,7 +173,12 @@ def check_projection_commutation(
         "shift_part": comm((eye - p_mat) @ q_mat),
         "backshift_part": comm((eye - q_mat) @ p_mat),
     }
+    ranges, sources = ladder.extend(d).ranges, ladder.sources
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = [(_frobenius(ranges[j] - ranges[j + 1]), _frobenius(sources[j] - sources[j + 1])) for j in range(d)]
     for p in range(1, d + 1):
+        if fsum(steps[n - 1][0] * steps[p - n][1] for n in range(1, p + 1)) * (1.0 + _BOUND_SLACK) <= 0.5:
+            continue
         pi_p = truncated_block_projection(v, p, ladder)
         if not _norm_within(pi_p, 0.5):
             out[f"block_p={p}"] = comm(pi_p)
@@ -578,7 +596,7 @@ def _restrict(op: np.ndarray, basis: np.ndarray, eps: float, what: str) -> np.nd
     off_out = op @ basis - basis @ c
     off_in = left - c @ adjoint(basis)
     if not (_norm_within(off_out, eps) and _norm_within(off_in, eps)):
-        worst = max(op_norm(off_out), op_norm(off_in))
+        worst = _max_op_norm((off_out, off_in))
         raise DecompositionError(f"{what}: subspace is not reducing (off-block norm {worst:.3e})")
     return c
 
@@ -697,10 +715,10 @@ def decompose_tuple(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> Decomposit
         raise DecompositionError(f"global intertwiner is not unitary (residual {op_norm(g_defect):.3e})")
     leaves = [_read_leaf(t, leaf, tol.eps) for leaf in leaves]
 
-    worst = 0.0
-    for n in range(1, t.n_ops + 1):
-        model = _block_diag([leaf_model_operator(leaf, n, tol) for leaf in leaves])
-        worst = max(worst, op_norm(g @ model @ adjoint(g) - t.ops[n - 1]))
+    worst = _max_op_norm(
+        g @ _block_diag([leaf_model_operator(leaf, n, tol) for leaf in leaves]) @ adjoint(g) - t.ops[n - 1]
+        for n in range(1, t.n_ops + 1)
+    )
     if worst > tol.eps:
         raise DecompositionError(
             f"reconstruction residual {worst:.3e} exceeds eps {tol.eps:.1e}"
@@ -843,9 +861,7 @@ def equivalence_check(
         return EquivalenceResult(
             "INCONCLUSIVE", "assembled intertwiner failed the unitarity check"
         )
-    worst = max(
-        op_norm(u_total @ t1.ops[n] @ adjoint(u_total) - t2.ops[n]) for n in range(t1.n_ops)
-    )
+    worst = _max_op_norm(u_total @ t1.ops[n] @ adjoint(u_total) - t2.ops[n] for n in range(t1.n_ops))
     if worst <= tol.eps:
         return EquivalenceResult(
             "EQUIVALENT",

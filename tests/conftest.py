@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from math import inf
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -117,6 +118,23 @@ def non_power_partial_isometry_3d() -> np.ndarray:
     v[0, 2] = 1.0 / np.sqrt(2.0)
     v[1, 2] = 1.0 / np.sqrt(2.0)
     return v
+
+
+def unscreened_power_residuals(v: np.ndarray) -> list[float]:
+    """Spectral residuals of V^n for n = 1..d+1, one SVD each, in the library's product order.
+
+    A residual with an entry that is not finite (V^n overflowed) reads inf and ends the list.
+    """
+    out = []
+    vp = v.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(v.shape[0] + 1):
+            residual = vp @ vp.conj().T @ vp - vp
+            if not np.isfinite(residual).all():
+                return out + [inf]
+            out.append(op_norm(residual))
+            vp = vp @ v
+    return out
 
 
 def single_op_tuple(m: np.ndarray) -> TwistedTuple:

@@ -19,6 +19,7 @@ from partialiso.documents import (
     dumps_canonical,
     matrix_to_json,
     model_spec_document,
+    parse_tuple_document,
     tuple_document,
 )
 from partialiso.operators import ModelSpec, random_model_spec
@@ -27,6 +28,7 @@ from conftest import (
     perturbed_tuple,
     random_scrambled_model,
     single_op_tuple,
+    unscreened_power_residuals,
 )
 
 
@@ -411,6 +413,25 @@ class TestPipelineClosure:
         report = json.loads(report_path.read_text())
         assert report["pass"] is True
         assert report["residual"] <= 1e-9
+
+
+    def test_unitary_part_verify_rows_match_the_unscreened_walk(self, tmp_path):
+        # d = 96 with a unitary slot: every ppi row is a walk over all 97 powers
+        from partialiso.cli import main
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(dumps_canonical(model_spec_document(random_model_spec(49, n_ops=4))))
+        doc_path = tmp_path / "tuple.json"
+        assert main(["generate", "--spec", str(spec_path), "--scramble",
+                     "--seed", "3", "--output", str(doc_path)]) == 0
+        verify_out = tmp_path / "verify.json"
+        assert main(["verify", str(doc_path), "--output", str(verify_out)]) == 0
+        t, _ = parse_tuple_document(json.loads(doc_path.read_text()))
+        assert t.dim == 96
+        rows = [row for row in json.loads(verify_out.read_text())["residuals"] if row["kind"] == "ppi"]
+        assert [row["indices"] for row in rows] == [[1], [2], [3], [4]]
+        for row, v in zip(rows, t.ops):
+            assert row["value"] == max([0.0, *unscreened_power_residuals(v)])
 
 
 class TestCommutantAndEquiv:

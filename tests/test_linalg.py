@@ -168,6 +168,69 @@ class TestOpNorm:
             op_norm_diff(np.eye(2), np.eye(3))
 
 
+def _max_op_norm_terms():
+    """Lists of terms: growing, equal, scaled to the ends of the Gram bound's range, rank one, rectangular."""
+    rng = np.random.default_rng(7)
+    base = [crandn(rng, 24, 24) for _ in range(40)]
+    yield pytest.param([(1.0 + 0.01 * k) * a for k, a in enumerate(base)], id="growing")
+    yield pytest.param([(1.0 - 0.01 * k) * a for k, a in enumerate(base)], id="shrinking")
+    yield pytest.param([base[0]] * 20, id="repeated")
+    for power in (-400, -880, -950, 200, 880, 950):
+        scale = 2.0**power
+        yield pytest.param([scale * (1.0 + 0.01 * k) * a for k, a in enumerate(base[:20])], id=f"scaled-2^{power}")
+    x, y = crandn(rng, 24, 1), crandn(rng, 1, 24)
+    yield pytest.param([(1.0 + 2.0**-40 * k) * (x @ y) for k in range(20)], id="rank-one")
+    tall_and_wide = [crandn(rng, 30, 8) for _ in range(10)] + [crandn(rng, 8, 30) for _ in range(10)]
+    yield pytest.param(tall_and_wide, id="tall-and-wide")
+    yield pytest.param([np.zeros((5, 5)), np.zeros((0, 3)), np.zeros((5, 5))], id="zeros")
+
+
+class TestMaxOpNorm:
+    """`_max_op_norm` must give the float of ``max(op_norm(a) for a in terms)``."""
+
+    # beyond 2^500 the Frobenius norm's squares overflow before `_frobenius` rescales them
+    @pytest.mark.parametrize("terms", list(_max_op_norm_terms()))
+    def test_bit_identical_to_the_unscreened_maximum(self, terms):
+        with np.errstate(over="ignore"):
+            assert linalg._max_op_norm(iter(terms)) == max(map(op_norm, terms))
+
+    @pytest.mark.parametrize("terms", list(_max_op_norm_terms()))
+    def test_gram_power_bound_is_an_upper_bound(self, terms):
+        for a in terms:
+            with np.errstate(over="ignore"):
+                f = linalg._frobenius(a)
+            if f > 0.0:
+                assert op_norm(a) <= linalg._gram_power_bound(a, f) * (1.0 + linalg._BOUND_SLACK)
+
+    def test_no_terms_give_zero(self):
+        assert linalg._max_op_norm([]) == 0.0
+
+    def test_growing_terms_take_few_svds_and_hold_few_matrices(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        base = crandn(rng, 16, 16)
+        svds = []
+        monkeypatch.setattr(linalg, "op_norm", lambda a: svds.append(1) or op_norm(a))
+        screened = linalg._ScreenedMax()
+        for k in range(100):
+            assert screened.add((1.0 + 0.01 * k) * base)
+            assert len(screened._pending) < linalg._PENDING
+        assert screened.settle() == op_norm(1.99 * base)
+        # seven waiting lists (six full, then four terms), each settled by the SVD of its
+        # largest term and, twice, the runner-up's
+        assert len(svds) == 9
+
+    def test_a_non_finite_term_takes_the_unscreened_path(self):
+        a = np.eye(3)
+        inf_term = np.full((3, 3), np.inf)
+        nan_term = np.full((3, 3), np.nan)
+        with np.errstate(invalid="ignore"):
+            # as max() does: NaN first stays, NaN later is passed over
+            assert np.isnan(linalg._max_op_norm([inf_term, a]))
+            assert linalg._max_op_norm([a, inf_term]) == 1.0
+            with pytest.raises(np.linalg.LinAlgError):
+                linalg._max_op_norm([a, 2 * a, nan_term])
+
+
 class TestToleranceAndSubspace:
     def test_tolerance_rejects_nonpositive(self):
         with pytest.raises(ValueError):

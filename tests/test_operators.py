@@ -30,6 +30,7 @@ from conftest import (
     perturbed_tuple,
     random_hw_instance,
     random_scrambled_model,
+    unscreened_power_residuals,
 )
 
 
@@ -157,16 +158,6 @@ class TestPartialIsometryPredicates:
         assert failing == 2
 
 
-def _unscreened_residuals(v):
-    """Spectral residuals of V^n for n = 1..d+1, one SVD each, in the library's product order."""
-    out = []
-    vp = v.copy()
-    for _ in range(v.shape[0] + 1):
-        out.append(op_norm(vp @ vp.conj().T @ vp - vp))
-        vp = vp @ v
-    return out
-
-
 def _perturbed(v, size, rng):
     """V plus a complex Gaussian matrix of spectral norm ``size``."""
     rng = np.random.default_rng(rng)
@@ -216,6 +207,27 @@ def _screening_inputs():
     yield "1e-170-nilpotent", 1e-170 * _scrambled_nilpotent(3, 5, 3)
     for size in (1e-11, 1e-10, 1e-9):
         yield f"nilpotent-{size}", _perturbed(_scrambled_nilpotent(5, 8, 4), size, 5)
+    # unitary parts, whose rounding residual grows with every power, so the
+    # Gram-power bound and the waiting terms decide; scaled, the bound's own
+    # products would underflow (2^-400) or overflow (2^200) unscaled, and the
+    # walk of the 2^200 copies overflows at V^2
+    for name, v in _unitary_part_operators():
+        for scale, tag in ((1.0, ""), (2.0**-400, "-2^-400"), (2.0**200, "-2^200")):
+            yield f"{name}{tag}", scale * v
+    # a residual of rank one, where the Gram-power bound is nearly the spectral norm
+    yield "rank-one-64", np.diag([1.0] * 63 + [1.0 + 2.0**-30]).astype(complex)
+    w = haar_unitary(64, 8)
+    yield "rank-one-64-scrambled", w @ np.diag([1.0] * 63 + [1.0 + 2.0**-30]) @ w.conj().T
+    yield "non-finite-power", 1e100 * haar_unitary(8, 9)
+
+
+def _unitary_part_operators():
+    """The unitary-slot operators of two model tuples at d = 64 and 96, scrambled by a seed-d Haar unitary."""
+    u, twist = random_commuting_unitaries(16, 2, 64)
+    d64 = ModelSpec(slot_kinds=[4, "u"], aux_dim=16, twist_data={(1, 2): twist}, slot_unitaries={2: u})
+    for spec in (d64, random_model_spec(49, n_ops=4)):
+        t = build_model_tuple(spec)
+        yield f"unitary-slot-d{t.dim}", conjugate_tuple(t, haar_unitary(t.dim, t.dim)).ops[-1]
 
 
 class TestScreenedPowerLadder:
@@ -226,7 +238,7 @@ class TestScreenedPowerLadder:
 
     @pytest.fixture(scope="class")
     def cases(self):
-        return [(name, v, _unscreened_residuals(v)) for name, v in _screening_inputs()]
+        return [(name, v, unscreened_power_residuals(v)) for name, v in _screening_inputs()]
 
     def test_worst_residual_is_bit_identical(self, cases):
         for name, v, residuals in cases:

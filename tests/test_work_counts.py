@@ -31,10 +31,10 @@ from partialiso import (
     truncated_shift,
     verify_twisted,
 )
-from partialiso import cli, halmos_wallen, operators, twisted
+from partialiso import cli, halmos_wallen, linalg, operators, twisted
 from partialiso.documents import dumps_canonical, tuple_document
-from partialiso.linalg import DEFAULT_TOL, _BOUND_SLACK, _frobenius, _norm_within, identity, op_norm
-from conftest import perturbed_tuple, random_scrambled_model
+from partialiso.linalg import DEFAULT_TOL, identity, op_norm
+from conftest import perturbed_tuple, random_scrambled_model, unscreened_power_residuals
 
 
 @pytest.fixture
@@ -97,6 +97,25 @@ def test_projection_check_builds_one_range_source_ladder(monkeypatch):
     assert len(built[0].ranges) == len(built[0].sources) == d + 1
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_projection_check_forms_only_blocks_its_bound_cannot_drop(monkeypatch, p):
+    formed = []
+    original = twisted.truncated_block_projection
+
+    def counting(v, order, ladder=None):
+        formed.append(order)
+        return original(v, order, ladder)
+
+    monkeypatch.setattr(twisted, "truncated_block_projection", counting)
+    t = build_twisted_shift_pair(p, np.exp(0.7j))
+    v, w = conjugate_tuple(t, haar_unitary(t.dim, p)).ops
+    residuals = check_projection_commutation(v, w)
+    assert [key for key in residuals if key.startswith("block")] == [f"block_p={p}"]
+    # R_n and S_n step only for n < p, so a block of order 2p or more has a bound of
+    # rounding size: 2p - 1 blocks are formed of the d = 2p^2 orders
+    assert formed == list(range(1, 2 * p))
+
+
 def test_hw_decompose_factorizes_only_non_empty_projection_ranges(monkeypatch, svd_calls):
     # a unitary part and blocks of orders 2 and 4: orders 1 and 3 are empty
     rng = np.random.default_rng(4)
@@ -124,7 +143,7 @@ def test_hw_decompose_factorizes_only_non_empty_projection_ranges(monkeypatch, s
     assert not any(compute_uv for _, compute_uv in svd_calls)
 
 
-def test_decompose_tuple_takes_one_svd_per_operator_outside_hw_decompose(monkeypatch, svd_calls):
+def test_decompose_tuple_takes_one_svd_outside_hw_decompose(monkeypatch, svd_calls):
     inside = []
     original = twisted.hw_decompose
 
@@ -143,8 +162,10 @@ def test_decompose_tuple_takes_one_svd_per_operator_outside_hw_decompose(monkeyp
     t = conjugate_tuple(t, haar_unitary(t.dim, 3))
     svd_calls.clear()
     decompose_tuple(t)
-    # the reconstruction residual of each operator; every other gate is screened
-    assert len(svd_calls) - sum(inside) == t.n_ops == 2
+    # the reconstruction residual of the operator with the larger Gram-power bound, which
+    # the other's bound cannot beat; every other gate is screened
+    assert t.n_ops == 2
+    assert len(svd_calls) - sum(inside) == 1
 
 
 def test_equivalence_match_factorizes_only_square_operands(svd_calls):
@@ -276,48 +297,50 @@ def test_p_and_q_take_one_power_walk_each(monkeypatch, run):
     assert np.array_equal(walked[1], v.conj().T)
 
 
-def _walk_without_exit(v, eps=1e-9):
-    """The screened checks over all d + 1 powers: (worst, op_norm calls, verdict)."""
-    worst, calls, verdict = 0.0, 0, (True, None)
-    vp = v.copy()
-    for n in range(1, v.shape[0] + 2):
-        residual = vp @ vp.conj().T @ vp - vp
-        if _frobenius(residual) * (1.0 + _BOUND_SLACK) > worst:
-            worst = max(worst, op_norm(residual))
-            calls += 1
-        if verdict[0] and not _norm_within(residual, eps):
-            verdict = (False, n)
-        vp = vp @ v
-    return worst, calls, verdict
-
-
 def _example43(p, scrambled):
     t = build_twisted_shift_pair(p, np.exp(0.7j))
     return conjugate_tuple(t, haar_unitary(t.dim, p)).ops if scrambled else t.ops
 
 
 @pytest.mark.parametrize(
-    "ops, expected",
+    "ops, expected, svds",
     [
         # the exit: of 129 powers, the residual check forms 16 (<= 2p + 1
         # for p = 8) and the verdict 8
-        pytest.param(_example43(8, True), [16, 8, 16, 8], id="example43-p8-scrambled"),
+        pytest.param(_example43(8, True), [16, 8, 16, 8], [3, 3], id="example43-p8-scrambled"),
+        # an exit at power 4, with residuals still waiting for their SVD: they are
+        # settled first, so the walk ends where one taking every SVD at once would
+        pytest.param(_example43(4, True), [4, 4, 4, 4], [2, 1], id="example43-p4-scrambled"),
         # the zero rule: J_8 x I_8 and d[lambda] x J_8 vanish exactly at power 8
-        pytest.param(_example43(8, False), [8, 8, 8, 8], id="example43-p8"),
+        pytest.param(_example43(8, False), [8, 8, 8, 8], [3, 3], id="example43-p8"),
         # a unitary keeps its norm, so no bound ends its walk
-        pytest.param([haar_unitary(64, 11)], [65, 65], id="haar-d64"),
+        pytest.param([haar_unitary(64, 11)], [65, 65], [6], id="haar-d64"),
     ],
 )
-def test_power_walk_ends_where_no_later_power_can_matter(monkeypatch, power_draws, ops, expected):
+def test_power_walk_ends_where_no_later_power_can_matter(monkeypatch, power_draws, ops, expected, svds):
     norm_calls = []
-    monkeypatch.setattr(operators, "op_norm", lambda a: norm_calls.append(1) or op_norm(a))
-    for v in ops:
-        worst, calls, verdict = _walk_without_exit(v)
+    monkeypatch.setattr(linalg, "op_norm", lambda a: norm_calls.append(1) or op_norm(a))
+    for v, calls in zip(ops, svds, strict=True):
+        residuals = unscreened_power_residuals(v)
+        failing = [n for n, r in enumerate(residuals, 1) if r > DEFAULT_TOL.eps]
         norm_calls.clear()
-        assert power_isometry_residual(v) == worst
+        assert power_isometry_residual(v) == max([0.0, *residuals])
         assert len(norm_calls) == calls
-        assert is_power_partial_isometry(v) == verdict
+        assert is_power_partial_isometry(v) == ((False, failing[0]) if failing else (True, None))
     assert power_draws == expected
+
+
+def test_unitary_slot_walk_takes_few_svds(svd_calls):
+    # the rounding residual of a unitary part grows with every power, so each
+    # beats the Frobenius screen; its Gram-power bound and the waiting list
+    # leave an SVD for few of the 97 powers
+    t = build_model_tuple(random_model_spec(49, n_ops=4))
+    v = conjugate_tuple(t, haar_unitary(t.dim, 49)).ops[3]
+    assert v.shape == (96, 96)
+    residuals = unscreened_power_residuals(v)
+    svd_calls.clear()
+    assert power_isometry_residual(v) == max(residuals)
+    assert len(svd_calls) <= 20
 
 
 def test_d324_model_tuple_verifies_forming_few_powers(power_draws):
