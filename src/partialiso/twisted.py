@@ -16,6 +16,7 @@ being projected away.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field, replace
 from math import frexp, fsum, inf, isfinite, ldexp, nan, prod, sqrt
 
@@ -211,23 +212,31 @@ def _check_size(maps: int, d: int, peak_blocks: float) -> None:
         )
 
 
-def _sylvester_stack(pairs: list[tuple[np.ndarray, np.ndarray]], basis: tuple) -> np.ndarray:
+def _sylvester_rows(pairs: list[tuple[np.ndarray, np.ndarray]], basis: tuple, lo: int, hi: int) -> np.ndarray:
     """Row b: basis element b, the sum of gamma E_pq over its entries (b, p, q, gamma), under each
-    map X -> X B1 - B2 X of ``pairs`` (B1, B2) in turn, row-major: a complex (d^2, maps d^2) array,
-    written in place, so nothing the size of the stack is formed beside it."""
+    map X -> X B1 - B2 X of ``pairs`` (B1, B2) in turn, output rows lo:hi of each, row-major: a
+    complex (d^2, maps (hi - lo) d) array, written in place, so nothing its size is formed beside
+    it. The one code that writes Sylvester entries."""
     b, p, q, gamma = basis
     d = pairs[0][0].shape[0]
-    out = np.zeros((d * d, len(pairs), d, d), dtype=complex)
+    out = np.zeros((d * d, len(pairs), hi - lo, d), dtype=complex)
+    inside = (lo <= p) & (p < hi)
+    gamma_inside = gamma[inside] if np.ndim(gamma) else gamma
 
-    def scaled(entries: np.ndarray) -> np.ndarray:
+    def scaled(factor, entries: np.ndarray) -> np.ndarray:
         # in place: the gathered entries are the only temporary of each write
-        return np.multiply(gamma, entries, out=entries)
+        return np.multiply(factor, entries, out=entries)
 
     # (E_pq B1 - B2 E_pq)[r, s] = delta_rp B1[q, s] - B2[r, p] delta_qs; each (b, p) and (b, q) occurs once
     for n, (b1, b2) in enumerate(pairs):
-        out[b, n, p, :] = scaled(b1[q, :])
-        out[b, n, :, q] -= scaled(b2[:, p].T)
-    return out.reshape(d * d, len(pairs) * d * d)
+        out[b[inside], n, p[inside] - lo, :] = scaled(gamma_inside, b1[q[inside], :])
+        out[b, n, :, q] -= scaled(gamma, b2[lo:hi, p].T)
+    return out.reshape(d * d, len(pairs) * (hi - lo) * d)
+
+
+def _sylvester_stack(pairs: list[tuple[np.ndarray, np.ndarray]], basis: tuple) -> np.ndarray:
+    """Every output row of `_sylvester_rows`: the whole stack, a complex (d^2, maps d^2) array."""
+    return _sylvester_rows(pairs, basis, 0, pairs[0][0].shape[0])
 
 
 def _matrix_units(d: int) -> tuple:
@@ -255,9 +264,30 @@ def _sum_of_squares(a: np.ndarray) -> float:
     return float(np.vdot(a, a)) * (1.0 + 2.0 * _gamma(a.size + 1)) + _UNDERFLOW
 
 
+def _small_eigenvectors(gram: np.ndarray, k: int) -> np.ndarray:
+    """k Ritz vectors of ``gram`` for its smallest eigenvalues, 0 < k < n: one solve on
+    gram + alpha I, alpha = tr(gram) 2^-52, from k + 2 fixed-seed columns, a QR and a
+    Rayleigh-Ritz step. ``gram`` is shifted in place and its diagonal restored, bit for bit."""
+    n = gram.shape[0]
+    p = min(k + 2, n)
+    # uniform on [-1/2, 1/2) from the standard library: numpy.random would add 27 ms of
+    # imports to every CLI `commutant`
+    start = np.frombuffer(random.Random(0).randbytes(8 * n * p), dtype=np.uint64).reshape(n, p) * 2.0**-64 - 0.5
+    diagonal = gram.diagonal().copy()
+    gram.flat[:: n + 1] += float(np.trace(gram)) * 2.0**-52
+    try:
+        # numpy's solve factors a copy of its own
+        q = np.linalg.qr(np.linalg.solve(gram, start))[0]
+    finally:
+        gram.flat[:: n + 1] = diagonal
+    _, v = np.linalg.eigh(q.T @ (gram @ q))
+    return q @ v[:, :k]
+
+
 def _gram_split(gram: np.ndarray, m: int, eps: float):
     """Steps 1-3 of the star-closed count: (k, Q_k, q, F^, delta) once at most k singular values
-    are certified <= eps + delta, else None. ``gram`` is shifted in place."""
+    are certified <= eps + delta, else None; Q_k is None for k = n, standing for the identity.
+    ``gram`` is shifted in place."""
     n = gram.shape[0]
     trace = float(np.trace(gram))
     if not isfinite(trace):
@@ -265,62 +295,70 @@ def _gram_split(gram: np.ndarray, m: int, eps: float):
     f_bar = trace * (1.0 + 2.0 * _gamma(m + n)) + _UNDERFLOW
     delta = n * _UNIT_ROUNDOFF * sqrt(f_bar)
     try:
-        w, q = np.linalg.eigh(gram)
+        w = np.linalg.eigvalsh(gram)
+        k = int(np.count_nonzero(w <= (eps + delta) ** 2 + 2.0 * _gamma(m + n + 8) * f_bar))
+        if k == n:
+            return k, None, float(n), f_bar, delta
+        q_k = _small_eigenvectors(gram, k) if k else np.zeros((n, 0))
     except np.linalg.LinAlgError:
         return None
-    k = int(np.count_nonzero(w <= (eps + delta) ** 2 + 2.0 * _gamma(m + n + 8) * f_bar))
-    q_k = np.ascontiguousarray(q[:, :k])
     q_bar = _sum_of_squares(q_k)
-    if k < n:
-        c = ldexp(1.0, frexp(float(w[k]))[1])
-        del w, q
-        tau = (eps + delta) ** 2 + 2.0 * _gamma(m + n + k + 8) * (f_bar + c * q_bar) + 4 * _UNDERFLOW
-        deflation = q_k @ q_k.T
-        deflation *= c
-        gram += deflation
-        del deflation
-        gram.flat[:: n + 1] -= tau * (1.0 + _BOUND_SLACK)
-        try:
-            np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            return None
+    c = ldexp(1.0, frexp(float(w[k]))[1])
+    tau = (eps + delta) ** 2 + 2.0 * _gamma(m + n + k + 8) * (f_bar + c * q_bar) + 4 * _UNDERFLOW
+    deflation = q_k @ q_k.T
+    deflation *= c
+    gram += deflation
+    del deflation
+    gram.flat[:: n + 1] -= tau * (1.0 + _BOUND_SLACK)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
     return k, q_k, q_bar, f_bar, delta
 
 
-def _spans_small_values(rows: np.ndarray, q_k: np.ndarray, q_bar: float, f_bar: float, limit: float) -> bool:
-    """Step 4 of the star-closed count: the range of ``q_k`` certifies k singular values of the
-    stack S (``rows`` is S^T) at or below ``limit``."""
-    n, m = rows.shape
-    k = q_k.shape[1]
-    gram_k = q_k.T @ q_k
-    gram_k.flat[:: k + 1] -= 1.0
-    phi = sqrt(_sum_of_squares(gram_k)) * (1.0 + 2.0 * _UNIT_ROUNDOFF) + _gamma(n) * q_bar + _UNDERFLOW
-    # S Q_k in slices of at most n^2 entries, the size of the Gram matrix
-    step = max(1, n * n // max(m, 1))
-    image = fsum(_sum_of_squares(q_k[:, j : j + step].T @ rows) for j in range(0, k, step))
-    eta = sqrt(image) + _gamma(n) * sqrt(f_bar * q_bar) + _UNDERFLOW
+def _spans_small_values(chunks, q_k: np.ndarray | None, q_bar: float, f_bar: float, limit: float) -> bool:
+    """Step 4 of the star-closed count: the range of ``q_k`` (the identity when None) certifies
+    k singular values of the stack S at or below ``limit``; ``chunks`` yields S^T by columns."""
+    if q_k is None:
+        # Q_k = I: ||S||_2 <= ||S||_F <= sqrt(F^), and no chunk is built
+        phi, eta = 0.0, sqrt(f_bar)
+    else:
+        n, k = q_k.shape
+        gram_k = q_k.T @ q_k
+        gram_k.flat[:: k + 1] -= 1.0
+        phi = sqrt(_sum_of_squares(gram_k)) * (1.0 + 2.0 * _UNIT_ROUNDOFF) + _gamma(n) * q_bar + _UNDERFLOW
+        image = fsum(_sum_of_squares(q_k.T @ chunk) for chunk in chunks)
+        eta = sqrt(image) + _gamma(n) * sqrt(f_bar * q_bar) + _UNDERFLOW
     return phi <= 0.5 and limit > 0.0 and eta**2 * (1.0 + _BOUND_SLACK) <= limit**2 * (1.0 - phi)
+
+
+def _stack_chunks(pairs: list[tuple[np.ndarray, np.ndarray]], basis: tuple):
+    """The real stack S^T of `_star_closed_count` by columns, d // 2 output rows of one map at a
+    time: from d = 2 on, each chunk holds at most n^2 entries, the size of the Gram matrix."""
+    d = pairs[0][0].shape[0]
+    step = max(1, d // 2)
+    for pair in pairs:
+        for lo in range(0, d, step):
+            # row b holds the image of unknown b, Re and Im of each entry in turn
+            yield _sylvester_rows([pair], basis, lo, min(lo + step, d)).view(float)
 
 
 def _star_closed_count(pairs: list[tuple[np.ndarray, np.ndarray]], d: int, eps: float) -> int:
     """The star-closed count of `commutant_dimension`: certified from the Gram matrix, else the SVD."""
     basis = _hermitian_units(d)
-
-    def stack_rows() -> np.ndarray:
-        # S^T, real: row b holds the image of unknown b, Re and Im of each entry in turn
-        return _sylvester_stack(pairs, basis).view(float)
-
-    rows = stack_rows()
-    m = rows.shape[1]
-    gram = rows @ rows.T
-    del rows
-    split = _gram_split(gram, m, eps)
+    gram, product = np.zeros((d * d, d * d)), np.empty((d * d, d * d))
+    for chunk in _stack_chunks(pairs, basis):
+        gram += np.matmul(chunk, chunk.T, out=product)
+        del chunk  # before the next one is built
+    del product
+    split = _gram_split(gram, 2 * len(pairs) * d * d, eps)
     del gram
-    rows = stack_rows()
     if split is not None:
         k, q_k, q_bar, f_bar, delta = split
-        if _spans_small_values(rows, q_k, q_bar, f_bar, eps - delta):
+        if _spans_small_values(_stack_chunks(pairs, basis), q_k, q_bar, f_bar, eps - delta):
             return k
+    rows = _sylvester_stack(pairs, basis).view(float)
     return int(np.count_nonzero(np.linalg.svd(rows.T, compute_uv=False) <= eps))
 
 
@@ -354,15 +392,21 @@ def commutant_dimension(
     underflow term; each bound is evaluated with 1 + `_BOUND_SLACK` to spare, far
     above its own rounding.
 
-    1. Gram. A computed product of inner dimension j, in any order of its sums, errs
-       entrywise by gamma_j times the product of the absolute values (Higham,
-       *Accuracy and Stability*, section 3.5), so G^ = fl(S^T S) is within gamma_m F
-       of S^T S in norm. Its diagonal sums squares, so F <= F^ = tr G^ (1 + 2 gamma_{m+n}) + mu.
+    1. Gram. G^ = sum_c fl(S_c^T S_c) is summed over row chunks S_c of S, each d // 2
+       output rows of one map: every entry is still the sum of the m products of two
+       columns of S, in some order. A computed product of inner dimension j, in any order
+       of its sums, errs entrywise by gamma_j times the product of the absolute values
+       (Higham, *Accuracy and Stability*, section 3.5), so G^ is within gamma_m F of
+       S^T S in norm. Its diagonal sums squares, so F <= F^ = tr G^ (1 + 2 gamma_{m+n}) + mu.
        The band delta = n u sqrt(F^) sits n times above LAPACK's own error estimate
        u ||S||_2 for the singular values its SVD returns.
-    2. Split. eigh(G^) gives ascending w and eigenvectors Q; k counts the w_i at or below
-       (eps + delta)^2 + 2 gamma_{m+n+8} F^, and Q_k holds their columns. Nothing below
-       assumes that w or Q is accurate: a poor split only makes a check fail.
+    2. Split. eigvalsh(G^) gives ascending w; k counts the w_i at or below
+       (eps + delta)^2 + 2 gamma_{m+n+8} F^. For 0 < k < n, Q_k holds k Ritz vectors:
+       one solve of (G^ + alpha I) X = W, alpha = 2^-52 tr G^, from k + 2 columns W of a
+       fixed seed, Q from the QR of X, and Q_k = Q V_k for the k smallest eigenvalues of
+       Q^T G^ Q. Q_k is empty for k = 0 and the identity, never formed, for k = n, where
+       no solve is taken. Nothing below assumes that w or Q_k is accurate: a poor split
+       only makes a check fail.
     3. At most k. Let c be the power of two at or above w_{k+1}, q >= ||Q_k||_F^2 and
        tau = (eps + delta)^2 + 2 gamma_{m+n+k+8} (F^ + c q) + 4 mu. The matrix
        M = fl(G^ + c fl(Q_k Q_k^T) - tau I) differs from A = S^T S + c Q_k Q_k^T - tau I
@@ -373,14 +417,17 @@ def commutant_dimension(
        tau - (eps + delta)^2, so lambda_min(A) > (eps + delta)^2 - tau. As c Q_k Q_k^T is
        positive semidefinite of rank <= k, Weyl's inequalities give lambda_min(A) <=
        lambda_{k+1}(S^T S) - tau: at most k singular values of S are <= eps + delta.
-    4. At least k. With the stack rebuilt, phi = ||fl(Q_k^T Q_k) - I||_F (1 + 2u) +
-       gamma_n q + mu bounds ||Q_k^T Q_k - I||_2 and eta = ||fl(S Q_k)||_F +
-       gamma_n sqrt(F^ q) + mu bounds ||S Q_k||_2. If phi <= 1/2, each x = Q_k y of the
+    4. At least k. With the chunks rebuilt, phi = ||fl(Q_k^T Q_k) - I||_F (1 + 2u) +
+       gamma_n q + mu bounds ||Q_k^T Q_k - I||_2 and eta = (sum_c ||fl(S_c Q_k)||_F^2)^1/2
+       + gamma_n sqrt(F^ q) + mu bounds ||S Q_k||_2: the S_c Q_k are the row chunks of
+       S Q_k, each of inner dimension n. If phi <= 1/2, each x = Q_k y of the
        k-dimensional range of Q_k has ||S x|| <= eta ||y|| <= eta ||x|| / sqrt(1 - phi), so
        by Courant-Fischer at least k singular values are at most eta / sqrt(1 - phi). The
-       check asks for eps - delta.
-    5. Fallback. When either check fails, G^ overflows or eigh does not converge, the count
-       is that of the values-only SVD of the rebuilt stack, as before.
+       check asks for eps - delta. For Q_k = I no chunk is built: phi = 0 and
+       eta = sqrt(F^) >= ||S||_F.
+    5. Fallback. When either check fails, G^ overflows, or eigvalsh, the solve or a
+       factorization of the split fails in LAPACK, the count is that of the values-only
+       SVD of the whole stack, built only then.
 
     Steps 3 and 4 leave no singular value of S within delta of eps, so the certified count
     is the one that SVD would return unless its values erred by n times LAPACK's estimate.
@@ -392,9 +439,14 @@ def commutant_dimension(
     Operators that are not square or not all of one shape raise before any stack is
     built. Above COMMUTANT_MAX_BYTES a system raises `CommutantTooLargeError` first. The
     plain branch peaks at its stack of N complex d^2 x d^2 blocks and the copy numpy's SVD
-    makes. The star-closed stack is the same size (Re and Im of each entry in turn); the
-    Gram path adds G beside it, then G, its copy in eigh, the 2 n^2 workspace of LAPACK's
-    syevd and Q, 2.5 blocks in all, and the fallback peaks as the plain branch does.
+    makes. The star-closed stack is the same size (Re and Im of each entry in turn), but
+    the Gram route never holds it. A chunk of S^T is at most n^2 reals, the size of G^,
+    and G^ is half a block, so each phase holds at most 1.5 blocks: G^, one chunk and one
+    chunk product; then G^ and the copy that eigvalsh, numpy's solve or Cholesky makes
+    (with Cholesky's factor); then two chunks. Beside them sit n x (k + 2) arrays for the
+    solve and Q_k. Only the fallback builds the stack, and it peaks as the plain branch
+    does. The guard still counts max(2N, 2.5) blocks, so for one operator its 2.5 is now
+    conservative.
     """
     mats = [_require_square(a) for a in ops]
     if not mats:

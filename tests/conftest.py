@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from math import inf
 
@@ -162,6 +166,30 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def resident_peak_growth(setup: str, call: str) -> int:
+    """How far, in bytes, the peak resident size of a fresh interpreter grows over the statement
+    ``call``, once the statements ``setup`` have run there. Unlike `traced_peak` it sees the
+    buffers numpy's LAPACK wrappers allocate outside Python: the copy of its operand that each
+    factorization makes and LAPACK's workspace. The peak is VmHWM, the kernel's high-water mark
+    behind ``ru_maxrss``: Linux carries ``ru_maxrss`` over from the parent's resident size across
+    exec, so under a test process larger than the child it would hide the call."""
+    script = "\n".join([
+        "def high_water():",
+        "    with open('/proc/self/status') as status:",
+        "        return next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))",
+        textwrap.dedent(setup),
+        "before = high_water()",
+        textwrap.dedent(call),
+        "print(high_water() - before)",
+    ])
+    # one BLAS thread: each keeps buffers of its own, so the peak would grow with the core count
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    # /proc reports kB, that is KiB
+    return int(proc.stdout.split()[-1]) * 1024
 
 
 def _has_clean_rank_gap(mats) -> bool:

@@ -681,6 +681,8 @@ class TestDeterminismAndContract:
         imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
         assert "partialiso.twisted" in imported
         assert not [name for name in imported if name.split(".")[0] == "scipy"]
+        # nor numpy.random, which takes about 27 ms to import
+        assert "numpy.random" not in imported
 
     @pytest.mark.parametrize("kind", ["not-utf8", "too-deep", "beyond-float"])
     def test_malformed_input_exits_2_with_one_error_line(self, kind, pair_file, tmp_path):

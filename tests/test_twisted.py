@@ -48,6 +48,7 @@ from conftest import (
     perturbed_tuple,
     random_decomposition_instance,
     random_scrambled_model,
+    resident_peak_growth,
     single_op_tuple,
     sylvester_pair_stack,
     sylvester_stack,
@@ -232,20 +233,34 @@ class TestCommutant:
         stack_bytes = 24**4 * np.dtype(complex).itemsize
         assert traced_peak(lambda: commutant_dimension([a])) < 1.25 * stack_bytes
 
-    def test_star_closed_commutant_allocates_its_stack_and_one_gram_matrix(self):
-        # two operators at d = 24: a real (4 * 24^2, 24^2) stack, then its 24^2 x 24^2 Gram
-        # matrix; eigh's and Cholesky's copies and workspaces are not traced
+    def test_star_closed_commutant_holds_three_gram_matrices_not_its_stack(self):
+        # two operators at d = 24: the real stack S, (4 * 24^2, 24^2), is four Gram matrices;
+        # the Gram route holds G, one chunk of S^T no larger than G and one chunk product.
+        # The copies eigvalsh, solve and Cholesky make are not traced
         t = conjugate_tuple(build_twisted_shift_pair(2, 1j), haar_unitary(8, 5))
         ops = [kron(v, haar_unitary(3, 6)) for v in t.ops]
         n = 24**2
         stack_bytes, gram_bytes = 4 * n * n * 8, n * n * 8
         peak = traced_peak(lambda: commutant_dimension(ops, include_adjoints=True))
-        # beside the two, only the basis index arrays of the stack builder
-        assert stack_bytes + gram_bytes < peak < stack_bytes + 1.05 * gram_bytes
+        # beside the three, the entries each chunk write gathers (about 6 / d of G), the basis
+        # index arrays and the n x (k + 2) arrays of the split
+        assert 3 * gram_bytes < peak < 3.3 * gram_bytes < stack_bytes
+
+    def test_star_closed_count_at_d32_stays_under_two_blocks_of_resident_memory(self):
+        # example 4.3 at d = 32: a complex d^2 x d^2 block is 16.8 MB. The Gram route peaks at
+        # G, the copy Cholesky makes and its factor, 1.5 blocks, plus BLAS buffers
+        setup = """
+            import numpy as np
+            from partialiso import build_twisted_shift_pair, commutant_dimension, conjugate_tuple, haar_unitary
+            t = build_twisted_shift_pair(4, np.exp(0.7j))
+            ops = conjugate_tuple(t, haar_unitary(t.dim, 4)).ops
+        """
+        growth = resident_peak_growth(setup, "assert commutant_dimension(ops, include_adjoints=True) == 2")
+        assert growth < 2 * 32**4 * np.dtype(complex).itemsize
 
     def test_one_star_closed_operator_is_refused_at_its_gram_peak(self):
-        # the stack of one operator is one complex d^2 x d^2 block; G, its copy in eigh, the
-        # 2 d^4 workspace of syevd and the eigenvectors make 2.5, 2.2 GiB at d = 88
+        # the guard counts 2.5 complex d^2 x d^2 blocks for one star-closed operator, 2.2 GiB at
+        # d = 88; the Gram route peaks at 1.5 and the fallback SVD of the stack at 2
         with pytest.raises(CommutantTooLargeError, match="2 Sylvester maps at d = 88 need a 2.2 GiB"):
             commutant_dimension([truncated_shift(88)], include_adjoints=True)
 

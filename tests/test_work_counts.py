@@ -239,21 +239,40 @@ def test_star_closed_commutant_at_the_cutoff_takes_one_svd_of_its_stack(svd_call
 
 @pytest.mark.parametrize("claimed", [1, 3])
 def test_a_wrong_gram_split_falls_back_to_the_svd(svd_calls, monkeypatch, claimed):
-    # eigh made to claim 1 or 3 small eigenvalues where there are 2: the Cholesky check
-    # refuses too few and the check on the rebuilt stack too many, so the SVD decides
-    original = np.linalg.eigh
+    # eigvalsh made to claim 1 or 3 small eigenvalues where there are 2: the Cholesky check
+    # refuses too few and the check on the rebuilt chunks too many, so the SVD decides
+    original = np.linalg.eigvalsh
 
     def misleading(a):
-        w, q = original(a)
-        w = w.copy()
+        w = original(a).copy()
         w[1], w[2] = (w[2], w[2]) if claimed == 1 else (w[1], 0.0)
-        return w, q
+        return w
 
-    monkeypatch.setattr(np.linalg, "eigh", misleading)
+    monkeypatch.setattr(np.linalg, "eigvalsh", misleading)
     t = conjugate_tuple(build_twisted_shift_pair(2, np.exp(0.7j)), haar_unitary(8, 2))
     svd_calls.clear()
     assert commutant_dimension(t.ops, include_adjoints=True) == 2
     assert svd_calls == [((4 * 64, 64), False)]
+
+
+@pytest.mark.parametrize(
+    "ops, expected",
+    [
+        pytest.param([np.zeros((4, 4), dtype=complex)], 16, id="zero"),
+        pytest.param([identity(5)], 25, id="identity"),
+        pytest.param([identity(3), np.zeros((3, 3), dtype=complex)], 9, id="identity-and-zero"),
+        *(pytest.param(random_scrambled_model(seed, max_dim=20)[0].ops, 1, id=f"1x1-model-{seed}")
+          for seed in (20, 25, 30)),
+    ],
+)
+def test_a_zero_gram_matrix_is_certified_with_no_solve_and_no_svd(svd_calls, monkeypatch, ops, expected):
+    # G = 0, so every eigenvalue is small and k = n: the identity spans the small directions,
+    # and a solve on G + alpha I, singular for alpha = 0, is never taken
+    solves = []
+    original = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args) or original(*args))
+    assert commutant_dimension(ops, include_adjoints=True) == expected
+    assert svd_calls == [] and solves == []
 
 
 def test_gram_count_certifies_exact_and_slightly_noisy_models(svd_calls):
@@ -354,20 +373,20 @@ def test_d324_model_tuple_verifies_forming_few_powers(power_draws):
 
 def test_cli_commutant_builds_only_leaf_sized_sylvester_stacks(monkeypatch, tmp_path, capsys):
     widths = []
-    original = twisted._sylvester_stack
+    original = twisted._sylvester_rows
 
-    def recording(pairs, basis):
-        stack = original(pairs, basis)
+    def recording(pairs, basis, lo, hi):
+        stack = original(pairs, basis, lo, hi)
         # one row per unknown
         widths.append(stack.shape[0])
         return stack
 
-    monkeypatch.setattr(twisted, "_sylvester_stack", recording)
+    monkeypatch.setattr(twisted, "_sylvester_rows", recording)
     t = build_twisted_shift_pair(3, np.exp(0.7j))
     path = tmp_path / "d18.json"
     path.write_text(dumps_canonical(tuple_document(conjugate_tuple(t, haar_unitary(t.dim, 3)))))
     assert cli.main(["commutant", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["dimension"] == 2
-    # one leaf (3, 3) of multiplicity m = 2: m^2 = 4 unknowns, not d^2 = 324, built for its
-    # Gram matrix and again for the certificate
-    assert widths == [2 * 2, 2 * 2]
+    # one leaf (3, 3) of multiplicity m = 2: m^2 = 4 unknowns, not d^2 = 324, built one output
+    # row of its map at a time, for its Gram matrix and again for the certificate
+    assert widths == 4 * [2 * 2]
