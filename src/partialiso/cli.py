@@ -19,6 +19,7 @@ import numpy as np
 from .documents import (
     SCHEMA_VERSION,
     SchemaError,
+    _spec_shape,
     dumps_canonical,
     matrix_to_json,
     parse_model_spec_document,
@@ -284,9 +285,12 @@ def cmd_generate(args) -> int:
     if args.scramble and args.seed < 0:
         raise SchemaError(f"--seed must be >= 0 with --scramble, got {args.seed}")
     if args.spec is not None:
-        spec = parse_model_spec_document(_load_json(args.spec))
-        _require_rows_fit(spec.n_ops)
-        _require_generate_fits(spec.n_ops, prod(k for k in spec.slot_kinds if k != "u") * spec.aux_dim)
+        doc = _load_json(args.spec)
+        # refused before the spec fills in an aux_dim x aux_dim twist for every pair
+        kinds, aux_dim = _spec_shape(doc)
+        _require_rows_fit(len(kinds))
+        _require_generate_fits(len(kinds), prod(k for k in kinds if k != "u") * aux_dim)
+        spec = parse_model_spec_document(doc)
         try:
             t = build_model_tuple(spec, tol)
         except ValueError as exc:

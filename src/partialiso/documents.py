@@ -93,10 +93,12 @@ def matrix_to_json(m: np.ndarray) -> list:
 def matrix_from_json(obj, rows: int, cols: int, where: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != rows:
         raise SchemaError(f"{where}: expected {rows} rows")
-    out = np.zeros((rows, cols), dtype=complex)
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{where}[{i}]: expected {cols} entries")
+    # allocated only once every row has its entries, so a declared size cannot outrun the input
+    out = np.zeros((rows, cols), dtype=complex)
+    for i, row in enumerate(obj):
         for j, entry in enumerate(row):
             if (
                 not isinstance(entry, list)
@@ -213,7 +215,8 @@ def parse_tuple_document(doc) -> tuple[TwistedTuple, list[str]]:
 # model spec documents
 
 
-def parse_model_spec_document(doc) -> ModelSpec:
+def _spec_shape(doc) -> tuple[list[object], int]:
+    """The validated slot kinds and aux_dim of a spec document, before any matrix is formed."""
     _check_version(doc, "spec")
     slots = _require_key(doc, "slots", "spec")
     if not isinstance(slots, list) or not slots:
@@ -229,6 +232,11 @@ def parse_model_spec_document(doc) -> ModelSpec:
     aux_dim = _require_key(doc, "aux_dim", "spec")
     if not isinstance(aux_dim, int) or isinstance(aux_dim, bool) or aux_dim < 1:
         raise SchemaError("spec.aux_dim: expected a positive integer")
+    return kinds, aux_dim
+
+
+def parse_model_spec_document(doc) -> ModelSpec:
+    kinds, aux_dim = _spec_shape(doc)
     n = len(kinds)
     twist_data = _parse_twists(doc.get("twists", []), n, aux_dim, "spec.twists")
     slot_unitaries: dict[int, np.ndarray] = {}

@@ -809,15 +809,33 @@ class EquivalenceResult:
 
 
 def _spectral_mismatch(a: np.ndarray, b: np.ndarray) -> float:
-    """Worst matched eigenvalue distance under the optimal assignment."""
-    # deferred: scipy.optimize is the slowest import of the package
-    from scipy.optimize import linear_sum_assignment
+    """Bottleneck distance between the spectra of two near-unitaries, to within 4 delta.
 
-    ea = np.linalg.eigvals(a)
-    eb = np.linalg.eigvals(b)
-    cost = np.abs(ea[:, None] - eb[None, :])
-    row, col = linear_sum_assignment(cost)
-    return float(cost[row, col].max()) if row.size else 0.0
+    The bottleneck distance is the least, over all matchings of the two spectra, of the largest
+    matched distance |x - y|. For unitaries it is at most ||A - B|| (Bhatia-Davis, 1984), so it
+    is an invariant of unitary equivalence. It is read off the best cyclic shift of the two
+    spectra sorted by angle, in O(n^2).
+
+    On the circle a cyclic shift is optimal. Chord length grows with arc length, so take a
+    matching whose arcs are at most r, with angles a_1 <= ... <= a_n in [0, 2 pi) on one side
+    (tied angles ordered by partner) and lifts b_i of the partners, |b_i - a_i| <= r <= pi; there
+    are finitely many such lifts. If a_i < a_j but b_i > b_j, swapping the partners puts both
+    new displacements between the old two; if b_n - b_1 >= 2 pi, so does matching a_1 to
+    b_n - 2 pi and a_n to b_1 + 2 pi. Either step lowers sum (b_i - a_i)^2, so the steps end,
+    with b_1 <= ... <= b_n spanning less than 2 pi: a cyclic shift, all arcs still <= r.
+
+    Leaf unit ops are unitary within eps, so each eigenvalue lies between the extreme singular
+    values, within delta ~ eps of the circle. Radial projection moves a point by at most delta
+    and keeps its angle, so the sorted orders stay valid for the projected points, and each
+    matched distance moves by at most 2 delta. So the best shift here is at most the projected
+    bottleneck plus 2 delta, which is at most the true bottleneck plus 4 delta, and at least the
+    true bottleneck. The gate max(1e-6, 100 eps) leaves room for that.
+    """
+    ea, eb = (e[np.argsort(np.angle(e))] for e in (np.linalg.eigvals(a), np.linalg.eigvals(b)))
+    if not ea.size:
+        return 0.0
+    shifts = (np.arange(ea.size)[:, None] + np.arange(ea.size)) % ea.size
+    return float(np.abs(ea - eb[shifts]).max(axis=1).min())
 
 
 def _match_leaf_unitary(
@@ -862,7 +880,9 @@ def equivalence_check(
 
     NOT_EQUIVALENT comes only with an invariant certificate: mismatched
     leaf multiindex multisets, multiplicity dimensions, or unitary-part
-    spectra. EQUIVALENT comes with an explicit unitary, assembled from the
+    spectra whose bottleneck (matching) distance, the gap in the
+    certificate, passes max(1e-6, 100 eps) (see `_spectral_mismatch`).
+    EQUIVALENT comes with an explicit unitary, assembled from the
     two trees plus a per-leaf multiplicity match, verified operator by
     operator. When the invariants agree but no verified match is found the
     verdict is INCONCLUSIVE, never a guessed negative. A multiplicity match

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -669,28 +670,62 @@ class TestDeterminismAndContract:
         assert captured.out == ""
         assert captured.err.startswith("error: 30 operators ask for ") and captured.err.count("\n") == 1
 
-    def test_commutant_command_loads_no_scipy(self, tmp_path):
-        # the dense count is numpy only, so `commutant` starts no slower than `verify`
-        path = tmp_path / "d18.json"
-        assert cli.main(["generate", "--preset", "example43", "--p", "3", "--lambda", "0.6,0.8",
-                         "--scramble", "--seed", "3", "--output", str(path)]) == 0
-        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "partialiso", "commutant", str(path)],
+    def test_spec_with_a_large_aux_dim_is_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch):
+        # 50 bytes whose one missing twist would be a 24 GiB identity on C^40000
+        path = tmp_path / "spec.json"
+        path.write_text('{"schema_version":"1","slots":[1,1],"aux_dim":40000}')
+
+        def unreachable(*args):
+            raise AssertionError("spec built")
+
+        monkeypatch.setattr(cli, "parse_model_spec_document", unreachable)
+        assert cli.main(["generate", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 2 operators at d = 40000 need 71.5 GiB with their twists, above the 2 GiB limit\n"
+        )
+
+    @pytest.mark.parametrize("command", ["commutant", "equiv"])
+    def test_commutant_command_loads_no_scipy(self, command, tmp_path):
+        # the dense count and the spectral gate are numpy only, so neither starts slower than `verify`
+        if command == "commutant":
+            paths = [tmp_path / "d18.json"]
+            assert cli.main(["generate", "--preset", "example43", "--p", "3", "--lambda", "0.6,0.8",
+                             "--scramble", "--seed", "3", "--output", str(paths[0])]) == 0
+        else:
+            # slots [u, u, u, 3]: the equal leaves reach the spectral gate of their unitary part
+            spec = tmp_path / "spec.json"
+            spec.write_text(dumps_canonical(model_spec_document(random_model_spec(0))))
+            paths = [tmp_path / "a.json", tmp_path / "b.json"]
+            for path, scramble in zip(paths, ([], ["--scramble", "--seed", "3"])):
+                assert cli.main(["generate", "--spec", str(spec), *scramble, "--output", str(path)]) == 0
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "partialiso", command, *map(str, paths)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["dimension"] == 2
+        if command == "commutant":
+            assert json.loads(proc.stdout)["dimension"] == 2
+        else:
+            assert json.loads(proc.stdout)["verdict"] == "EQUIVALENT"
         imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
         assert "partialiso.twisted" in imported
         assert not [name for name in imported if name.split(".")[0] == "scipy"]
-        # nor numpy.random, which takes about 27 ms to import
-        assert "numpy.random" not in imported
+        if command == "commutant":
+            # nor numpy.random, which takes about 27 ms to import; the `equiv` match seeds default_rng
+            assert "numpy.random" not in imported
 
-    @pytest.mark.parametrize("kind", ["not-utf8", "too-deep", "beyond-float"])
+    @pytest.mark.parametrize("kind", ["not-utf8", "too-deep", "beyond-float", "oversized-dim"])
     def test_malformed_input_exits_2_with_one_error_line(self, kind, pair_file, tmp_path):
         path = tmp_path / "malformed.json"
         if kind == "not-utf8":
             path.write_bytes(b"\xff\xfe{}")
         elif kind == "too-deep":
             path.write_text("[" * 100_000 + "]" * 100_000)
+        elif kind == "oversized-dim":
+            # 160 KB declaring a 24 GiB matrix: its rows are checked before it is allocated
+            rows = [[]] * 40_000
+            path.write_text(json.dumps({"schema_version": "1", "dim": 40_000,
+                                        "operators": [{"name": "V1", "matrix": rows}]}))
         else:
             doc = json.loads(pair_file.read_text())
             doc["operators"][0]["matrix"][0][1] = [int("9" * 400), 0]
@@ -701,3 +736,12 @@ class TestDeterminismAndContract:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         if kind == "beyond-float":
             assert "matrix[0][1]: entry is beyond the float range" in proc.stderr
+        if kind == "oversized-dim":
+            assert proc.stderr == "error: document.operators[0].matrix[0]: expected 40000 entries\n"
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert "(2, 2) 2" in capsys.readouterr().out.splitlines()

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -603,6 +604,40 @@ class TestEquivalence:
         r = equivalence_check(a, b)
         assert r.verdict == "NOT_EQUIVALENT"
         assert "spectra" in r.certificate
+
+    @staticmethod
+    def _matchings(a, b):
+        """Largest matched eigenvalue distance of every matching, with its sum."""
+        ea, eb = np.linalg.eigvals(a), np.linalg.eigvals(b)
+        for perm in itertools.permutations(range(ea.size)):
+            dist = np.abs(ea - eb[list(perm)])
+            yield dist.max(), dist.sum()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_spectral_mismatch_is_the_bottleneck_distance(self, n):
+        # points 1e-12 off the circle: the best cyclic shift is within 4e-12 of the bottleneck
+        delta = 1e-12
+        rng = np.random.default_rng(n)
+        for trial in range(60):
+            angles = 2 * np.pi * rng.random((2, n))
+            if trial % 3 == 1:  # repeated eigenvalues with noise
+                angles = np.repeat(angles[:, :1], n, axis=1) + 1e-7 * rng.standard_normal((2, n))
+                angles[:, n // 2:] += 2.0
+            elif trial % 3 == 2:  # one spectrum 2e-6 from the other, at the gate
+                angles[1] = angles[0] + 2e-6 * rng.choice([-1.0, 1.0], n)
+            radii = 1 + delta * rng.choice([-1.0, 1.0], (2, n))
+            a, b = np.diag(radii[0] * np.exp(1j * angles[0])), np.diag(radii[1] * np.exp(1j * angles[1]))
+            bottleneck = min(worst for worst, _ in self._matchings(a, b))
+            assert bottleneck <= twisted._spectral_mismatch(a, b) <= bottleneck + 4 * delta
+
+    def test_spectral_mismatch_is_below_the_min_sum_assignment(self):
+        # angles 0, 30, 60 degrees against 0, 30, 240: the min-sum assignment matches 60 to 240
+        a = np.diag(np.exp(1j * np.pi * np.array([0, 1, 2]) / 6))
+        b = np.diag(np.exp(1j * np.pi * np.array([0, 1, 8]) / 6))
+        min_sum_worst = min(self._matchings(a, b), key=lambda m: m[1])[0]
+        bottleneck = min(worst for worst, _ in self._matchings(a, b))
+        assert min_sum_worst == pytest.approx(2.0)
+        assert twisted._spectral_mismatch(a, b) == bottleneck == pytest.approx(np.sqrt(3))
 
     def test_operator_count_mismatch(self):
         t = build_twisted_shift_pair(2, 1j)
