@@ -272,8 +272,12 @@ def _require_generate_fits(n_ops: int, dim: int) -> None:
     """Refuse a tuple whose operators and twists would pass COMMUTANT_MAX_BYTES."""
     size = (n_ops + n_ops * (n_ops - 1) // 2) * dim * dim * np.dtype(complex).itemsize
     if size > COMMUTANT_MAX_BYTES:
+        # tenths of a GiB rounded half to even, as f"{size / 1024**3:.1f}" would, but in
+        # integers: the size of a huge spec is past the float range
+        tenths, rest = divmod(size * 10, 1024**3)
+        tenths += 2 * rest > 1024**3 or 2 * rest == 1024**3 and tenths % 2
         raise SchemaError(
-            f"{n_ops} operators at d = {dim} need {size / 1024**3:.1f} GiB with their twists, "
+            f"{n_ops} operators at d = {dim} need {tenths // 10}.{tenths % 10} GiB with their twists, "
             f"above the {COMMUTANT_MAX_BYTES / 1024**3:.0f} GiB limit"
         )
 

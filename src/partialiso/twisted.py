@@ -110,17 +110,17 @@ def verify_twisted(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> TwistReport
     for every operator and twist pair the commutation V_k U_ij = U_ij V_k;
     unitarity of each twist; commutation within the twist family; and the
     power-partial-isometry residual of each operator. Each residual is the
-    spectral norm of its defect (the larger of U*U - I and UU* - I for
-    `twist-unitary`), taken by `linalg._max_op_norm`, which factorizes only
-    a defect whose bound can still be the largest. Nothing is thrown:
-    failures live in the report, and a residual that is not finite fails it
-    with ``max_residual`` = inf.
+    spectral norm of its one defect. For `twist-unitary` that is U*U - I:
+    with U = W S V*, U*U - I = V (S^2 - I) V* and UU* - I = W (S^2 - I) W*
+    have the same singular values, so the other side adds nothing. Nothing
+    is thrown: failures live in the report, and a residual that is not
+    finite fails it with ``max_residual`` = inf.
     """
     residuals: dict[tuple, float] = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for key, defects in _relation_defects(t):
+        for key, defect in _relation_defects(t):
             try:
-                residuals[key] = _max_op_norm(defects())
+                residuals[key] = op_norm(defect())
             except np.linalg.LinAlgError:
                 # an overflowed product (inf - inf) leaves NaN entries, on which the SVD fails
                 residuals[key] = nan
@@ -264,15 +264,19 @@ def _sum_of_squares(a: np.ndarray) -> float:
     return float(np.vdot(a, a)) * (1.0 + 2.0 * _gamma(a.size + 1)) + _UNDERFLOW
 
 
+def _uniform(seed: int, *shape: int) -> np.ndarray:
+    """Seeded draws uniform on [-1/2, 1/2), from the standard library: numpy.random would add
+    about 27 ms of imports to every CLI `commutant` and `equiv`."""
+    bits = np.frombuffer(random.Random(seed).randbytes(8 * prod(shape)), dtype=np.uint64)
+    return bits.reshape(shape) * 2.0**-64 - 0.5
+
+
 def _small_eigenvectors(gram: np.ndarray, k: int) -> np.ndarray:
     """k Ritz vectors of ``gram`` for its smallest eigenvalues, 0 < k < n: one solve on
     gram + alpha I, alpha = tr(gram) 2^-52, from k + 2 fixed-seed columns, a QR and a
     Rayleigh-Ritz step. ``gram`` is shifted in place and its diagonal restored, bit for bit."""
     n = gram.shape[0]
-    p = min(k + 2, n)
-    # uniform on [-1/2, 1/2) from the standard library: numpy.random would add 27 ms of
-    # imports to every CLI `commutant`
-    start = np.frombuffer(random.Random(0).randbytes(8 * n * p), dtype=np.uint64).reshape(n, p) * 2.0**-64 - 0.5
+    start = _uniform(0, n, min(k + 2, n))
     diagonal = gram.diagonal().copy()
     gram.flat[:: n + 1] += float(np.trace(gram)) * 2.0**-52
     try:
@@ -849,21 +853,22 @@ def _match_leaf_unitary(
     ]
     if not pairs:
         return identity(m)
-    # X A1 = A2 X and X A1* = A2* X for every pair
-    closed = [b for a1, a2 in pairs for b in ((a1, a2), (adjoint(a1), adjoint(a2)))]
-    # unitary pairs give the (tall) stack norm O(1): its null space is cut at an absolute eps.
-    # It is the null space of the square R factor, so no left factor as tall as the stack is formed.
-    # The peak, all of it counted by the guard, is the stack (written in place), the two copies
-    # np.linalg.qr makes (astype and its column-major buffer) and R
-    _check_size(len(closed), m, 3 * len(closed) + 1)
-    _, s, vh = np.linalg.svd(np.linalg.qr(_sylvester_stack(closed, _matrix_units(m)).T, mode="r"))
-    basis = [x.conj().reshape(m, m) for x in vh[s <= tol.eps]]
+    # X A1 = A2 X for every pair. For unitaries this implies X A1* = A2* X, since
+    # X A1* - A2* X = -A2* (X A1 - A2 X) A1*: the star-closed stack is [S; W S] with W
+    # unitary, so its singular values are sqrt(2) times those of S, and the cut at
+    # eps / sqrt(2) on S is the eps cut on that stack. Unitary pairs give S norm O(1),
+    # so the cut is absolute. It is the null space of the square R factor, so no left
+    # factor as tall as the stack is formed. The peak, all of it counted by the guard, is
+    # the stack (written in place), the two copies np.linalg.qr makes (astype and its
+    # column-major buffer) and R
+    _check_size(len(pairs), m, 3 * len(pairs) + 1)
+    _, s, vh = np.linalg.svd(np.linalg.qr(_sylvester_stack(pairs, _matrix_units(m)).T, mode="r"))
+    basis = [x.conj().reshape(m, m) for x in vh[s <= tol.eps / sqrt(2)]]
     if not basis:
         return None
     for attempt in range(8):
-        rng = np.random.default_rng(attempt)
-        coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        z = sum(c * x for c, x in zip(coeffs, basis))
+        real, imag = _uniform(attempt, 2, len(basis))
+        z = sum(c * x for c, x in zip(real + 1j * imag, basis))
         w, s, vh = np.linalg.svd(z)
         if s[0] == 0 or s[-1] < 1e-8 * s[0]:
             continue

@@ -514,7 +514,7 @@ class TestCommutantAndEquiv:
         assert cli.main(["equiv", *map(str, paths)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "4 Sylvester maps at d = 77 need a 6.8 GiB" in captured.err
+        assert "2 Sylvester maps at d = 77 need a 3.7 GiB" in captured.err
 
     def test_tuple_equivalent_to_its_scramble(self, pair_file, scrambled_file):
         code, report = run_json("equiv", str(pair_file), str(scrambled_file))
@@ -686,6 +686,27 @@ class TestDeterminismAndContract:
             "error: 2 operators at d = 40000 need 71.5 GiB with their twists, above the 2 GiB limit\n"
         )
 
+    @pytest.mark.parametrize("source", ["spec", "preset"])
+    def test_a_size_beyond_the_float_range_is_refused_in_one_line(self, source, tmp_path, capsys):
+        # the operators are 10^200 or 2 x 10^400 wide, so the size is an integer far past
+        # the largest float, and a whole number of GiB
+        if source == "spec":
+            dim = 10**200
+            path = tmp_path / "spec.json"
+            path.write_text('{"schema_version":"1","slots":[%d,1],"aux_dim":1}' % dim)
+            argv = ["--spec", str(path)]
+        else:
+            dim = 2 * 10**400
+            argv = ["--preset", "example43", "--p", str(10**200)]
+        assert cli.main(["generate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # two operators and their twist
+        gib = 3 * dim * dim * 16 // 1024**3
+        assert captured.err == (
+            f"error: 2 operators at d = {dim} need {gib}.0 GiB with their twists, above the 2 GiB limit\n"
+        )
+
     @pytest.mark.parametrize("command", ["commutant", "equiv"])
     def test_commutant_command_loads_no_scipy(self, command, tmp_path):
         # the dense count and the spectral gate are numpy only, so neither starts slower than `verify`
@@ -710,9 +731,8 @@ class TestDeterminismAndContract:
         imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
         assert "partialiso.twisted" in imported
         assert not [name for name in imported if name.split(".")[0] == "scipy"]
-        if command == "commutant":
-            # nor numpy.random, which takes about 27 ms to import; the `equiv` match seeds default_rng
-            assert "numpy.random" not in imported
+        # nor numpy.random, which takes about 27 ms to import
+        assert "numpy.random" not in imported
 
     @pytest.mark.parametrize("kind", ["not-utf8", "too-deep", "beyond-float", "oversized-dim"])
     def test_malformed_input_exits_2_with_one_error_line(self, kind, pair_file, tmp_path):

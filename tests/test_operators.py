@@ -453,6 +453,31 @@ class TestConjugateTuple:
             conjugate_tuple(t, 0.5 * np.eye(8))
 
 
+class TestOneSidedUnitarity:
+    """For square U, U*U - I and UU* - I have the same singular values |s_i^2 - 1|."""
+
+    @staticmethod
+    def _instances(d):
+        rng = np.random.default_rng([d, 17])
+        w = haar_unitary(d, rng)
+        # near-unitary and far from normal: a strictly upper-triangular step in a random basis
+        step = w @ np.triu(rng.standard_normal((d, d)), 1) @ adjoint(w)
+        noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return [haar_unitary(d, rng) + 1e-7 * step, haar_unitary(d, rng) @ (np.eye(d) + 1e-10 * step),
+                noise, noise / op_norm(noise), 3 * step + np.eye(d)]
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 24, 64])
+    def test_both_sides_have_the_same_norm(self, d):
+        for u in self._instances(d):
+            star_first, star_last = map(op_norm, _both_sides(u))
+            # rounding of the two products and the two SVDs, relative to ||U||^2 + 1
+            assert abs(star_first - star_last) <= 4 * d * 2.0**-52 * (op_norm(u) ** 2 + 1)
+            assert unitarity_residual(u) == star_first
+            # so one side decides the gate at either side's residual
+            worst = max(star_first, star_last)
+            assert _unitary_within(u, worst * 1.01) and not _unitary_within(u, worst * 0.99)
+
+
 class TestTupleHelpers:
     def test_direct_sum_verifies(self):
         t1 = build_model_tuple(random_model_spec(1, n_ops=2))
@@ -477,6 +502,12 @@ class TestTupleHelpers:
         np.testing.assert_allclose(t.twists[(1, 2)], np.eye(2))
 
 
+def _both_sides(u):
+    """U*U - I and UU* - I, the two defects unitarity was checked by before one side sufficed."""
+    eye = np.eye(u.shape[0])
+    return adjoint(u) @ u - eye, u @ adjoint(u) - eye
+
+
 def _verify_loops(t):
     """The relation loops `verify_twisted` ran before the relations were written once."""
     n = t.n_ops
@@ -487,7 +518,7 @@ def _verify_loops(t):
         return op_norm(a @ b - b @ a)
 
     for i, j in pairs:
-        residuals[("twist-unitary", i, j)] = unitarity_residual(t.twists[(i, j)])
+        residuals[("twist-unitary", i, j)] = max(map(op_norm, _both_sides(t.twists[(i, j)])))
     for a in range(len(pairs)):
         for b in range(a + 1, len(pairs)):
             key = ("twist-commuting-family", *pairs[a], *pairs[b])
@@ -509,6 +540,10 @@ def _verify_loops(t):
 
 def _validate_loops(spec, eps=1e-9):
     """The loops of `ModelSpec.validate` before the relations were written once: True to accept."""
+
+    def _unitary_within(u, eps):
+        return all(_norm_within(a, eps) for a in _both_sides(u))
+
     e = spec.aux_dim
     pairs = sorted(spec.twist_data)
     for key in pairs:
@@ -622,13 +657,22 @@ class TestOneRelationList:
     """`verify_twisted` and `ModelSpec.validate` keep the answers of their separate loops."""
 
     def test_residuals_are_bit_identical(self):
+        # but the one-sided twist-unitary rows, which move by rounding only
         def bits(residuals):
-            return [(key, np.float64(value).tobytes()) for key, value in residuals.items()]
+            return [(key, np.float64(value).tobytes()) for key, value in residuals.items()
+                    if key[0] != "twist-unitary"]
 
         corpus = _relation_corpus()
         assert {verify_twisted(t).passed for t in corpus} == {True, False}
+        twist_rows = 0
         for t in corpus:
-            assert bits(verify_twisted(t).residuals) == bits(_verify_loops(t))
+            residuals, oracle = verify_twisted(t).residuals, _verify_loops(t)
+            assert list(residuals) == list(oracle)
+            assert bits(residuals) == bits(oracle)
+            for key in (key for key in residuals if key[0] == "twist-unitary"):
+                assert abs(residuals[key] - oracle[key]) <= 1e-15
+                twist_rows += 1
+        assert twist_rows > 100
 
     def test_validate_verdicts_are_unchanged(self):
         verdicts = []

@@ -307,13 +307,13 @@ class TestCommutant:
 
     def test_oversized_multiplicity_match_is_refused_before_allocation(self):
         # two commuting unitaries at d = 77 decompose into one all-"u" leaf of
-        # multiplicity 77; matching it stacks 4 * 77^4 complex entries, and its
-        # QR peaks at three such stacks and the R factor, 13 * 77^4 entries
+        # multiplicity 77; matching it stacks 2 * 77^4 complex entries, and its
+        # QR peaks at three such stacks and the R factor, 7 * 77^4 entries
         t = TwistedTuple(dim=77, ops=random_commuting_unitaries(77, 2, 3))
         s = conjugate_tuple(t, haar_unitary(77, 4))
 
         def refuse():
-            with pytest.raises(CommutantTooLargeError, match="6.8 GiB"):
+            with pytest.raises(CommutantTooLargeError, match="2 Sylvester maps at d = 77 need a 3.7 GiB"):
                 equivalence_check(t, s)
 
         # one 77^2 x 77^2 Sylvester block alone would take 562 MiB
@@ -321,7 +321,7 @@ class TestCommutant:
 
     def test_multiplicity_match_allocates_nothing_beside_its_stack(self, monkeypatch):
         # a unitary at d = 24 decomposes into one "u" leaf of multiplicity 24; matching it
-        # stacks X U1 - U2 X and X U1* - U2* X, 2 * 24^4 complex entries, and factorizes them
+        # stacks X U1 - U2 X, 24^4 complex entries, and factorizes them
         t = single_op_tuple(haar_unitary(24, 5))
         s = conjugate_tuple(t, haar_unitary(24, 6))
         built = []
@@ -335,7 +335,7 @@ class TestCommutant:
         monkeypatch.setattr(np.linalg, "qr", recording)
         traced_peak(lambda: equivalence_check(t, s))
         [(peak, stack_bytes)] = built
-        assert stack_bytes == 2 * 24**4 * np.dtype(complex).itemsize
+        assert stack_bytes == 24**4 * np.dtype(complex).itemsize
         assert peak < 1.25 * stack_bytes
 
 

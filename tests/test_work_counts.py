@@ -170,7 +170,7 @@ def test_decompose_tuple_takes_one_svd_outside_hw_decompose(monkeypatch, svd_cal
 
 def test_equivalence_match_factorizes_only_square_operands(svd_calls):
     # two commuting unitaries decompose into one all-"u" leaf of multiplicity
-    # 6: its match stacks 4 * 36 rows over 36 unknowns, and the null space
+    # 6: its match stacks 2 * 36 rows over 36 unknowns, and the null space
     # comes from the square R factor, not from an SVD of the tall stack
     t = TwistedTuple(dim=6, ops=random_commuting_unitaries(6, 2, 3))
     s = conjugate_tuple(t, haar_unitary(6, 4))
@@ -187,18 +187,58 @@ def test_each_match_attempt_factors_its_candidate_once(svd_calls, monkeypatch, m
     s = conjugate_tuple(t, haar_unitary(m, m + 1))
     (leaf1,), (leaf2,) = decompose_tuple(t).leaves, decompose_tuple(s).leaves
     attempts = []
-    original = np.random.default_rng
+    original = twisted._uniform
 
-    def counting(seed):
+    def counting(seed, *shape):
         attempts.append(seed)
-        return original(seed)
+        return original(seed, *shape)
 
-    monkeypatch.setattr(np.random, "default_rng", counting)
+    monkeypatch.setattr(twisted, "_uniform", counting)
     svd_calls.clear()
     assert twisted._match_leaf_unitary(leaf1, leaf2, DEFAULT_TOL) is not None
     candidates = [call for call in svd_calls if call[0] == (m, m)]
     assert attempts and len(candidates) == len(attempts)
     assert all(compute_uv for _, compute_uv in candidates)
+
+
+@pytest.mark.parametrize("n_ops,m", [(1, 5), (2, 6), (3, 4)])
+def test_match_stacks_one_sylvester_map_per_pair(monkeypatch, n_ops, m):
+    # commuting unitaries decompose into one all-"u" leaf of multiplicity m: P = n_ops
+    # pairs give a stack of P m^4 entries, the adjoint maps left out
+    t = TwistedTuple(dim=m, ops=random_commuting_unitaries(m, n_ops, m))
+    s = conjugate_tuple(t, haar_unitary(m, m + 1))
+    shapes = []
+    qr = np.linalg.qr
+
+    def recording(a, mode="reduced"):
+        shapes.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    assert equivalence_check(t, s).verdict == "EQUIVALENT"
+    assert shapes == [(n_ops * m**2, m**2)]
+
+
+def test_each_twist_unitary_row_takes_one_svd(monkeypatch, svd_calls):
+    # the d = 96 model rung of the benchmark ladder: four operators, six twists
+    t = build_model_tuple(random_model_spec(49, n_ops=4))
+    t = conjugate_tuple(t, haar_unitary(t.dim, 49))
+    assert t.dim == 96
+    per_key = {}
+    original = twisted._relation_defects
+
+    def counting(tt):
+        # verify_twisted takes each norm before it draws the next key
+        for key, defect in original(tt):
+            before = len(svd_calls)
+            yield key, defect
+            per_key[key] = len(svd_calls) - before
+
+    monkeypatch.setattr(twisted, "_relation_defects", counting)
+    svd_calls.clear()
+    assert verify_twisted(t).passed
+    twist_rows = [calls for key, calls in per_key.items() if key[0] == "twist-unitary"]
+    assert twist_rows == [1] * 6
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
