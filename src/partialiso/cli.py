@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from math import prod
+from math import log10, prod
 
 import numpy as np
 
@@ -119,11 +119,13 @@ def _report(command: str, tol: Tolerance) -> dict:
 
 
 def _verify(t, tol: Tolerance):
-    # a residual that is not finite puts an operator far outside the norm-O(1) scope
+    # a residual that is not finite puts an operator far outside the norm-O(1) scope; a
+    # passing verdict proves every residual finite, so only a failing one forms the values
     report = verify_twisted(t, tol)
-    key, value = report.worst()
-    if not np.isfinite(value):
-        raise SchemaError(f"relation {key[0]} {list(key[1:])} has a non-finite residual")
+    if not report.passed:
+        key, value = report.worst()
+        if not np.isfinite(value):
+            raise SchemaError(f"relation {key[0]} {list(key[1:])} has a non-finite residual")
     return report
 
 
@@ -268,16 +270,35 @@ def _parse_complex_pair(text: str) -> complex:
         raise SchemaError(f"--lambda expects two floats: {exc}") from exc
 
 
+def _rounded_div(a: int, b: int) -> int:
+    """a / b rounded half to even, in integers: the size of a huge spec is past the float range."""
+    q, r = divmod(a, b)
+    return q + (2 * r > b or 2 * r == b and q % 2)
+
+
+def _figure(n: int) -> str:
+    """``n`` in full below 10^1000, else to four significant digits as format(Decimal(n), ".3e")
+    writes it: str() refuses an int of more than 4300 digits."""
+    if n < 10**1000:
+        return str(n)
+    e = int(log10(n))
+    # the float log10 of a huge int may fall on either side of a power of ten
+    e += (10 ** (e + 1) <= n) - (10**e > n)
+    q = _rounded_div(n, 10 ** (e - 3))
+    if q == 10**4:
+        q, e = 10**3, e + 1
+    return f"{q // 1000}.{q % 1000:03d}e+{e}"
+
+
 def _require_generate_fits(n_ops: int, dim: int) -> None:
     """Refuse a tuple whose operators and twists would pass COMMUTANT_MAX_BYTES."""
     size = (n_ops + n_ops * (n_ops - 1) // 2) * dim * dim * np.dtype(complex).itemsize
     if size > COMMUTANT_MAX_BYTES:
-        # tenths of a GiB rounded half to even, as f"{size / 1024**3:.1f}" would, but in
-        # integers: the size of a huge spec is past the float range
-        tenths, rest = divmod(size * 10, 1024**3)
-        tenths += 2 * rest > 1024**3 or 2 * rest == 1024**3 and tenths % 2
+        # tenths of a GiB rounded half to even, as f"{size / 1024**3:.1f}" would
+        tenths = _rounded_div(size * 10, 1024**3)
+        gib = f"{tenths // 10}.{tenths % 10}" if tenths < 10**1000 else _figure(_rounded_div(size, 1024**3))
         raise SchemaError(
-            f"{n_ops} operators at d = {dim} need {tenths // 10}.{tenths % 10} GiB with their twists, "
+            f"{n_ops} operators at d = {_figure(dim)} need {gib} GiB with their twists, "
             f"above the {COMMUTANT_MAX_BYTES / 1024**3:.0f} GiB limit"
         )
 

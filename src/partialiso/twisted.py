@@ -17,7 +17,9 @@ being projected away.
 from __future__ import annotations
 
 import random
+from copy import copy
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import frexp, fsum, inf, isfinite, ldexp, nan, prod, sqrt
 
 import numpy as np
@@ -47,10 +49,12 @@ from .linalg import (
 from .operators import (
     TwistedTuple,
     _block_diag,
+    _first_failing_relation,
     _model_operator,
     _relation_defects,
     _unitary_within,
     diag_twist,
+    is_power_partial_isometry,
     power_isometry_residual,
     unitarity_residual,
 )
@@ -80,7 +84,12 @@ __all__ = [
 
 @dataclass
 class TwistReport:
-    """Per-relation residuals for one tuple.
+    """The verdict on one tuple, and its per-relation residuals on demand.
+
+    ``eps`` and ``passed`` are set when `verify_twisted` returns. ``residuals``
+    is formed on its first read, from the copy of the tuple the verdict was
+    taken on, and kept; ``max_residual``, `worst` and `by_kind` read it.
+    ``passed`` equals ``max_residual <= eps``.
 
     Keys are tuples (kind, indices...) with kind in {"star-cross",
     "plain-cross", "twist-commute", "twist-unitary",
@@ -89,9 +98,29 @@ class TwistReport:
     """
 
     eps: float
-    residuals: dict[tuple, float]
-    max_residual: float
     passed: bool
+    _checked: TwistedTuple = field(repr=False, compare=False)
+
+    @cached_property
+    def residuals(self) -> dict[tuple, float]:
+        """The spectral norm of each relation's defect, then each operator's power residual."""
+        residuals: dict[tuple, float] = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for key, defect in _relation_defects(self._checked):
+                try:
+                    residuals[key] = op_norm(defect())
+                except np.linalg.LinAlgError:
+                    # an overflowed product (inf - inf) leaves NaN entries, on which the SVD fails
+                    residuals[key] = nan
+        for i, v in enumerate(self._checked.ops, 1):
+            residuals[("ppi", i)] = power_isometry_residual(v)
+        return residuals
+
+    @property
+    def max_residual(self) -> float:
+        """The largest residual; inf when one is not finite, as max() cannot rank NaN."""
+        values = self.residuals.values()
+        return float(max(values)) if all(map(isfinite, values)) else inf
 
     def worst(self) -> tuple[tuple, float]:
         """The largest residual, or the first that is not finite."""
@@ -103,7 +132,7 @@ class TwistReport:
 
 
 def verify_twisted(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> TwistReport:
-    """Residuals of every defining relation of a twisted tuple.
+    """Decide every defining relation of a twisted tuple; residuals on demand.
 
     Covers, for all ordered pairs i != j: the star relation
     V_i* V_j = U_ij V_j V_i* and the plain relation V_i V_j = U_ji V_j V_i;
@@ -115,26 +144,25 @@ def verify_twisted(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> TwistReport
     have the same singular values, so the other side adds nothing. Nothing
     is thrown: failures live in the report, and a residual that is not
     finite fails it with ``max_residual`` = inf.
-    """
-    residuals: dict[tuple, float] = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for key, defect in _relation_defects(t):
-            try:
-                residuals[key] = op_norm(defect())
-            except np.linalg.LinAlgError:
-                # an overflowed product (inf - inf) leaves NaN entries, on which the SVD fails
-                residuals[key] = nan
-    for i, v in enumerate(t.ops, 1):
-        residuals[("ppi", i)] = power_isometry_residual(v)
 
-    # max() cannot rank NaN, so a residual that is not finite fails outright
-    worst = max(residuals.values()) if all(map(isfinite, residuals.values())) else inf
-    return TwistReport(
-        eps=tol.eps,
-        residuals=residuals,
-        max_residual=float(worst),
-        passed=worst <= tol.eps,
+    The verdict is taken here, on a copy of every operator and twist, so a
+    later change to ``t`` moves neither it nor the residuals. Each relation
+    row is decided by `_norm_within`, then each operator by
+    `is_power_partial_isometry`, up to the first that fails; no SVD is
+    taken where exact bounds decide. That verdict is ``max_residual <= eps``:
+    `_norm_within(a, eps)` is ``op_norm(a) <= eps``, both power walks end by
+    the tail bound of `power_isometry_residual`, and an entry that is not
+    finite fails either way. The residual values are formed only when the
+    report's ``residuals`` is first read.
+    """
+    checked = copy(t)
+    # order "K" keeps each layout, so the products round as they would on ``t``
+    checked.ops = [v.copy(order="K") for v in t.ops]
+    checked.twists = {key: u.copy(order="K") for key, u in t.twists.items()}
+    passed = _first_failing_relation(checked, tol.eps) is None and all(
+        is_power_partial_isometry(v, tol)[0] for v in checked.ops
     )
+    return TwistReport(eps=tol.eps, passed=passed, _checked=checked)
 
 
 def check_projection_commutation(

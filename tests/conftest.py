@@ -20,10 +20,12 @@ from partialiso import (
     haar_unitary,
     kron,
     op_norm,
+    power_isometry_residual,
     random_model_spec,
     truncated_shift,
 )
 from partialiso.linalg import adjoint, identity
+from partialiso.operators import _relation_defects
 
 
 def leaf_key(item):
@@ -139,6 +141,26 @@ def unscreened_power_residuals(v: np.ndarray) -> list[float]:
             out.append(op_norm(residual))
             vp = vp @ v
     return out
+
+
+def eager_residuals(t: TwistedTuple) -> dict:
+    """Every residual of `verify_twisted`, formed at once: the spectral norm of each relation
+    defect (NaN where its SVD fails), then the power residual of each operator."""
+    out = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key, defect in _relation_defects(t):
+            try:
+                out[key] = op_norm(defect())
+            except np.linalg.LinAlgError:
+                out[key] = np.nan
+    for i, v in enumerate(t.ops, 1):
+        out[("ppi", i)] = power_isometry_residual(v)
+    return out
+
+
+def residual_bits(residuals: dict) -> list:
+    """(key, the float's bytes) per residual, so that equal lists mean bit-identical values, NaN too."""
+    return [(key, np.float64(value).tobytes()) for key, value in residuals.items()]
 
 
 def single_op_tuple(m: np.ndarray) -> TwistedTuple:

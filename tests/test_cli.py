@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -705,6 +706,28 @@ class TestDeterminismAndContract:
         gib = 3 * dim * dim * 16 // 1024**3
         assert captured.err == (
             f"error: 2 operators at d = {dim} need {gib}.0 GiB with their twists, above the 2 GiB limit\n"
+        )
+
+    @pytest.mark.parametrize("source", ["spec", "preset"])
+    def test_a_size_past_the_digit_limit_of_str_is_refused_in_one_line(self, source, tmp_path, capsys):
+        # d has 2201 digits and the size in GiB 4393, past the 4300 digits str() writes of an int,
+        # so both are written to four significant digits
+        if source == "spec":
+            dim = 10**2200
+            path = tmp_path / "spec.json"
+            path.write_text('{"schema_version":"1","slots":[%d,1],"aux_dim":1}' % dim)
+            argv = ["--spec", str(path)]
+        else:
+            p = 3 * 10**1099 + 1
+            dim = 2 * p * p
+            argv = ["--preset", "example43", "--p", str(p)]
+        assert cli.main(["generate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        gib = Decimal(3 * dim * dim * 16) / 1024**3
+        assert captured.err == (
+            f"error: 2 operators at d = {Decimal(dim):.3e} need {gib:.3e} GiB with their twists, "
+            "above the 2 GiB limit\n"
         )
 
     @pytest.mark.parametrize("command", ["commutant", "equiv"])

@@ -45,10 +45,13 @@ from partialiso.linalg import DEFAULT_TOL, _norm_within, adjoint, identity
 from partialiso.operators import _pair_lookup, unitarity_residual
 from conftest import (
     commutant_instances,
+    eager_residuals,
     leaf_key,
+    non_power_partial_isometry_3d,
     perturbed_tuple,
     random_decomposition_instance,
     random_scrambled_model,
+    residual_bits,
     resident_peak_growth,
     single_op_tuple,
     sylvester_pair_stack,
@@ -134,6 +137,82 @@ class TestVerifyTwisted:
         assert not report.passed
         key, value = report.worst()
         assert value == report.max_residual
+
+    def test_a_later_change_to_the_input_moves_neither_verdict_nor_values(self):
+        t = conjugate_tuple(build_twisted_shift_pair(3, np.exp(0.7j)), haar_unitary(18, 3))
+        expected = eager_residuals(t)
+        report = verify_twisted(t)
+        t.ops[0][0, 0] += 1.0
+        t.twists[(1, 2)][1, 1] *= 2.0
+        assert not verify_twisted(t).passed
+        assert report.passed
+        assert residual_bits(report.residuals) == residual_bits(expected)
+
+
+def _moved_to_the_cutoff(seed: int) -> list[TwistedTuple]:
+    """A passing tuple of the tuple-stream kind (N <= 4, d <= 64) with one operator moved along a
+    seeded unit direction: the size is bisected until the value verdict, max_residual <= eps,
+    flips between sizes lo < hi less than 2^-45 hi apart, and each end is kept at 1 -+ 1e-12 and
+    at 0.99 and 1.01 of itself."""
+    eps = DEFAULT_TOL.eps
+    t, _ = random_decomposition_instance(seed)
+    rng = np.random.default_rng(seed + 900)
+    k = int(rng.integers(t.n_ops))
+    direction = rng.standard_normal((t.dim, t.dim)) + 1j * rng.standard_normal((t.dim, t.dim))
+    direction /= op_norm(direction)
+
+    def moved(size):
+        ops = list(t.ops)
+        ops[k] = t.ops[k] + size * direction
+        return TwistedTuple(dim=t.dim, ops=ops, twists=t.twists)
+
+    def passes(size):
+        return verify_twisted(moved(size)).max_residual <= eps
+
+    assert passes(0.0)
+    lo, hi = 0.0, eps
+    while passes(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 2.0**-45 * hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return [moved(size * f) for size in (lo, hi) for f in (1 - 1e-12, 1 + 1e-12, 0.99, 1.01)]
+
+
+class TestVerdictAtTheCutoff:
+    """`passed` is the verdict of the values, max_residual <= eps, read on a fresh report."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return [case for seed in range(16) for case in _moved_to_the_cutoff(seed)]
+
+    def test_the_gate_gives_the_value_verdict_at_the_cutoff(self, corpus):
+        eps = DEFAULT_TOL.eps
+        worst = [verify_twisted(t).max_residual for t in corpus]
+        assert [verify_twisted(t).passed for t in corpus] == [w <= eps for w in worst]
+        # both verdicts, and half the cases within a millionth of eps
+        assert 0 < sum(w <= eps for w in worst) < len(corpus)
+        assert sum(abs(w - eps) <= 1e-6 * eps for w in worst) >= len(corpus) // 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", [
+        "twist-overflow", "product-overflow", "power-overflow", "one-operator", "not-a-ppi",
+        "first-row",
+    ])
+    def test_the_gate_gives_the_value_verdict_off_the_norm_scale(self, case):
+        zero, big = np.zeros((2, 2)), np.diag([1e200, 0.0])
+        t = {
+            "twist-overflow": lambda: TwistedTuple(dim=2, ops=[zero, zero, zero],
+                                                   twists={(1, 3): np.diag([1e200, 1.0])}),
+            "product-overflow": lambda: TwistedTuple(dim=2, ops=[big, big]),
+            "power-overflow": lambda: single_op_tuple(big),
+            "one-operator": lambda: single_op_tuple(truncated_shift(3)),
+            "not-a-ppi": lambda: single_op_tuple(non_power_partial_isometry_3d()),
+            # the first row, twist-unitary (1, 2), fails
+            "first-row": lambda: TwistedTuple(dim=2, ops=[zero, zero], twists={(1, 2): 2 * np.eye(2)}),
+        }[case]()
+        assert verify_twisted(t).passed == (verify_twisted(t).max_residual <= DEFAULT_TOL.eps)
+        assert verify_twisted(t).passed == (case == "one-operator")
 
 
 class TestProjectionCommutation:

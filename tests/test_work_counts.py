@@ -34,7 +34,13 @@ from partialiso import (
 from partialiso import cli, halmos_wallen, linalg, operators, twisted
 from partialiso.documents import dumps_canonical, tuple_document
 from partialiso.linalg import DEFAULT_TOL, identity, op_norm
-from conftest import perturbed_tuple, random_scrambled_model, unscreened_power_residuals
+from conftest import (
+    eager_residuals,
+    perturbed_tuple,
+    random_scrambled_model,
+    residual_bits,
+    unscreened_power_residuals,
+)
 
 
 @pytest.fixture
@@ -219,26 +225,88 @@ def test_match_stacks_one_sylvester_map_per_pair(monkeypatch, n_ops, m):
     assert shapes == [(n_ops * m**2, m**2)]
 
 
-def test_each_twist_unitary_row_takes_one_svd(monkeypatch, svd_calls):
-    # the d = 96 model rung of the benchmark ladder: four operators, six twists
+def _ladder_rung_96() -> TwistedTuple:
+    """The d = 96 model rung of the benchmark ladder: four operators, six twists."""
     t = build_model_tuple(random_model_spec(49, n_ops=4))
     t = conjugate_tuple(t, haar_unitary(t.dim, 49))
     assert t.dim == 96
+    return t
+
+
+def _svds_per_row(monkeypatch, svd_calls) -> dict:
+    """SVDs per relation row of the residual values, filled in as `TwistReport.residuals` forms them."""
     per_key = {}
     original = twisted._relation_defects
 
     def counting(tt):
-        # verify_twisted takes each norm before it draws the next key
+        # the values take each norm before they draw the next key
         for key, defect in original(tt):
             before = len(svd_calls)
             yield key, defect
             per_key[key] = len(svd_calls) - before
 
     monkeypatch.setattr(twisted, "_relation_defects", counting)
+    return per_key
+
+
+def test_each_twist_unitary_row_takes_one_svd(monkeypatch, svd_calls):
+    per_key = _svds_per_row(monkeypatch, svd_calls)
+    report = verify_twisted(_ladder_rung_96())
+    assert report.passed
     svd_calls.clear()
-    assert verify_twisted(t).passed
+    report.residuals
     twist_rows = [calls for key, calls in per_key.items() if key[0] == "twist-unitary"]
     assert twist_rows == [1] * 6
+
+
+def test_the_verdict_takes_no_svd_and_the_values_one_per_row(monkeypatch, svd_calls):
+    t = _ladder_rung_96()
+    per_key = _svds_per_row(monkeypatch, svd_calls)
+    svd_calls.clear()
+    report = verify_twisted(t)
+    assert report.passed
+    assert svd_calls == [] and per_key == {}
+    residuals = report.residuals
+    assert len(per_key) == len(residuals) - t.n_ops == 69 and set(per_key.values()) == {1}
+    assert residual_bits(residuals) == residual_bits(eager_residuals(t))
+
+
+@pytest.mark.parametrize("command", ["decompose", "commutant", "equiv", "generate"])
+def test_cli_commands_that_print_no_residual_form_none(monkeypatch, tmp_path, capsys, command):
+    # a passing verdict proves every residual finite, so the non-finite refusal reads none
+    verifying, norms_in_verify, reports = [], [], []
+    for module in (linalg, operators, twisted):
+        def counting(a, original=module.op_norm):
+            norms_in_verify.extend(verifying)
+            return original(a)
+
+        monkeypatch.setattr(module, "op_norm", counting)
+
+    def recording(*args):
+        verifying.append(True)
+        try:
+            reports.append(verify_twisted(*args))
+        finally:
+            verifying.pop()
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "verify_twisted", recording)
+    t = conjugate_tuple(build_twisted_shift_pair(3, np.exp(0.7j)), haar_unitary(18, 3))
+    paths = [tmp_path / "t.json", tmp_path / "s.json"]
+    for path, doc in zip(paths, (t, conjugate_tuple(t, haar_unitary(18, 4)))):
+        path.write_text(dumps_canonical(tuple_document(doc)))
+    argv = {
+        "decompose": ["decompose", str(paths[0])],
+        "commutant": ["commutant", str(paths[0])],
+        "equiv": ["equiv", *map(str, paths)],
+        "generate": ["generate", "--preset", "example43", "--p", "3", "--scramble", "--seed", "3",
+                     "--output", str(tmp_path / "g.json")],
+    }[command]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(reports) == (2 if command == "equiv" else 1) and all(r.passed for r in reports)
+    assert norms_in_verify == []
+    assert all("residuals" not in vars(report) for report in reports)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
