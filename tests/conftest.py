@@ -10,6 +10,7 @@ import tracemalloc
 from math import inf
 
 import numpy as np
+import pytest
 from scipy.linalg import block_diag
 
 from partialiso import (
@@ -24,8 +25,15 @@ from partialiso import (
     random_model_spec,
     truncated_shift,
 )
+from partialiso import twisted
 from partialiso.linalg import adjoint, identity
 from partialiso.operators import _relation_defects
+
+
+@pytest.fixture
+def gram_route(monkeypatch):
+    """The star-closed count with its eigenbasis tier undecided: steps 1-5 on the full stack."""
+    monkeypatch.setattr(twisted, "_eigenbasis_count", lambda mats, eps: None)
 
 
 def leaf_key(item):

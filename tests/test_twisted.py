@@ -1,4 +1,5 @@
 import itertools
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -41,7 +42,7 @@ from partialiso import (
     verify_twisted,
 )
 from partialiso import twisted
-from partialiso.linalg import DEFAULT_TOL, _norm_within, adjoint, identity
+from partialiso.linalg import DEFAULT_TOL, Tolerance, _norm_within, adjoint, identity
 from partialiso.operators import _pair_lookup, unitarity_residual
 from conftest import (
     commutant_instances,
@@ -313,7 +314,7 @@ class TestCommutant:
         stack_bytes = 24**4 * np.dtype(complex).itemsize
         assert traced_peak(lambda: commutant_dimension([a])) < 1.25 * stack_bytes
 
-    def test_star_closed_commutant_holds_three_gram_matrices_not_its_stack(self):
+    def test_star_closed_commutant_holds_three_gram_matrices_not_its_stack(self, gram_route):
         # two operators at d = 24: the real stack S, (4 * 24^2, 24^2), is four Gram matrices;
         # the Gram route holds G, one chunk of S^T no larger than G and one chunk product.
         # The copies eigvalsh, solve and Cholesky make are not traced
@@ -326,17 +327,29 @@ class TestCommutant:
         # index arrays and the n x (k + 2) arrays of the split
         assert 3 * gram_bytes < peak < 3.3 * gram_bytes < stack_bytes
 
+    _D32_SETUP = """
+        import numpy as np
+        from partialiso import build_twisted_shift_pair, commutant_dimension, conjugate_tuple, haar_unitary, twisted
+        t = build_twisted_shift_pair(4, np.exp(0.7j))
+        ops = conjugate_tuple(t, haar_unitary(t.dim, 4)).ops
+    """
+
     def test_star_closed_count_at_d32_stays_under_two_blocks_of_resident_memory(self):
         # example 4.3 at d = 32: a complex d^2 x d^2 block is 16.8 MB. The Gram route peaks at
         # G, the copy Cholesky makes and its factor, 1.5 blocks, plus BLAS buffers
-        setup = """
-            import numpy as np
-            from partialiso import build_twisted_shift_pair, commutant_dimension, conjugate_tuple, haar_unitary
-            t = build_twisted_shift_pair(4, np.exp(0.7j))
-            ops = conjugate_tuple(t, haar_unitary(t.dim, 4)).ops
-        """
+        setup = textwrap.dedent(self._D32_SETUP) + "twisted._eigenbasis_count = lambda mats, eps: None\n"
         growth = resident_peak_growth(setup, "assert commutant_dimension(ops, include_adjoints=True) == 2")
         assert growth < 2 * 32**4 * np.dtype(complex).itemsize
+
+    def test_eigenbasis_tier_at_d32_stays_under_an_eighth_of_a_block_of_resident_memory(self):
+        # the same count on r = 64 unknowns: the conjugated pair, chunks of 64 x 1024 reals and
+        # 64 x 64 Gram matrices. A first count at d = 8 loads what any count loads, about 3 MB
+        setup = self._D32_SETUP + """
+        small = conjugate_tuple(build_twisted_shift_pair(2, np.exp(0.7j)), haar_unitary(8, 2)).ops
+        assert twisted._eigenbasis_count(list(small), 1e-9) == 2
+        """
+        growth = resident_peak_growth(setup, "assert twisted._eigenbasis_count(list(ops), 1e-9) == 2")
+        assert growth < 32**4 * np.dtype(complex).itemsize / 8
 
     def test_one_star_closed_operator_is_refused_at_its_gram_peak(self):
         # the guard counts 2.5 complex d^2 x d^2 blocks for one star-closed operator, 2.2 GiB at
@@ -369,6 +382,107 @@ class TestCommutant:
                 assert dimension == self._complex_stack_dimension(t.ops), (seed, size)
                 checked += 1
         assert checked == 576
+
+    @staticmethod
+    def _ladder_example43(seed: int, ps=(2, 3, 4, 5)):
+        """The example-4.3 pairs of the benchmark's dim-ladder at ``seed``, p = 2, ... in turn."""
+        rng = np.random.default_rng([seed, 43])
+        for p in range(2, max(ps) + 1):
+            pair = build_twisted_shift_pair(p, complex(np.exp(2j * np.pi * rng.uniform(0.05, 0.45))))
+            hidden = conjugate_tuple(pair, haar_unitary(pair.dim, rng))
+            if p in ps:
+                yield p, hidden
+
+    @staticmethod
+    def _tier_decisions(monkeypatch) -> list:
+        """What each call of the eigenbasis tier returns while the test runs, None where it declines."""
+        decisions, original = [], twisted._eigenbasis_count
+
+        def recording(mats, eps):
+            decisions.append(original(mats, eps))
+            return decisions[-1]
+
+        monkeypatch.setattr(twisted, "_eigenbasis_count", recording)
+        return decisions
+
+    @pytest.mark.parametrize("p", [4, 5])
+    def test_eigenbasis_tier_decides_example43_on_the_ladder(self, monkeypatch, p):
+        decisions = self._tier_decisions(monkeypatch)
+        for seed in range(1, 11):
+            (_, t), = self._ladder_example43(seed, ps=(p,))
+            assert commutant_dimension(t.ops, include_adjoints=True) == 2, seed
+        assert decisions == 10 * [2]
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-11, 1e-10, 3e-10, 6e-10, 1e-9])
+    def test_star_closed_count_is_never_wrong_on_the_noise_ladder(self, monkeypatch, noise):
+        # noise of norm 1e-11 to 1e-9 on each operator moves commutant directions towards and
+        # past the cutoff: each tier certifies or declines, and the count stays the oracle's
+        decisions = self._tier_decisions(monkeypatch)
+        for seed in range(1, 6):
+            for p, t in self._ladder_example43(seed, ps=(2, 3)):
+                t = perturbed_tuple(t, noise, seed) if noise else t
+                dimension = commutant_dimension(t.ops, include_adjoints=True)
+                assert dimension == self._complex_stack_dimension(t.ops), (seed, p)
+        if noise == 0.0:
+            assert decisions == 10 * [2]
+        for seed in range(60):
+            scrambled, _ = random_scrambled_model(seed, max_dim=8)
+            t = perturbed_tuple(scrambled, noise, seed) if noise else scrambled
+            assert commutant_dimension(t.ops, include_adjoints=True) == self._complex_stack_dimension(t.ops), seed
+
+    def test_a_cut_whose_square_overflows_counts_every_value(self, monkeypatch):
+        # (1e300)^2 is past the float range: every singular value of S is at or below the cut
+        t = conjugate_tuple(build_twisted_shift_pair(2, np.exp(0.7j)), haar_unitary(8, 2))
+        assert commutant_dimension(t.ops, Tolerance(1e300), include_adjoints=True) == 64
+        # the tier cannot hold its off-block directions down at that level, and declines
+        assert twisted._eigenbasis_count(list(t.ops), 1e300) is None
+        monkeypatch.setattr(twisted, "_eigenbasis_count", lambda mats, eps: None)
+        assert commutant_dimension(t.ops, Tolerance(1e300), include_adjoints=True) == 64
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            pytest.param([1e150 * np.diag([1, 2, 3.0])], id="diag-1e150"),
+            pytest.param([1e160 * np.diag([1, 2, 3.0])], id="diag-1e160"),
+            pytest.param([1e160 * v for v in build_twisted_shift_pair(2, np.exp(0.7j)).ops], id="example43-1e160"),
+        ],
+    )
+    def test_an_overflowing_gram_sum_falls_through_without_a_warning(self, ops):
+        # every RuntimeWarning is an error under this suite's settings
+        assert commutant_dimension(ops, include_adjoints=True) == self._complex_stack_dimension(ops)
+
+    @staticmethod
+    def _misleading_eigh(monkeypatch, mislead):
+        """np.linalg.eigh with its complex answers (the tier's) passed through ``mislead``."""
+        original = np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            lam, q = original(a, *args, **kwargs)
+            return mislead(lam, q) if np.iscomplexobj(a) else (lam, q)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+    @pytest.mark.parametrize("mislead", ["scaled", "split", "mixed"])
+    def test_a_misleading_eigenbasis_never_moves_the_count(self, monkeypatch, mislead):
+        # example 4.3 at d = 8: A has four double eigenvalues, and the commutant is 2-dimensional.
+        # Each answer below is wrong in one way that one bound of the tier must catch; without
+        # it the tier would certify 1, the count of the identity alone
+        t = conjugate_tuple(build_twisted_shift_pair(2, np.exp(0.7j)), haar_unitary(8, 2))
+        rng = np.random.default_rng(5)
+        noise = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        self._misleading_eigh(monkeypatch, {
+            # eigenvectors scaled apart inside their blocks: A' stays block diagonal, but Q^ is
+            # not unitary (epsilon)
+            "scaled": lambda lam, q: (lam, q * (1.0 + 1e-5 * noise[0].real)),
+            # each double eigenvalue split 2e-3 apart: two blocks of one, and A' - diag(lambda)
+            # is their whole distance (g's perturbation term)
+            "split": lambda lam, q: (lam + 1e-3 * np.tile([-1.0, 1.0], 4), q),
+            # a unitary mixing of every eigenvector by about 1e-5: A' leaves its blocks (e,
+            # sigma z0 and the level of step 3)
+            "mixed": lambda lam, q: (lam, q @ np.linalg.qr(np.eye(8) + 1e-5 * noise)[0]),
+        }[mislead])
+        assert twisted._eigenbasis_count(list(t.ops), DEFAULT_TOL.eps) is None
+        assert commutant_dimension(t.ops, include_adjoints=True) == 2
 
     @pytest.mark.parametrize("include_adjoints", [False, True])
     def test_non_square_operand_is_refused(self, include_adjoints):

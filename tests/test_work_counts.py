@@ -1,11 +1,13 @@
 """Work counts of the screened paths, independent of timing.
 
-A counter on numpy's SVD (the one behind `op_norm` too) shows which
-calls factorize and whether they ask for singular vectors; a counter on
+A log of numpy's factorizations (the SVD behind `op_norm` too, eigh,
+eigvalsh, Cholesky, solve and QR) shows which calls factorize what size
+and whether an SVD asks for singular vectors; a counter on
 `operators._power_walk` shows how many powers of V a check forms.
 """
 
 import json
+from collections.abc import Sequence
 
 import numpy as np
 import numpy.linalg._linalg as np_linalg_impl
@@ -43,19 +45,68 @@ from conftest import (
 )
 
 
+class FactorizationLog(list):
+    """(function, shape) of each numpy factorization in call order; each SVD's compute_uv is
+    kept beside it, for `SvdCalls`."""
+
+    def __init__(self):
+        super().__init__()
+        self.compute_uv = []
+
+    def record(self, function: str, shape: tuple, compute_uv=None) -> None:
+        self.append((function, shape))
+        self.compute_uv.append(compute_uv)
+
+    def clear(self) -> None:
+        super().clear()
+        self.compute_uv.clear()
+
+
+class SvdCalls(Sequence):
+    """The SVDs of a `FactorizationLog` as (shape, compute_uv), read live; clear() clears the log."""
+
+    def __init__(self, log: FactorizationLog):
+        self._log = log
+
+    def _calls(self) -> list:
+        return [(shape, uv) for (function, shape), uv in zip(self._log, self._log.compute_uv) if function == "svd"]
+
+    def __getitem__(self, index):
+        return self._calls()[index]
+
+    def __len__(self) -> int:
+        return len(self._calls())
+
+    def __eq__(self, other) -> bool:
+        return self._calls() == list(other)
+
+    def clear(self) -> None:
+        self._log.clear()
+
+
 @pytest.fixture
-def svd_calls(monkeypatch):
+def factorizations(monkeypatch):
+    """Every numpy svd, eigh, eigvalsh, cholesky, solve and qr made while the test runs."""
+    log = FactorizationLog()
+    for name in ("svd", "eigh", "eigvalsh", "cholesky", "solve", "qr"):
+        original = getattr(np.linalg, name)
+
+        def counting(a, *args, _name=name, _original=original, **kwargs):
+            if _name == "svd":
+                log.record(_name, np.shape(a), kwargs.get("compute_uv", args[1] if len(args) > 1 else True))
+            else:
+                log.record(_name, np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(np_linalg_impl, name, counting)
+    return log
+
+
+@pytest.fixture
+def svd_calls(factorizations):
     """Every numpy SVD made while the test runs, as (shape, compute_uv)."""
-    calls = []
-    original = np.linalg.svd
-
-    def counting(a, full_matrices=True, compute_uv=True, **kwargs):
-        calls.append((np.shape(a), compute_uv))
-        return original(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    monkeypatch.setattr(np_linalg_impl, "svd", counting)
-    return calls
+    return SvdCalls(factorizations)
 
 
 @pytest.fixture
@@ -319,9 +370,25 @@ def test_star_closed_commutant_of_exact_example43_takes_no_svd(svd_calls, p):
     assert svd_calls == []
 
 
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_exact_example43_count_factorizes_nothing_above_its_eigenbasis_blocks(factorizations, p):
+    # d = 8, 18 and 32: A = sum c_k V_k + h.c. has d / 2 double eigenvalues, so the tier solves
+    # for r = 2d unknowns, not d^2: one d x d eigh, then r x r eigvalsh, solve, Ritz step and
+    # Cholesky, with no SVD
+    t = build_twisted_shift_pair(p, np.exp(0.7j))
+    t = conjugate_tuple(t, haar_unitary(t.dim, p))
+    d, r = t.dim, 2 * t.dim
+    factorizations.clear()
+    assert commutant_dimension(t.ops, include_adjoints=True) == 2
+    assert factorizations[0] == ("eigh", (d, d))
+    assert ("eigvalsh", (r, r)) in factorizations and ("cholesky", (r, r)) in factorizations
+    assert "svd" not in {function for function, _ in factorizations}
+    assert max(max(shape) for _, shape in factorizations) == r < d * d
+
+
 @pytest.mark.parametrize("f,expected", [(0.99, 8), (0.999, 8), (1.001, 6), (1.01, 6)])
-def test_star_closed_commutant_at_the_cutoff_takes_one_svd_of_its_stack(svd_calls, monkeypatch, f, expected):
-    # two singular values at f eps: the certificate cannot decide, so the SVD does
+def test_star_closed_commutant_at_the_cutoff_takes_one_svd_of_its_stack(svd_calls, monkeypatch, gram_route, f, expected):
+    # two singular values at f eps: the certificate on the full stack cannot decide, so the SVD does
     stacks, operands = [], []
     original, counting = twisted._sylvester_stack, np.linalg.svd
 
@@ -346,7 +413,7 @@ def test_star_closed_commutant_at_the_cutoff_takes_one_svd_of_its_stack(svd_call
 
 
 @pytest.mark.parametrize("claimed", [1, 3])
-def test_a_wrong_gram_split_falls_back_to_the_svd(svd_calls, monkeypatch, claimed):
+def test_a_wrong_gram_split_falls_back_to_the_svd(svd_calls, monkeypatch, gram_route, claimed):
     # eigvalsh made to claim 1 or 3 small eigenvalues where there are 2: the Cholesky check
     # refuses too few and the check on the rebuilt chunks too many, so the SVD decides
     original = np.linalg.eigvalsh
@@ -383,7 +450,7 @@ def test_a_zero_gram_matrix_is_certified_with_no_solve_and_no_svd(svd_calls, mon
     assert svd_calls == [] and solves == []
 
 
-def test_gram_count_certifies_exact_and_slightly_noisy_models(svd_calls):
+def test_gram_count_certifies_exact_and_slightly_noisy_models(svd_calls, gram_route):
     # the agreement with the complex stack is checked on the same families in test_twisted
     fallbacks = {0.0: 0, 1e-10: 0, 1e-6: 0}
     for seed in range(192):
@@ -495,6 +562,7 @@ def test_cli_commutant_builds_only_leaf_sized_sylvester_stacks(monkeypatch, tmp_
     path.write_text(dumps_canonical(tuple_document(conjugate_tuple(t, haar_unitary(t.dim, 3)))))
     assert cli.main(["commutant", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["dimension"] == 2
-    # one leaf (3, 3) of multiplicity m = 2: m^2 = 4 unknowns, not d^2 = 324, built one output
-    # row of its map at a time, for its Gram matrix and again for the certificate
-    assert widths == 4 * [2 * 2]
+    # one leaf (3, 3) of multiplicity m = 2: not d^2 = 324 unknowns, nor m^2 = 4, but the r = 2
+    # of its eigenbasis blocks (two of size 1), built one output row of its one map at a time
+    # for the Gram matrix; all r singular values are small, so the certificate builds none
+    assert widths == 2 * [2]
