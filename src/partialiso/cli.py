@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from math import log10, prod
+from math import prod
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .documents import (
 from .halmos_wallen import DecompositionError, hw_decompose
 from .linalg import Tolerance
 from .operators import (
+    _relation_rows,
     build_model_tuple,
     build_twisted_shift_pair,
     conjugate_tuple,
@@ -51,29 +52,17 @@ PRESETS = ("example43",)
 MAX_RELATION_ROWS = 100_000
 
 
-def _tolerance(args) -> Tolerance:
-    if not (np.isfinite(args.tol) and args.tol > 0):
-        raise SchemaError(f"--tol must be positive and finite, got {args.tol}")
-    return Tolerance(eps=args.tol)
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, and an integer past the 4300 digits int() reads
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(f"{path} nests deeper than the parser can follow") from exc
-
-
-def _relation_rows(n_ops: int) -> int:
-    """Rows of `verify_twisted` for N operators, about N^4 / 8: every pair has a twist (the
-    identity when a document leaves it out), and the twists are checked pair by pair."""
-    twists = n_ops * (n_ops - 1) // 2
-    return twists * (twists + 1) // 2 + n_ops * twists + 2 * n_ops * (n_ops - 1) + n_ops
 
 
 def _require_rows_fit(n_ops: int) -> None:
@@ -93,10 +82,27 @@ def _load_tuple(path: str):
     return parse_tuple_document(doc)
 
 
-def _write(doc: dict, args) -> None:
-    """Emit ``doc`` to --output or stdout, stamping --timing at this moment."""
-    if getattr(args, "timing", False):
-        doc["timing"] = time.perf_counter() - args.started
+def _load_spec(path: str):
+    doc = _load_json(path)
+    # refused before the spec fills in an aux_dim x aux_dim twist for every pair
+    kinds, aux_dim = _spec_shape(doc)
+    _require_rows_fit(len(kinds))
+    _require_generate_fits(len(kinds), prod(k for k in kinds if k != "u") * aux_dim)
+    return parse_model_spec_document(doc)
+
+
+def _write(args, code: int, fields: dict) -> int:
+    """Emit one report to --output or stdout and return the exit code ``code``.
+
+    `generate` emits ``fields``, its tuple document, as it is. Every other subcommand
+    emits the report skeleton followed by ``fields`` in their order; its "timing" stays
+    null unless --timing stamps it at this moment.
+    """
+    doc = fields
+    if args.command != "generate":
+        timing = time.perf_counter() - args.started if args.timing else None
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.command, "tolerance": args.tol,
+               "timing": timing, **fields}
     text = dumps_canonical(doc) + "\n"
     if args.output:
         try:
@@ -106,16 +112,7 @@ def _write(doc: dict, args) -> None:
             raise SchemaError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _report(command: str, tol: Tolerance) -> dict:
-    # "timing" stays null unless --timing, which `_write` fills in
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "tolerance": tol.eps,
-        "timing": None,
-    }
+    return code
 
 
 def _verify(t, tol: Tolerance):
@@ -152,85 +149,62 @@ def _partition_json(partition) -> dict:
     return {"per_leaf": per_leaf, "global": global_part, "classes": classes}
 
 
-def cmd_verify(args) -> int:
-    tol = _tolerance(args)
+def cmd_verify(args, tol: Tolerance) -> int:
     t, _ = _load_tuple(args.input)
     result = _verify(t, tol)
-    doc = _report("verify", tol)
-    doc.update(
-        {
-            "pass": result.passed,
-            "max_residual": result.max_residual,
-            "worst": _row(*result.worst()),
-            "residuals": [_row(*item) for item in result.residuals.items()],
-        }
-    )
-    _write(doc, args)
-    return 0 if result.passed else 1
+    return _write(args, 0 if result.passed else 1, {
+        "pass": result.passed,
+        "max_residual": result.max_residual,
+        "worst": _row(*result.worst()),
+        "residuals": [_row(*item) for item in result.residuals.items()],
+    })
 
 
-def cmd_hw(args) -> int:
-    tol = _tolerance(args)
+def cmd_hw(args, tol: Tolerance) -> int:
     t, names = _load_tuple(args.input)
-    if args.op is None:
-        if t.n_ops != 1:
-            raise SchemaError(f"--op is required; available operators: {', '.join(names)}")
-        selected = 0
-    else:
-        if args.op not in names:
-            raise SchemaError(f"no operator named {args.op!r}; available: {', '.join(names)}")
-        selected = names.index(args.op)
-    v = t.ops[selected]
-    doc = _report("hw", tol)
-    doc["operator"] = names[selected]
+    if args.op is None and t.n_ops != 1:
+        raise SchemaError(f"--op is required; available operators: {', '.join(names)}")
+    if args.op is not None and args.op not in names:
+        raise SchemaError(f"no operator named {args.op!r}; available: {', '.join(names)}")
+    name = names[0] if args.op is None else args.op
+    v = t.ops[names.index(name)]
     ok, first_failing = is_power_partial_isometry(v, tol)
     if not ok:
-        doc.update({"pass": False, "first_failing_power": first_failing})
-        _write(doc, args)
-        return 1
+        return _write(args, 1, {"operator": name, "pass": False, "first_failing_power": first_failing})
     try:
         hw = hw_decompose(v, tol)
     except DecompositionError as exc:
-        doc.update({"pass": False, "error": str(exc)})
-        _write(doc, args)
-        return 1
-    doc.update(
-        {
-            "pass": True,
-            "ambient_dim": hw.ambient_dim,
-            "unitary_dim": hw.unitary_dim,
-            "unitary_eigenvalues": _sorted_eigenvalues(hw.unitary_op),
-            "blocks": [{"p": b.p, "mult": b.mult} for b in hw.truncated_blocks],
-            "residual": hw.residual,
-        }
-    )
+        return _write(args, 1, {"operator": name, "pass": False, "error": str(exc)})
+    fields = {
+        "operator": name,
+        "pass": True,
+        "ambient_dim": hw.ambient_dim,
+        "unitary_dim": hw.unitary_dim,
+        "unitary_eigenvalues": _sorted_eigenvalues(hw.unitary_op),
+        "blocks": [{"p": b.p, "mult": b.mult} for b in hw.truncated_blocks],
+        "residual": hw.residual,
+    }
     if args.emit_intertwiner:
-        doc["intertwiner"] = matrix_to_json(hw.intertwiner)
-    _write(doc, args)
-    return 0
+        fields["intertwiner"] = matrix_to_json(hw.intertwiner)
+    return _write(args, 0, fields)
 
 
-def _certified_tree(command: str, args):
-    """(report, tree) for the input tuple; a failing stage is written out instead of a tree."""
-    tol = _tolerance(args)
+def _certified_tree(args, tol: Tolerance):
+    """(tree, None) for the input tuple, or (None, the report fields of the stage that failed)."""
     t, _ = _load_tuple(args.input)
-    doc = _report(command, tol)
     verification = _verify(t, tol)
-    if verification.passed:
-        try:
-            return doc, decompose_tuple(t, tol)
-        except DecompositionError as exc:
-            doc.update({"pass": False, "stage": "decompose", "error": str(exc)})
-    else:
-        doc.update({"pass": False, "stage": "verify", "worst": _row(*verification.worst())})
-    _write(doc, args)
-    return doc, None
+    if not verification.passed:
+        return None, {"pass": False, "stage": "verify", "worst": _row(*verification.worst())}
+    try:
+        return decompose_tuple(t, tol), None
+    except DecompositionError as exc:
+        return None, {"pass": False, "stage": "decompose", "error": str(exc)}
 
 
-def cmd_decompose(args) -> int:
-    doc, tree = _certified_tree("decompose", args)
+def cmd_decompose(args, tol: Tolerance) -> int:
+    tree, failure = _certified_tree(args, tol)
     if tree is None:
-        return 1
+        return _write(args, 1, failure)
     leaves = []
     for leaf in tree.leaves:
         entry = {
@@ -244,20 +218,17 @@ def cmd_decompose(args) -> int:
         if args.emit_intertwiner:
             entry["intertwiner"] = matrix_to_json(leaf.intertwiner)
         leaves.append(entry)
-    doc.update(
-        {
-            "pass": True,
-            "ambient_dim": tree.ambient_dim,
-            "n_operators": tree.n_ops,
-            "residual": tree.residual,
-            "leaves": leaves,
-            "partition": _partition_json(tree.partition),
-        }
-    )
+    fields = {
+        "pass": True,
+        "ambient_dim": tree.ambient_dim,
+        "n_operators": tree.n_ops,
+        "residual": tree.residual,
+        "leaves": leaves,
+        "partition": _partition_json(tree.partition),
+    }
     if args.emit_intertwiner:
-        doc["global_intertwiner"] = matrix_to_json(tree.global_intertwiner)
-    _write(doc, args)
-    return 0
+        fields["global_intertwiner"] = matrix_to_json(tree.global_intertwiner)
+    return _write(args, 0, fields)
 
 
 def _parse_complex_pair(text: str) -> complex:
@@ -277,17 +248,13 @@ def _rounded_div(a: int, b: int) -> int:
 
 
 def _figure(n: int) -> str:
-    """``n`` in full below 10^1000, else to four significant digits as format(Decimal(n), ".3e")
-    writes it: str() refuses an int of more than 4300 digits."""
+    """``n`` in full below 10^1000, else to four significant digits: str() refuses an int of
+    more than 4300 digits."""
     if n < 10**1000:
         return str(n)
-    e = int(log10(n))
-    # the float log10 of a huge int may fall on either side of a power of ten
-    e += (10 ** (e + 1) <= n) - (10**e > n)
-    q = _rounded_div(n, 10 ** (e - 3))
-    if q == 10**4:
-        q, e = 10**3, e + 1
-    return f"{q // 1000}.{q % 1000:03d}e+{e}"
+    from decimal import Decimal
+
+    return f"{Decimal(n):.3e}"
 
 
 def _require_generate_fits(n_ops: int, dim: int) -> None:
@@ -303,24 +270,18 @@ def _require_generate_fits(n_ops: int, dim: int) -> None:
         )
 
 
-def cmd_generate(args) -> int:
-    tol = _tolerance(args)
+def cmd_generate(args, tol: Tolerance) -> int:
     if args.spec is not None and args.preset is not None:
         raise SchemaError("use either --preset or --spec, not both")
     if args.scramble and args.seed < 0:
         raise SchemaError(f"--seed must be >= 0 with --scramble, got {args.seed}")
     if args.spec is not None:
-        doc = _load_json(args.spec)
-        # refused before the spec fills in an aux_dim x aux_dim twist for every pair
-        kinds, aux_dim = _spec_shape(doc)
-        _require_rows_fit(len(kinds))
-        _require_generate_fits(len(kinds), prod(k for k in kinds if k != "u") * aux_dim)
-        spec = parse_model_spec_document(doc)
+        spec = _load_spec(args.spec)
         try:
             t = build_model_tuple(spec, tol)
         except ValueError as exc:
             raise SchemaError(f"spec violates the model relations: {exc}") from exc
-        metadata = {"source": "model-spec", "seed": args.seed, "scrambled": bool(args.scramble)}
+        metadata = {"source": "model-spec"}
     elif args.preset is not None:
         if args.preset not in PRESETS:
             raise SchemaError(f"unknown preset {args.preset!r}; available: {', '.join(PRESETS)}")
@@ -331,15 +292,10 @@ def cmd_generate(args) -> int:
             t = build_twisted_shift_pair(args.p, lam, tol)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
-        metadata = {
-            "preset": args.preset,
-            "p": args.p,
-            "lambda": [lam.real, lam.imag],
-            "seed": args.seed,
-            "scrambled": bool(args.scramble),
-        }
+        metadata = {"preset": args.preset, "p": args.p, "lambda": [lam.real, lam.imag]}
     else:
         raise SchemaError("generate needs --preset NAME or --spec PATH")
+    metadata.update(seed=args.seed, scrambled=bool(args.scramble))
     if args.scramble:
         t = conjugate_tuple(t, haar_unitary(t.dim, args.seed))
     check = verify_twisted(t, Tolerance(eps=1e-9))
@@ -347,55 +303,37 @@ def cmd_generate(args) -> int:
         raise SchemaError(
             f"generated tuple failed self-verification (max residual {check.max_residual:.3e})"
         )
-    _write(tuple_document(t, metadata=metadata), args)
-    return 0
+    return _write(args, 0, tuple_document(t, metadata=metadata))
 
 
-def cmd_commutant(args) -> int:
-    doc, tree = _certified_tree("commutant", args)
+def cmd_commutant(args, tol: Tolerance) -> int:
+    tree, failure = _certified_tree(args, tol)
     if tree is None:
-        return 1
-    dimension = tree.commutant_dimension(_tolerance(args))
-    doc.update({"verify_pass": True, "dimension": dimension, "irreducible": dimension == 1})
-    _write(doc, args)
-    return 0
+        return _write(args, 1, failure)
+    dimension = tree.commutant_dimension(tol)
+    return _write(args, 0, {"verify_pass": True, "dimension": dimension, "irreducible": dimension == 1})
 
 
-def cmd_equiv(args) -> int:
-    tol = _tolerance(args)
+def cmd_equiv(args, tol: Tolerance) -> int:
     t1, _ = _load_tuple(args.input1)
     t2, _ = _load_tuple(args.input2)
-    doc = _report("equiv", tol)
     for label, t in (("first", t1), ("second", t2)):
         verification = _verify(t, tol)
         if not verification.passed:
-            doc.update(
-                {
-                    "pass": False,
-                    "stage": "verify",
-                    "which": label,
-                    "max_residual": verification.max_residual,
-                }
-            )
-            _write(doc, args)
-            return 1
+            return _write(args, 1, {
+                "pass": False,
+                "stage": "verify",
+                "which": label,
+                "max_residual": verification.max_residual,
+            })
     try:
         result = equivalence_check(t1, t2, tol)
     except DecompositionError as exc:
-        doc.update({"pass": False, "stage": "decompose", "error": str(exc)})
-        _write(doc, args)
-        return 1
-    doc.update(
-        {
-            "verdict": result.verdict,
-            "certificate": result.certificate,
-            "residual": result.residual,
-        }
-    )
+        return _write(args, 1, {"pass": False, "stage": "decompose", "error": str(exc)})
+    fields = {"verdict": result.verdict, "certificate": result.certificate, "residual": result.residual}
     if args.emit_intertwiner and result.intertwiner is not None:
-        doc["intertwiner"] = matrix_to_json(result.intertwiner)
-    _write(doc, args)
-    return 0
+        fields["intertwiner"] = matrix_to_json(result.intertwiner)
+    return _write(args, 0, fields)
 
 
 def _add_common(parser: argparse.ArgumentParser, jobs: bool = False) -> None:
@@ -461,11 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.started = time.perf_counter()
     try:
-        return args.func(args)
+        if not (np.isfinite(args.tol) and args.tol > 0):
+            raise SchemaError(f"--tol must be positive and finite, got {args.tol}")
+        return args.func(args, Tolerance(eps=args.tol))
     except (SchemaError, CommutantTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

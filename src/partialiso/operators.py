@@ -78,7 +78,8 @@ def unitarity_residual(u: np.ndarray) -> float:
 
 def _unitary_within(u: np.ndarray, eps: float) -> bool:
     """``unitarity_residual(u) <= eps``, decided by `_norm_within`."""
-    return _norm_within(adjoint(u) @ u - identity(u.shape[0]), eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _norm_within(adjoint(u) @ u - identity(u.shape[0]), eps)
 
 
 def diag_twist(
@@ -321,6 +322,14 @@ class TwistedTuple:
 
     def pair_keys(self) -> list[tuple[int, int]]:
         return sorted(self.twists.keys())
+
+
+def _relation_rows(n_ops: int) -> int:
+    """Rows of `verify_twisted` for N operators, about N^4 / 8: the `_relation_defects` rows and
+    one power row per operator. Every pair has a twist (the identity when a tuple leaves it
+    out), and the twists are checked pair by pair."""
+    twists = n_ops * (n_ops - 1) // 2
+    return twists * (twists + 1) // 2 + n_ops * twists + 2 * n_ops * (n_ops - 1) + n_ops
 
 
 def _relation_defects(t: TwistedTuple):

@@ -782,6 +782,103 @@ class TestDeterminismAndContract:
         if kind == "oversized-dim":
             assert proc.stderr == "error: document.operators[0].matrix[0]: expected 40000 entries\n"
 
+    @pytest.mark.parametrize("source", ["tuple", "spec"])
+    def test_an_integer_past_the_digit_limit_exits_2_naming_the_file(self, source, tmp_path, capsys):
+        # json.load refuses an integer literal of more than 4300 digits with a plain ValueError
+        path = tmp_path / "huge.json"
+        if source == "tuple":
+            path.write_text('{"schema_version":"1","dim":%s,"operators":[]}' % ("9" * 5000))
+            argv = ["verify", str(path)]
+        else:
+            path.write_text('{"schema_version":"1","slots":[%s],"aux_dim":1}' % ("9" * 5000))
+            argv = ["generate", "--spec", str(path)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path} is not valid JSON: ") and captured.err.count("\n") == 1
+
+    def test_an_overflowing_slot_unitary_exits_2_without_a_warning(self, tmp_path, capsys):
+        # U*U overflows: the unitarity gate refuses it without a numpy warning, so one line is written
+        path = tmp_path / "spec.json"
+        path.write_text('{"schema_version":"1","slots":["u",2],"aux_dim":1,'
+                        '"slot_unitaries":[{"slot":1,"matrix":[[[1e308,0]]]}]}')
+        assert cli.main(["generate", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: spec violates the model relations: slot unitary 1 is not unitary at tolerance\n"
+
+
+# Replacement values of the input corpus; HUGE stands for an integer of 5000 digits, which
+# json.dumps cannot write
+HUGE = "<5000 digits>"
+POOL = [None, True, False, 0, -1, 1e308, -1e308, 1e-320, HUGE, "u", "", [], {}]
+
+
+def _fields(node):
+    """(container, key) of every value below ``node``, at any depth."""
+    keys = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        yield node, key
+        yield from _fields(node[key])
+
+
+def _mutants(doc, count: int, seed: int) -> list[str]:
+    """``count`` seeded texts of ``doc``, each with 1-3 fields replaced from POOL (a field drawn
+    uniformly from all values at any depth); about a tenth are also truncated."""
+    rng = np.random.default_rng(seed)
+    base = json.dumps(doc)
+    texts = []
+    for _ in range(count):
+        mutant = json.loads(base)
+        for _ in range(rng.integers(1, 4)):
+            fields = list(_fields(mutant))
+            parent, key = fields[rng.integers(len(fields))]
+            # the pool's lists and dicts are empty, so no later field lies inside one
+            parent[key] = POOL[rng.integers(len(POOL))]
+        text = json.dumps(mutant).replace(json.dumps(HUGE), "9" * 5000)
+        if rng.random() < 0.1:
+            text = text[: rng.integers(len(text))]
+        texts.append(text)
+    return texts
+
+
+class TestInputCorpus:
+    """Mutated documents and specs keep the exit-code contract: 0, 1 or 2, and an exit 2 writes
+    one `error:` line and no report. Nothing raises, a numpy warning included."""
+
+    def test_mutated_inputs_keep_the_exit_code_contract(self, scrambled_file, tmp_path, capsys):
+        original = str(scrambled_file)
+        runs = []
+        for k, text in enumerate(_mutants(json.loads(scrambled_file.read_text()), 160, seed=11)):
+            path = tmp_path / f"doc{k}.json"
+            path.write_text(text)
+            runs += [["verify", str(path)], ["hw", str(path), "--op", "V1"], ["decompose", str(path)],
+                     ["commutant", str(path)], ["equiv", str(path), original]]
+        spec = model_spec_document(random_model_spec(3, n_ops=3))
+        for k, text in enumerate(_mutants(spec, 300, seed=12)):
+            path = tmp_path / f"spec{k}.json"
+            path.write_text(text)
+            runs.append(["generate", "--spec", str(path)])
+        faults, codes = [], []
+        for argv in runs:
+            try:
+                code = cli.main(argv)
+            except Exception as exc:
+                faults.append((argv, f"raised {type(exc).__name__}: {exc}"[:300]))
+                capsys.readouterr()
+                continue
+            out, err = capsys.readouterr()
+            codes.append(code)
+            if code == 2:
+                if out or not err.startswith("error: ") or err.count("\n") != 1:
+                    faults.append((argv, f"exit 2 with stdout {out[:80]!r} and stderr {err[:300]!r}"))
+            elif code not in (0, 1) or err:
+                faults.append((argv, f"exit {code} with stderr {err[:300]!r}"))
+        assert len(runs) >= 1000
+        assert faults == [], f"{len(faults)} of {len(runs)} runs broke the contract; first: {faults[:3]}"
+        # the corpus reaches every exit code
+        assert {0, 1, 2} <= set(codes)
+
 
 def test_readme_quick_start_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from partialiso import (
     verify_twisted,
 )
 from partialiso.linalg import _norm_within, adjoint
-from partialiso.operators import _unitary_within, unitarity_residual
+from partialiso.operators import _relation_rows, _unitary_within, unitarity_residual
 from conftest import (
     non_power_partial_isometry_3d,
     perturbed_tuple,
@@ -107,6 +109,13 @@ class TestDiagTwist:
     def test_rejects_bad_slot_index(self):
         with pytest.raises(ValueError):
             diag_twist([2], 2, [[1.0]], 1)
+
+    def test_rejects_an_overflowing_symbol_without_a_warning(self):
+        # U*U overflows to inf and U*U - I holds a NaN: the unitarity gate refuses both quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not unitary at tolerance"):
+                diag_twist([1], 1, [[1e308]])
 
 
 class TestPartialIsometryPredicates:
@@ -685,6 +694,11 @@ class TestOneRelationList:
             assert accepted == _validate_loops(spec)
             verdicts.append(accepted)
         assert 100 < sum(verdicts) < len(verdicts) - 100
+
+    @pytest.mark.parametrize("n_ops", range(1, 9))
+    def test_relation_rows_counts_every_row_of_verify(self, n_ops):
+        t = TwistedTuple(dim=1, ops=[np.zeros((1, 1))] * n_ops)
+        assert _relation_rows(n_ops) == len(verify_twisted(t).residuals)
 
     def test_a_failing_relation_is_named_as_verify_reports_it(self):
         u12 = np.diag([1.0, -1.0])
