@@ -19,10 +19,10 @@ import numpy as np
 from .documents import (
     SCHEMA_VERSION,
     SchemaError,
+    _parse_model_spec,
     _spec_shape,
     dumps_canonical,
     matrix_to_json,
-    parse_model_spec_document,
     parse_tuple_document,
     tuple_document,
 )
@@ -88,7 +88,7 @@ def _load_spec(path: str):
     kinds, aux_dim = _spec_shape(doc)
     _require_rows_fit(len(kinds))
     _require_generate_fits(len(kinds), prod(k for k in kinds if k != "u") * aux_dim)
-    return parse_model_spec_document(doc)
+    return _parse_model_spec(doc, kinds, aux_dim)
 
 
 def _write(args, code: int, fields: dict) -> int:

@@ -237,6 +237,11 @@ def _spec_shape(doc) -> tuple[list[object], int]:
 
 def parse_model_spec_document(doc) -> ModelSpec:
     kinds, aux_dim = _spec_shape(doc)
+    return _parse_model_spec(doc, kinds, aux_dim)
+
+
+def _parse_model_spec(doc, kinds: list[object], aux_dim: int) -> ModelSpec:
+    """The ModelSpec of a spec document whose `_spec_shape` is (``kinds``, ``aux_dim``)."""
     n = len(kinds)
     twist_data = _parse_twists(doc.get("twists", []), n, aux_dim, "spec.twists")
     slot_unitaries: dict[int, np.ndarray] = {}

@@ -13,6 +13,7 @@ surfaces instead of a silently truncated answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count
 
 import numpy as np
@@ -57,7 +58,8 @@ class RangeSourceLadder:
     ``ranges`` and ``sources`` hold n = 0..N (index 0 is I) and `extend`
     grows them one power at a time, so the functions that take a ladder
     share each product instead of walking the powers again. The powers
-    come from `_power_walk`, so R_n has the bits of every other walk of V.
+    come from `_power_walk`, so R_n has the bits of every other walk of V;
+    ``power`` is V^N, None while N = 0.
     """
 
     def __init__(self, v: np.ndarray) -> None:
@@ -65,13 +67,14 @@ class RangeSourceLadder:
         self._walk = _power_walk(v)
         self.ranges = [identity(d)]
         self.sources = [identity(d)]
+        self.power = None
 
     def extend(self, n_max: int) -> RangeSourceLadder:
         """Make sure ``ranges`` and ``sources`` reach index n_max."""
         while len(self.ranges) <= n_max:
-            power, range_n = next(self._walk)
+            self.power, range_n = next(self._walk)
             self.ranges.append(range_n)
-            self.sources.append(adjoint(power) @ power)
+            self.sources.append(adjoint(self.power) @ self.power)
         return self
 
 
@@ -98,8 +101,8 @@ def stable_range_projection(
     Returns (P, n0) where P = V^{n0} V*^{n0} and the next step moves by at
     most eps. For a power partial isometry the ranks can drop at most d
     times, so stabilization by n0 <= d + 1 is guaranteed; failure to
-    stabilize signals a non power-partial-isometry input. Q is obtained by
-    passing the adjoint; `hw_decompose` reads P off its `RangeSourceLadder`.
+    stabilize signals a non power-partial-isometry input. Passing the
+    adjoint gives Q; `hw_decompose` reads both off one `RangeSourceLadder`.
     """
     v = _require_square(v)
     return _stable_limit((r for _, r in _power_walk(v)), tol)
@@ -108,13 +111,17 @@ def stable_range_projection(
 def _stable_projections(
     v: np.ndarray, tol: Tolerance
 ) -> tuple[np.ndarray, np.ndarray, RangeSourceLadder]:
-    """(P, Q, the ladder of V) for a square V; P is read off the ladder.
+    """(P, Q, the ladder of V) for a square V, both read off the one ladder.
 
-    Q walks V* on its own: its powers are not bit for bit the adjoints of V's.
+    P is the stable limit of the ranges R_n = V^n V*^n. Q, the stable limit
+    of the range projections of V*^n, is that of the sources S_n = V*^n V^n,
+    which are those projections: V*^n (V*^n)* = V*^n V^n. The sources up to
+    the largest block order are formed for the multiplicity spaces anyway,
+    so V* is never walked. Each limit stops by the rule of `_stable_limit`.
     """
     ladder = RangeSourceLadder(v)
     p_mat, _ = _stable_limit((ladder.extend(n).ranges[n] for n in count(1)), tol)
-    q_mat, _ = stable_range_projection(adjoint(v), tol)
+    q_mat, _ = _stable_limit((ladder.extend(n).sources[n] for n in count(1)), tol)
     return p_mat, q_mat, ladder
 
 
@@ -208,8 +215,10 @@ class HWDecomposition:
     The model operator is T oplus (oplus_p J_p x I_mult) on
     C^{unitary_dim} oplus (oplus_p C^p x C^mult), blocks in ascending p;
     ``intertwiner`` maps the model space onto C^d and satisfies
-    ||W model W* - V|| <= residual. Its columns follow the same order
-    [u | blocks]: the unitary part is the first column block, a part with
+    ||W model W* - V|| <= residual. `_hw_decompose` keeps that defect and
+    ``residual``, its spectral norm, is formed on first read (0.0 for a
+    decomposition built without one); `hw_decompose` reads it before it
+    returns. Its columns follow the same order [u | blocks]: the unitary part is the first column block, a part with
     grading 1 (T is 0 x 0 when it is empty), and a block's columns are
     V^j m_k (j slow), so each summand reduces V on its column range.
     Shift parts are not stored: `hw_decompose` certifies they vanish.
@@ -220,7 +229,12 @@ class HWDecomposition:
     unitary_op: np.ndarray
     truncated_blocks: list[TruncatedBlock] = field(default_factory=list)
     intertwiner: np.ndarray | None = None
-    residual: float = 0.0
+    _defect: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def residual(self) -> float:
+        """||W model W* - V||, the certificate `hw_decompose` decided within eps."""
+        return 0.0 if self._defect is None else float(op_norm(self._defect))
 
     @property
     def unitary_dim(self) -> int:
@@ -243,7 +257,24 @@ def hw_decompose(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HWDecomposition
     e_{j+1} x m_k to V^j m_k over each multiplicity basis. The map is
     guaranteed isometric for valid inputs, which is asserted (no silent
     re-orthonormalization); the final reconstruction residual certifies
-    the whole computation.
+    the whole computation and is formed before the decomposition is
+    returned. The steps are those of `_hw_decompose`, which
+    `decompose_tuple` calls at each node and whose ``residual`` it never
+    reads.
+    """
+    decomposition = _hw_decompose(v, tol)
+    decomposition.residual  # formed now and cached on the instance
+    return decomposition
+
+
+def _hw_decompose(v: np.ndarray, tol: Tolerance) -> HWDecomposition:
+    """`hw_decompose` with its reconstruction kept as a gated defect.
+
+    P and Q come off one ladder of V (see `_stable_projections`). Each gate
+    is decided by `_norm_within`, which is ``op_norm(defect) <= eps`` from
+    exact bounds, so no spectral norm is taken where they decide; the value
+    goes into the error text only on a failure, and ``residual`` is formed
+    only when it is read.
     """
     v = _require_square(v)
     d = v.shape[0]
@@ -296,11 +327,11 @@ def hw_decompose(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HWDecomposition
         truncated_blocks=blocks,
         intertwiner=w,
     )
-    residual = op_norm(w @ decomposition.model_operator() @ adjoint(w) - v)
-    if residual > eps:
+    defect = w @ decomposition.model_operator() @ adjoint(w) - v
+    if not _norm_within(defect, eps):
         raise DecompositionError(
-            f"reconstruction residual {residual:.3e} exceeds eps {eps:.1e}; "
+            f"reconstruction residual {op_norm(defect):.3e} exceeds eps {eps:.1e}; "
             "the input is certified not to be a power partial isometry"
         )
-    decomposition.residual = float(residual)
+    decomposition._defect = defect
     return decomposition

@@ -143,41 +143,70 @@ def _power_walk(v: np.ndarray):
         vp = vp @ v
 
 
+class _Growth:
+    """Steps 1, 2 and 5 of the proof in `power_isometry_residual`: a bound on later powers.
+
+    Built from V and its computed power-1 residual VV*V - V (the products of `_power_walk`),
+    it holds the rounding constants γ, μ and ρ of that proof for d x d input, and the growth
+    per power c, which stays None unless the guard of step 5 holds.
+    """
+
+    def __init__(self, v: np.ndarray, residual: np.ndarray) -> None:
+        d = v.shape[0]
+        u = 2.0**-53
+        self.d = d
+        self.gamma = 4 * (d + 2) * u
+        self.mu = 16 * d * d * 2.0**-1074
+        self.rho = 2 * (d * d + d + 8) * u
+        self.c = None
+        size = self.norm_bound(np.vdot(v, v).real)
+        t = self.norm_bound(np.vdot(residual, residual).real)
+        if t <= 2 * _BOUND_SLACK:
+            nu = 1 + (t * (1 + 2 * u) + 3 * self.gamma * size**3 + 2 * self.mu * (1 + size)) / 2
+            self.c = nu + self.gamma * size
+
+    def norm_bound(self, squares: float) -> float:
+        """A bound on a Frobenius norm from ``squares``, the sum of squared moduli in one BLAS dot."""
+        return (1 + self.rho) ** 2 * sqrt(squares + self.mu)
+
+    def later(self, n: int, vp: np.ndarray) -> float:
+        """a: a bound on the computed Frobenius norm of every power V^m, n <= m <= d + 1, from V^n.
+
+        It is 0.0 when V^n is exactly zero, as every later power then is (the zero rule), and
+        inf otherwise while the guard fails. Norms are bounded from one BLAS dot, which costs
+        less than `_frobenius`.
+        """
+        squares = np.vdot(vp, vp).real
+        if squares == 0.0 and not vp.any():
+            return 0.0
+        if self.c is None:
+            return inf
+        k = self.d + 1 - n
+        return (self.norm_bound(squares) + k * self.mu) * self.c**k
+
+
 def _residual_walk(v: np.ndarray):
     """(V^n V^n* V^n - V^n, tail) for n = 1..d+1, in the products of `_power_walk`.
 
     ``tail`` bounds the computed Frobenius norm of every later residual; the
     proof is in `power_isometry_residual`. It is inf except at n = 1, 2,
     4, 8, ..., where the walk also ends if V^n is exactly zero, since every
-    later power and residual is then exactly zero too. Norms here are
-    bounded from one BLAS dot, which costs less than `_frobenius`.
+    later power and residual is then exactly zero too.
     """
     d = v.shape[0]
-    u = 2.0**-53
-    gamma = 4 * (d + 2) * u
-    mu = 16 * d * d * 2.0**-1074
-    rho = 2 * (d * d + d + 8) * u
-    c = None  # the growth per power; stays None when the guard fails
+    growth = None
     for n, (vp, r) in enumerate(islice(_power_walk(v), d + 1), 1):
         residual = r @ vp - vp
         if n & (n - 1):
             yield residual, inf
             continue
-        squares = np.vdot(vp, vp).real
-        if squares == 0.0 and not vp.any():
+        if n == 1:
+            growth = _Growth(vp, residual)
+        a = growth.later(n, vp)
+        if a == 0.0:
             yield residual, 0.0
             return
-        size = (1 + rho) ** 2 * sqrt(squares + mu)
-        if n == 1:
-            t = (1 + rho) ** 2 * sqrt(np.vdot(residual, residual).real + mu)
-            if t <= 2 * _BOUND_SLACK:
-                nu = 1 + (t * (1 + 2 * u) + 3 * gamma * size**3 + 2 * mu * (1 + size)) / 2
-                c = nu + gamma * size
-        if c is None:
-            yield residual, inf
-            continue
-        k = d + 1 - n
-        a = (size + k * mu) * c**k
+        rho, gamma, mu = growth.rho, growth.gamma, growth.mu
         yield residual, (1 + rho) ** 2 * (1 + gamma) ** 2 * (a * (1 + a * a) + mu * (1 + a))
 
 
@@ -229,6 +258,9 @@ def power_isometry_residual(v: np.ndarray) -> float:
     5. Guard. Unless t ≤ 2 `_BOUND_SLACK` (V numerically a partial
        isometry), the walk is never cut. An operator with a unitary part
        of dimension k keeps ‖V̂^n‖ ≥ √k, so its walk runs in full anyway.
+
+    `_Growth` holds steps 1, 2 and 5 (ν, c and a); the stop of
+    `twisted.check_projection_commutation` reads the same a.
     """
     v = _require_square(v)
     residuals = _ScreenedMax()

@@ -26,8 +26,8 @@ import numpy as np
 
 from .halmos_wallen import (
     DecompositionError,
+    _hw_decompose,
     _stable_projections,
-    hw_decompose,
     truncated_block_projection,
 )
 from .linalg import (
@@ -48,6 +48,7 @@ from .linalg import (
 )
 from .operators import (
     TwistedTuple,
+    _Growth,
     _block_diag,
     _first_failing_relation,
     _model_operator,
@@ -165,6 +166,13 @@ def verify_twisted(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> TwistReport
     return TwistReport(eps=tol.eps, passed=passed, _checked=checked)
 
 
+def _later_step_bound(growth: _Growth, a: float) -> float:
+    """b, a bound on `_frobenius` of each computed R_m - R_{m+1} and S_m - S_{m+1} of a
+    ladder whose powers V^m, m >= N, are bounded by ``a`` (see `check_projection_commutation`)."""
+    rho, gamma, mu = growth.rho, growth.gamma, growth.mu
+    return (1 + rho) ** 2 * (2 * ((1 + gamma) * a * a + mu) + mu)
+
+
 def check_projection_commutation(
     v: np.ndarray, w: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> dict[str, float]:
@@ -178,11 +186,31 @@ def check_projection_commutation(
 
     A block pi_p = sum_n (R_{n-1} - R_n)(S_{p-n} - S_{p-n+1}) of spectral
     norm at most 1/2 is left out. It is not even formed when the Frobenius
-    norms of its factors, taken once per ladder step, give
-    sum_n ||R_{n-1} - R_n|| ||S_{p-n} - S_{p-n+1}|| (1 + `_BOUND_SLACK`) <= 1/2:
-    the computed block's Frobenius norm is at most that sum times
-    (1 + ρ)²(1 + γ)(1 + u)^{2p} plus pμ, in the constants of
-    `power_isometry_residual`, which the slack covers with room for the SVD.
+    norms of its factors, the steps x_j = ||R_j - R_{j+1}|| and
+    y_j = ||S_j - S_{j+1}||, give
+    sum_n x_{n-1} y_{p-n} (1 + `_BOUND_SLACK`) <= 1/2: the computed block's
+    Frobenius norm is at most that sum times (1 + ρ)²(1 + γ)(1 + u)^{2p}
+    plus pμ, in the constants of `power_isometry_residual`, which the slack
+    covers with room for the SVD.
+
+    The ladder of V stops as soon as the steps it has not formed cannot
+    matter. Past its top N, every step is bounded by one number b, so a
+    test that reads b for each step above N has a sum no smaller than the
+    one on the formed steps; where it drops order p, the walk to d would
+    drop it too, and an order it cannot drop walks the ladder on, one power
+    at a time, up to p at most, where the steps are the walk's own. So the
+    blocks formed, and the returned floats, are those of a ladder walked
+    to d. The bound b, in the notation of that proof (‖·‖ Frobenius):
+    `operators._Growth` bounds every computed V̂^m, N <= m <= d + 1, by a
+    (steps 1 and 2; inf where the guard of step 5 fails, so the ladder goes
+    on as before, and 0.0 where V̂^N is exactly zero). A computed
+    R̂_m = fl(V̂^m V̂^m*) then has ‖R̂_m‖ <= (1 + γ)a² + μ, and Ŝ_m alike;
+    the difference of two, rounded entrywise, is at most 1 + u times
+    2((1 + γ)a² + μ), and `_frobenius` adds 1 + ρ and half a subnormal
+    step. So b = (1 + ρ)²(2((1 + γ)a² + μ) + μ), the second 1 + ρ covering
+    the 1 + u and the evaluation. At d = 50, scrambled example 4.3 stops
+    its ladder at power 9, not 50: order 9 is the last whose bound it
+    cannot drop, and its steps past order 5 are of rounding size.
     """
     v = _require_square(v)
     w = as_matrix(w)
@@ -202,15 +230,36 @@ def check_projection_commutation(
         "shift_part": comm((eye - p_mat) @ q_mat),
         "backshift_part": comm((eye - q_mat) @ p_mat),
     }
-    ranges, sources = ladder.extend(d).ranges, ladder.sources
+    ranges, sources = ladder.ranges, ladder.sources
+    x: list[float] = []
+    y: list[float] = []
+
+    def climb() -> float:
+        """Form the steps x_j, y_j up to the ladder's top N; return b, the bound on every later step."""
+        top = len(ranges) - 1
+        for j in range(len(x), top):
+            x.append(_frobenius(ranges[j] - ranges[j + 1]))
+            y.append(_frobenius(sources[j] - sources[j + 1]))
+        return _later_step_bound(growth, growth.later(top, ladder.power) if top < d else inf)
+
+    def dropped(p: int, b: float) -> bool:
+        """Whether order p's bound, with b for each step not formed, drops its block."""
+        pad = [b] * (p - len(x))
+        xs, ys = x + pad, y + pad
+        return fsum(xs[n - 1] * ys[p - n] for n in range(1, p + 1)) * (1.0 + _BOUND_SLACK) <= 0.5
+
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = [(_frobenius(ranges[j] - ranges[j + 1]), _frobenius(sources[j] - sources[j + 1])) for j in range(d)]
-    for p in range(1, d + 1):
-        if fsum(steps[n - 1][0] * steps[p - n][1] for n in range(1, p + 1)) * (1.0 + _BOUND_SLACK) <= 0.5:
-            continue
-        pi_p = truncated_block_projection(v, p, ladder)
-        if not _norm_within(pi_p, 0.5):
-            out[f"block_p={p}"] = comm(pi_p)
+        growth = _Growth(v, ranges[1] @ v - v)
+        b = climb()
+        for p in range(1, d + 1):
+            while not (drop := dropped(p, b)) and len(x) < p:
+                ladder.extend(len(ranges))
+                b = climb()
+            if drop:
+                continue
+            pi_p = truncated_block_projection(v, p, ladder)
+            if not _norm_within(pi_p, 0.5):
+                out[f"block_p={p}"] = comm(pi_p)
     return out
 
 
@@ -776,14 +825,24 @@ class PartitionReport:
 
 @dataclass
 class DecompositionTree:
-    """All leaves, the assembled global intertwiner, and the certificate."""
+    """All leaves, the assembled global intertwiner, and the certificate.
+
+    ``_defects`` holds G model_n G* - V_n for each operator, formed when
+    `decompose_tuple` decided them within eps; ``residual``, the largest of
+    their spectral norms, is formed on its first read and kept.
+    """
 
     ambient_dim: int
     n_ops: int
     leaves: list[DecompositionLeaf]
     global_intertwiner: np.ndarray
-    residual: float
     partition: PartitionReport
+    _defects: list[np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def residual(self) -> float:
+        """The reconstruction residual max_n ||G model_n G* - V_n||."""
+        return float(_max_op_norm(self._defects))
 
     def commutant_dimension(self, tol: Tolerance = DEFAULT_TOL) -> int:
         """Dimension of the commutant of {V_n, V_n*}, read off the leaves.
@@ -841,7 +900,7 @@ def _decompose_rec(
 
     eps = tol.eps
     first, rest = remaining[0], remaining[1:]
-    hw = hw_decompose(carried[first], tol)
+    hw = _hw_decompose(carried[first], tol)
     # (label, grading p, mult, columns), read off the intertwiner's layout [u | blocks]
     layout = [("u", 1, hw.unitary_dim)] + [(b.p, b.p, b.mult) for b in hw.truncated_blocks]
     parts, at = [], 0
@@ -918,8 +977,10 @@ def decompose_tuple(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> Decomposit
     failures (non-reducing subspaces, leaf data that is not unitary on the
     first cell) raise `DecompositionError` naming the leaf path and stage.
     On success, conjugating the block-diagonal leaf models by the global
-    intertwiner reproduces every operator within eps, and that residual is
-    stored in the tree.
+    intertwiner reproduces every operator within eps. Each operator's
+    defect is decided by `_norm_within`; the largest spectral norm goes into
+    the error text on a failure, and into the tree's ``residual`` only when
+    that is read.
     """
     leaves = _decompose_rec(
         remaining=list(range(1, t.n_ops + 1)),
@@ -938,13 +999,13 @@ def decompose_tuple(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> Decomposit
         raise DecompositionError(f"global intertwiner is not unitary (residual {op_norm(g_defect):.3e})")
     leaves = [_read_leaf(t, leaf, tol.eps) for leaf in leaves]
 
-    worst = _max_op_norm(
+    defects = [
         g @ _block_diag([leaf_model_operator(leaf, n, tol) for leaf in leaves]) @ adjoint(g) - t.ops[n - 1]
         for n in range(1, t.n_ops + 1)
-    )
-    if worst > tol.eps:
+    ]
+    if not all(_norm_within(a, tol.eps) for a in defects):
         raise DecompositionError(
-            f"reconstruction residual {worst:.3e} exceeds eps {tol.eps:.1e}"
+            f"reconstruction residual {_max_op_norm(defects):.3e} exceeds eps {tol.eps:.1e}"
         )
 
     return DecompositionTree(
@@ -952,8 +1013,8 @@ def decompose_tuple(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> Decomposit
         n_ops=t.n_ops,
         leaves=leaves,
         global_intertwiner=g,
-        residual=float(worst),
         partition=_classify(leaves),
+        _defects=defects,
     )
 
 

@@ -14,6 +14,7 @@ from partialiso import (
     build_model_tuple,
     cli,
     commutant_dimension,
+    documents,
     truncated_shift,
     verify_twisted,
 )
@@ -100,6 +101,20 @@ class TestGenerate:
         assert proc.returncode == 0, proc.stderr
         code, report = run_json("verify", str(out))
         assert code == 0 and report["pass"]
+
+    def test_spec_file_reads_its_shape_once(self, tmp_path, monkeypatch):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(dumps_canonical(model_spec_document(random_model_spec(3, n_ops=2))))
+        shapes = []
+
+        def counting(doc, original=documents._spec_shape):
+            shapes.append(1)
+            return original(doc)
+
+        monkeypatch.setattr(cli, "_spec_shape", counting)
+        monkeypatch.setattr(documents, "_spec_shape", counting)
+        assert cli.main(["generate", "--spec", str(spec_path), "--output", str(tmp_path / "t.json")]) == 0
+        assert len(shapes) == 1
 
     def test_relation_violation_exits_2(self, tmp_path):
         bad = ModelSpec(
@@ -679,7 +694,7 @@ class TestDeterminismAndContract:
         def unreachable(*args):
             raise AssertionError("spec built")
 
-        monkeypatch.setattr(cli, "parse_model_spec_document", unreachable)
+        monkeypatch.setattr(cli, "_parse_model_spec", unreachable)
         assert cli.main(["generate", "--spec", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

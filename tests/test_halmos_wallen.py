@@ -21,8 +21,14 @@ from partialiso import (
     truncated_block_projection,
     truncated_shift,
 )
-from partialiso.halmos_wallen import RangeSourceLadder
-from partialiso.linalg import orthonormal_range
+from partialiso.halmos_wallen import (
+    RangeSourceLadder,
+    _check_no_shift_parts,
+    _hw_decompose,
+    _projection_range,
+    _stable_projections,
+)
+from partialiso.linalg import DEFAULT_TOL, _norm_within, orthonormal_range
 from conftest import non_power_partial_isometry_3d, random_hw_instance
 
 
@@ -336,10 +342,173 @@ class TestOnePowerWalk:
             assert _same_bits(leaf.intertwiner, expected[leaf.multiindex]), leaf.multiindex
 
     @pytest.mark.parametrize("seed", range(60))
-    def test_unitary_part_matches_the_separate_walks(self, seed):
-        # P comes off the ladder of V; Q walks V* on its own
+    def test_unitary_part_matches_the_separate_ladder(self, seed):
+        # P and Q are the stable limits of the ranges and the sources of one ladder of V
         v, _, _ = random_hw_instance(seed)
-        p_mat, _ = _separate_stable_range(v)
-        q_mat, _ = _separate_stable_range(v.conj().T)
+        ranges, sources = _separate_ladder(v, v.shape[0] + 2)
+        p_mat, _ = _separate_stable_limit(ranges)
+        q_mat, _ = _separate_stable_limit(sources)
         expected = orthonormal_range(p_mat @ q_mat)
         assert _same_bits(hw_decompose(v).unitary_basis.basis, expected.basis)
+
+
+def _separate_stable_limit(projections, eps=1e-9):
+    # (E_n, n) for the first n <= d + 1 with ||E_{n+1} - E_n|| <= eps, by the unscreened
+    # spectral test, over a ladder list that reaches index d + 2; None if there is none
+    for n in range(1, len(projections) - 1):
+        if op_norm(projections[n + 1] - projections[n]) <= eps:
+            return projections[n], n
+    return None
+
+
+def _noisy_hw_instance(seed, noise):
+    v, _, _ = random_hw_instance(seed)
+    rng = np.random.default_rng(seed + 1000)
+    g = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+    return v + noise * g / op_norm(g)
+
+
+class TestQFromTheSources:
+    """Q read off the sources of V's ladder decides as Q walked from V* did."""
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-10, 3e-10, 6e-10, 1e-9])
+    def test_q_from_the_sources_decides_as_the_walk_of_v_star(self, noise):
+        eps = 1e-9
+        walked = 0
+        for seed in range(150):
+            v = _noisy_hw_instance(seed, noise)
+            d = v.shape[0]
+            ranges, sources = _separate_ladder(v, d + 2)
+            ours, theirs = _separate_stable_limit(sources), _separate_stable_range(v.conj().T)
+            assert (ours is None) == (theirs is None), seed
+            p_limit = _separate_stable_limit(ranges)
+            if ours is None or p_limit is None:
+                continue
+            walked += 1
+            (q_ours, n_ours), (q_theirs, n_theirs), p_mat = ours, theirs, p_limit[0]
+            assert n_ours == n_theirs, seed
+            # the library's Q is the sources' limit, bit for bit
+            assert _same_bits(_stable_projections(v, DEFAULT_TOL)[1], q_ours)
+            gates = [_norm_within(p_mat @ q - q @ p_mat, eps) for q in (q_ours, q_theirs)]
+            assert gates[0] == gates[1], seed
+            eye = np.eye(d)
+            ranks = [
+                [_projection_range(a).dim for a in (p_mat @ q, (eye - p_mat) @ q, (eye - q) @ p_mat)]
+                for q in (q_ours, q_theirs)
+            ]
+            assert ranks[0] == ranks[1], seed
+        # both limits exist on 150, 150, 150, 148 and 121 of the 150 inputs, level by level
+        assert walked >= 120
+
+
+def _spectral_hw(v, tol=DEFAULT_TOL):
+    """`hw_decompose` with every gate taken on the spectral norm: (unitary dim, blocks,
+    reconstruction residual), or the text of the first gate that fails."""
+    d, eps = v.shape[0], tol.eps
+    try:
+        p_mat, q_mat, ladder = _stable_projections(v, tol)
+        if op_norm(p_mat @ q_mat - q_mat @ p_mat) > eps:
+            return (
+                "stable range and source projections do not commute; "
+                "the input is not a power partial isometry at this tolerance"
+            )
+        _check_no_shift_parts(p_mat, q_mat)
+    except DecompositionError as exc:
+        return str(exc)
+    unitary = _projection_range(p_mat @ q_mat)
+    columns, blocks, accounted = [unitary.basis], [], unitary.dim
+    for p in range(1, d + 1):
+        if accounted == d:
+            break
+        space = multiplicity_space(v, p, ladder)
+        if space.dim:
+            blocks.append((p, space.dim))
+            columns.append(space.basis)
+            for _ in range(p - 1):
+                columns.append(v @ columns[-1])
+            accounted += p * space.dim
+    if accounted != d:
+        return f"block dimensions sum to {accounted}, ambient dimension is {d}; decomposition is incomplete"
+    w = np.hstack(columns)
+    gram = op_norm(w.conj().T @ w - np.eye(d))
+    if gram > eps:
+        return (
+            f"intertwiner columns are not orthonormal (residual {gram:.3e}); "
+            "the block map failed to be isometric"
+        )
+    b_u = unitary.basis
+    shifts = [kron(truncated_shift(p), np.eye(m, dtype=complex)) for p, m in blocks]
+    model = block_diag(b_u.conj().T @ v @ b_u, *shifts).astype(complex)
+    residual = op_norm(w @ model @ w.conj().T - v)
+    if residual > eps:
+        return (
+            f"reconstruction residual {residual:.3e} exceeds eps {eps:.1e}; "
+            "the input is certified not to be a power partial isometry"
+        )
+    return unitary.dim, blocks, residual
+
+
+def _hw_moved_to_the_cutoff(seed):
+    """A `random_hw_instance` with blocks, V moved by s c_0 c_{p-1}*, where c_0 spans the first
+    level of its first block and c_{p-1} = V^{p-1} c_0 the last: the map the model sends to 0
+    now sends c_{p-1} to s c_0, so the reconstruction value is about s while the projections
+    and the columns stay put. s is bisected until the spectral reconstruction value crosses
+    eps between sizes lo < hi less than 2^-45 hi apart; each end is kept at 1 -+ 1e-12 and at
+    0.99 and 1.01 of itself."""
+    eps = DEFAULT_TOL.eps
+    v, _, _ = random_hw_instance(seed)
+    hw = hw_decompose(v)
+    if not hw.truncated_blocks:
+        return []
+    p, at = hw.truncated_blocks[0].p, hw.unitary_dim
+    first, last = hw.intertwiner[:, at], hw.intertwiner[:, at + (p - 1) * hw.truncated_blocks[0].mult]
+    direction = np.outer(first, last.conj())
+
+    def passes(size):
+        return not isinstance(_spectral_hw(v + size * direction), str)
+
+    lo, hi = 0.0, eps
+    while passes(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 2.0**-45 * hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return [v + size * f * direction for size in (lo, hi) for f in (1 - 1e-12, 1 + 1e-12, 0.99, 1.01)]
+
+
+class TestReconstructionGateAtTheCutoff:
+    """`hw_decompose` decides its reconstruction by bounds, as the spectral norm does.
+
+    The gated core `_hw_decompose` forms ``residual`` on first read; the public
+    function has formed it before it returns, with the same bits.
+    """
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return [v for seed in range(24) for v in _hw_moved_to_the_cutoff(seed)]
+
+    def test_the_gate_and_the_lazy_residual_match_the_spectral_oracle(self, corpus):
+        texts, values = [], []
+        for v in corpus:
+            expected = _spectral_hw(v)
+            try:
+                hw = _hw_decompose(v, DEFAULT_TOL)
+            except DecompositionError as exc:
+                assert str(exc) == expected
+                with pytest.raises(DecompositionError) as public:
+                    hw_decompose(v)
+                assert str(public.value) == expected
+                texts.append(expected)
+                continue
+            unitary_dim, blocks, residual = expected
+            assert (hw.unitary_dim, hw.block_multiset()) == (unitary_dim, blocks)
+            assert "residual" not in hw.__dict__
+            assert hw.residual.hex() == residual.hex()
+            assert hw_decompose(v).__dict__["residual"].hex() == residual.hex()
+            values.append(residual)
+        # both verdicts, each failure at the reconstruction gate, half the passes within a
+        # millionth of eps
+        eps = DEFAULT_TOL.eps
+        assert texts and values
+        assert all(text.startswith("reconstruction residual") for text in texts)
+        assert sum(abs(r - eps) <= 1e-6 * eps for r in values) >= len(values) // 2

@@ -26,7 +26,7 @@ from partialiso import (
     verify_twisted,
 )
 from partialiso.linalg import _norm_within, adjoint
-from partialiso.operators import _relation_rows, _unitary_within, unitarity_residual
+from partialiso.operators import _Growth, _relation_rows, _unitary_within, unitarity_residual
 from conftest import (
     non_power_partial_isometry_3d,
     perturbed_tuple,
@@ -237,6 +237,50 @@ def _unitary_part_operators():
     for spec in (d64, random_model_spec(49, n_ops=4)):
         t = build_model_tuple(spec)
         yield f"unitary-slot-d{t.dim}", conjugate_tuple(t, haar_unitary(t.dim, t.dim)).ops[-1]
+
+
+def _stated_growth(v, n, vp):
+    """Steps 1, 2 and 5 of the `power_isometry_residual` proof, as its docstring states them:
+    (c, a) with c None and a inf where the guard fails, a 0.0 where V^n is exactly zero."""
+    d = v.shape[0]
+    u = 2.0**-53
+    gamma, mu, rho = 4 * (d + 2) * u, 16 * d * d * 2.0**-1074, 2 * (d * d + d + 8) * u
+    f = (1 + rho) ** 2 * np.sqrt(np.vdot(v, v).real + mu)
+    residual = v @ v.conj().T @ v - v
+    t = (1 + rho) ** 2 * np.sqrt(np.vdot(residual, residual).real + mu)
+    c = None
+    if t <= 2e-8:
+        c = 1 + (t * (1 + 2 * u) + 3 * gamma * f**3 + 2 * mu * (1 + f)) / 2 + gamma * f
+    squares = np.vdot(vp, vp).real
+    if squares == 0.0 and not vp.any():
+        return c, 0.0
+    if c is None:
+        return c, np.inf
+    k = d + 1 - n
+    return c, ((1 + rho) ** 2 * np.sqrt(squares + mu) + k * mu) * c**k
+
+
+class TestGrowthBound:
+    """`_Growth` is the bound its proof states, term for term, on operators where each
+    term that rounding leaves visible moves the result."""
+
+    @pytest.mark.parametrize("name", ["example43", "tiny-nilpotent", "unitary", "guard-fails", "zero"])
+    def test_growth_is_the_stated_bound(self, name):
+        t = build_twisted_shift_pair(3, np.exp(0.7j))
+        v = {
+            "example43": lambda: conjugate_tuple(t, haar_unitary(t.dim, 3)).ops[0],
+            "tiny-nilpotent": lambda: 1e-165 * conjugate_tuple(t, haar_unitary(t.dim, 3)).ops[0],
+            "unitary": lambda: haar_unitary(12, 4) * (1 + 1e-12),
+            "guard-fails": lambda: haar_unitary(12, 4) * (1 + 1e-6),
+            "zero": lambda: np.zeros((4, 4), dtype=complex),
+        }[name]()
+        growth = _Growth(v, v @ v.conj().T @ v - v)
+        vp = v
+        for n in range(1, v.shape[0] + 2):
+            c, a = _stated_growth(v, n, vp)
+            assert growth.c == c
+            assert growth.later(n, vp) == a, n
+            vp = vp @ v
 
 
 class TestScreenedPowerLadder:

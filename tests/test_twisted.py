@@ -5,13 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from dataclasses import dataclass
-from math import prod
+from fractions import Fraction
+from math import fsum, prod
 
 from partialiso import (
     CommutantTooLargeError,
     DecompositionError,
     DecompositionLeaf,
-    DecompositionTree,
     DimensionMismatchError,
     EquivalenceResult,
     ModelSpec,
@@ -42,8 +42,17 @@ from partialiso import (
     verify_twisted,
 )
 from partialiso import twisted
-from partialiso.linalg import DEFAULT_TOL, Tolerance, _norm_within, adjoint, identity
-from partialiso.operators import _pair_lookup, unitarity_residual
+from partialiso.halmos_wallen import RangeSourceLadder, _stable_projections, truncated_block_projection
+from partialiso.linalg import (
+    _BOUND_SLACK,
+    DEFAULT_TOL,
+    Tolerance,
+    _frobenius,
+    _norm_within,
+    adjoint,
+    identity,
+)
+from partialiso.operators import _Growth, _pair_lookup, unitarity_residual
 from conftest import (
     commutant_instances,
     eager_residuals,
@@ -51,6 +60,7 @@ from conftest import (
     non_power_partial_isometry_3d,
     perturbed_tuple,
     random_decomposition_instance,
+    random_hw_instance,
     random_scrambled_model,
     residual_bits,
     resident_peak_growth,
@@ -216,6 +226,87 @@ class TestVerdictAtTheCutoff:
         assert verify_twisted(t).passed == (case == "one-operator")
 
 
+# random_model_spec(seed, n_ops=2, max_p=3, max_aux=2) seeds whose slots are [p >= 2, "u"]
+_SHIFT_THEN_UNITARY = [0, 1, 16, 19, 22, 23, 26, 37, 41, 43, 51, 55]
+
+
+def _spectral_tree(t, tol=DEFAULT_TOL):
+    """`decompose_tuple` with its reconstruction gate on the spectral norm: (leaves, residual),
+    or the error text."""
+    try:
+        leaves = twisted._decompose_rec(
+            list(range(1, t.n_ops + 1)), dict(enumerate(t.ops, 1)), t.dim, tol, ""
+        )
+        g = np.hstack([leaf.intertwiner for leaf in leaves])
+        g_residual = op_norm(adjoint(g) @ g - identity(t.dim))
+        if g_residual > tol.eps:
+            return f"global intertwiner is not unitary (residual {g_residual:.3e})"
+        leaves = [twisted._read_leaf(t, leaf, tol.eps) for leaf in leaves]
+    except DecompositionError as exc:
+        return str(exc)
+    worst = max(
+        op_norm(g @ twisted._block_diag([leaf_model_operator(leaf, n, tol) for leaf in leaves]) @ adjoint(g) - t.ops[n - 1])
+        for n in range(1, t.n_ops + 1)
+    )
+    if worst > tol.eps:
+        return f"reconstruction residual {worst:.3e} exceeds eps {tol.eps:.1e}"
+    return [(leaf.multiindex, leaf.mult_dim) for leaf in leaves], worst
+
+
+def _tree_moved_to_the_cutoff(seed):
+    """A scrambled [p, "u"] model tuple with V_2 moved by s C X C*: C spans the second cell of its
+    leaf and X is a seeded unit direction. Each restriction stays block diagonal over the grading
+    and the first cell, where the leaf data is read, is untouched, so only the reconstruction
+    sees s. The size is bisected until its spectral value crosses eps between sizes lo < hi less
+    than 2^-45 hi apart; each end is kept at 1 -+ 1e-12 and at 0.99 and 1.01 of itself."""
+    eps = DEFAULT_TOL.eps
+    t, spec = random_scrambled_model(seed, n_ops=2)
+    assert spec.slot_kinds[0] != "u" and spec.slot_kinds[1] == "u"
+    (leaf,) = decompose_tuple(t).leaves
+    m = leaf.mult_dim
+    cell = leaf.intertwiner[:, m : 2 * m]
+    rng = np.random.default_rng(seed + 950)
+    x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    direction = cell @ (x / op_norm(x)) @ adjoint(cell)
+
+    def moved(size):
+        return TwistedTuple(dim=t.dim, ops=[t.ops[0], t.ops[1] + size * direction], twists=t.twists)
+
+    def passes(size):
+        return not isinstance(_spectral_tree(moved(size)), str)
+
+    lo, hi = 0.0, eps
+    while passes(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 2.0**-45 * hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return [moved(size * f) for size in (lo, hi) for f in (1 - 1e-12, 1 + 1e-12, 0.99, 1.01)]
+
+
+class TestTreeReconstructionAtTheCutoff:
+    """`decompose_tuple` decides its reconstruction by bounds, as the spectral norm does."""
+
+    def test_the_gate_and_the_lazy_residual_match_the_spectral_oracle(self):
+        texts, values = [], []
+        for t in (t for seed in _SHIFT_THEN_UNITARY for t in _tree_moved_to_the_cutoff(seed)):
+            expected = _spectral_tree(t)
+            try:
+                tree = decompose_tuple(t)
+            except DecompositionError as exc:
+                assert str(exc) == expected
+                texts.append(expected)
+                continue
+            leaves, worst = expected
+            assert [(leaf.multiindex, leaf.mult_dim) for leaf in tree.leaves] == leaves
+            assert tree.residual.hex() == worst.hex()
+            values.append(worst)
+        eps = DEFAULT_TOL.eps
+        assert texts and values
+        assert all(text.startswith("reconstruction residual") for text in texts)
+        assert sum(abs(r - eps) <= 1e-6 * eps for r in values) >= len(values) // 2
+
+
 class TestProjectionCommutation:
     def test_identity_partner_commutes_exactly(self):
         residuals = check_projection_commutation(truncated_shift(3), np.eye(3))
@@ -241,6 +332,125 @@ class TestProjectionCommutation:
     def test_w_of_another_shape_is_refused(self):
         with pytest.raises(DimensionMismatchError, match=r"\(4, 4\).*\(3, 3\)"):
             check_projection_commutation(truncated_shift(3), np.eye(4))
+
+
+def _walked_to_d(v, w, tol=DEFAULT_TOL):
+    """`check_projection_commutation` with its ladder walked to d first, every step formed."""
+    d = v.shape[0]
+    p_mat, q_mat, ladder = _stable_projections(v, tol)
+    eye = identity(d)
+
+    def comm(a):
+        return op_norm(a @ w - w @ a)
+
+    out = {
+        "stable_range": comm(p_mat),
+        "stable_source": comm(q_mat),
+        "unitary_part": comm(p_mat @ q_mat),
+        "shift_part": comm((eye - p_mat) @ q_mat),
+        "backshift_part": comm((eye - q_mat) @ p_mat),
+    }
+    ranges, sources = ladder.extend(d).ranges, ladder.sources
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = [_frobenius(ranges[j] - ranges[j + 1]) for j in range(d)]
+        y = [_frobenius(sources[j] - sources[j + 1]) for j in range(d)]
+    for p in range(1, d + 1):
+        if fsum(x[n - 1] * y[p - n] for n in range(1, p + 1)) * (1.0 + _BOUND_SLACK) <= 0.5:
+            continue
+        pi_p = truncated_block_projection(v, p, ladder)
+        if not _norm_within(pi_p, 0.5):
+            out[f"block_p={p}"] = comm(pi_p)
+    return out
+
+
+def _projection_check_pairs():
+    for p in range(2, 7):
+        t = build_twisted_shift_pair(p, np.exp(0.7j))
+        yield f"example43-p{p}", *conjugate_tuple(t, haar_unitary(t.dim, p)).ops
+    for seed in range(30):
+        v, _, _ = random_hw_instance(seed)
+        rng = np.random.default_rng(seed + 2000)
+        g = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+        yield f"hw-{seed}", v, g
+        yield f"hw-{seed}+1e-10", v + 1e-10 * g / op_norm(g), v.conj().T @ v
+
+
+class TestProjectionCheckTail:
+    """The ladder stops where no later step can lift a block's bound; nothing else moves."""
+
+    @staticmethod
+    def _ladders(monkeypatch):
+        built = []
+        original_init = RangeSourceLadder.__init__
+
+        def recording(self, v):
+            original_init(self, v)
+            built.append(self)
+
+        monkeypatch.setattr(RangeSourceLadder, "__init__", recording)
+        return built
+
+    @pytest.mark.parametrize("name, v, w", [pytest.param(*pair, id=pair[0]) for pair in _projection_check_pairs()])
+    def test_the_check_equals_the_walk_to_d(self, monkeypatch, name, v, w):
+        built = self._ladders(monkeypatch)
+        out = check_projection_commutation(v, w)
+        expected = _walked_to_d(v, w)
+        assert list(out) == list(expected)
+        assert [x.hex() for x in out.values()] == [x.hex() for x in expected.values()]
+        if name.startswith("example43"):
+            # steps past order p are of rounding size: the ladder stops at power 2p - 1
+            p = int(name[len("example43-p"):])
+            assert len(built[0].ranges) == 2 * p
+
+    @pytest.mark.parametrize("size", [1e-6, 1e-3])
+    def test_a_v_that_fails_the_guard_walks_to_d(self, monkeypatch, size):
+        t = build_twisted_shift_pair(3, np.exp(0.7j))
+        v, w = perturbed_tuple(conjugate_tuple(t, haar_unitary(t.dim, 3)), size, 3).ops
+        residual = v @ v.conj().T @ v - v
+        assert np.linalg.norm(residual) > 2 * _BOUND_SLACK
+        built = self._ladders(monkeypatch)
+        out = check_projection_commutation(v, w)
+        assert len(built[0].ranges) == t.dim + 1
+        expected = _walked_to_d(v, w)
+        assert [(k, x.hex()) for k, x in out.items()] == [(k, x.hex()) for k, x in expected.items()]
+
+    def test_a_non_power_partial_isometry_fails_as_before(self):
+        v = non_power_partial_isometry_3d()
+        with pytest.raises(DecompositionError) as ours:
+            check_projection_commutation(v, np.eye(3))
+        with pytest.raises(DecompositionError) as walked:
+            _walked_to_d(v, np.eye(3))
+        assert str(ours.value) == str(walked.value)
+
+    @pytest.mark.parametrize("d", [1, 8, 50, 128])
+    @pytest.mark.parametrize("a", [0.0, 1e-300, 1e-160, 1e-20, 0.5, 1.0, 3.0, 1e100])
+    def test_the_tail_bound_is_the_one_derived(self, d, a):
+        # b = (1 + rho)^2 (2((1 + gamma) a^2 + mu) + mu) in the constants of the growth bound
+        growth = _Growth(np.zeros((d, d), dtype=complex), np.zeros((d, d), dtype=complex))
+        u = 2.0**-53
+        gamma, mu, rho = 4 * (d + 2) * u, 16 * d * d * 2.0**-1074, 2 * (d * d + d + 8) * u
+        b = twisted._later_step_bound(growth, a)
+        assert b == (1 + rho) ** 2 * (2 * ((1 + gamma) * a * a + mu) + mu)
+        # and it covers the real bound: `_frobenius` within 1 + rho and half a subnormal step
+        # of the difference, which is within 1 + u of 2((1 + gamma) a^2 + mu)
+        exact = [Fraction(x) for x in (u, gamma, mu, rho, a)]
+        fu, fgamma, fmu, frho, fa = exact
+        assert Fraction(b) >= (1 + frho) * (1 + fu) * 2 * ((1 + fgamma) * fa * fa + fmu) + fmu / 2
+
+    def test_the_tail_bound_covers_every_later_step(self):
+        # on steps the walk to d forms past each top N where the bound is read
+        for name, v, _ in _projection_check_pairs():
+            d = v.shape[0]
+            ladder = RangeSourceLadder(v).extend(d)
+            growth = _Growth(v, ladder.ranges[1] @ v - v)
+            walk = RangeSourceLadder(v)
+            for top in range(2, d):
+                walk.extend(top)
+                b = twisted._later_step_bound(growth, growth.later(top, walk.power))
+                later = [
+                    _frobenius(e[j] - e[j + 1]) for e in (ladder.ranges, ladder.sources) for j in range(top, d)
+                ]
+                assert max(later) <= b, (name, top)
 
 
 class TestCommutant:
@@ -947,6 +1157,14 @@ class _OracleLeaf:
     intertwiner: np.ndarray
 
 
+@dataclass
+class _OracleTree:
+    leaves: list
+    global_intertwiner: np.ndarray
+    residual: float
+    partition: object
+
+
 def _oracle_check_reducing(op, basis, eps, what):
     proj = basis @ adjoint(basis)
     eye = identity(op.shape[0])
@@ -1076,9 +1294,7 @@ def _oracle_decompose(t, tol=DEFAULT_TOL):
         worst = max(worst, op_norm(g @ model @ adjoint(g) - t.ops[n - 1]))
     if worst > tol.eps:
         raise DecompositionError(f"reconstruction residual {worst:.3e} exceeds eps {tol.eps:.1e}")
-    return DecompositionTree(
-        t.dim, t.n_ops, leaves, g, float(worst), twisted._classify(leaves)
-    )
+    return _OracleTree(leaves, g, float(worst), twisted._classify(leaves))
 
 
 def _oracle_match(leaf1, leaf2, tol):

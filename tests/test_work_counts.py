@@ -146,12 +146,13 @@ def test_projection_check_builds_one_range_source_ladder(monkeypatch):
 
     monkeypatch.setattr(halmos_wallen.RangeSourceLadder, "__init__", counting_init)
     t = build_twisted_shift_pair(3, 1j)
-    d = t.dim
     residuals = check_projection_commutation(t.ops[0], t.ops[1])
     assert "block_p=3" in residuals
     assert len(built) == 1
-    # one product per power, up to the largest block order asked for
-    assert len(built[0].ranges) == len(built[0].sources) == d + 1
+    # one product per power, up to power 5 of the d = 18 walk: order 2p - 1 = 5 is the last
+    # block its bound cannot drop, and past it the powers vanish exactly (V^3 = 0), so every
+    # later step is bounded at underflow size
+    assert len(built[0].ranges) == len(built[0].sources) == 2 * 3
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -188,21 +189,30 @@ def test_hw_decompose_factorizes_only_non_empty_projection_ranges(monkeypatch, s
 
     monkeypatch.setattr(halmos_wallen, "multiplicity_space", recording)
     svd_calls.clear()
-    hw = halmos_wallen.hw_decompose(v)
+    hw = halmos_wallen._hw_decompose(v, DEFAULT_TOL)
     assert (hw.unitary_dim, hw.block_multiset()) == (3, [(2, 2), (4, 1)])
     assert [s.dim for s in spaces] == [0, 2, 0, 1]
-    # singular vectors for the unitary basis and each non-empty order only,
-    # and no values-only SVD before them: the one left is the final residual
+    # singular vectors for the unitary basis and each non-empty order only, and no
+    # values-only SVD: the reconstruction gate is decided by bounds
     assert sum(compute_uv for _, compute_uv in svd_calls) == 1 + 2
-    assert sum(not compute_uv for _, compute_uv in svd_calls) == 1
+    assert sum(not compute_uv for _, compute_uv in svd_calls) == 0
+    # the residual's one SVD is taken when it is read, and once
+    assert hw.residual == hw.residual <= DEFAULT_TOL.eps
+    assert [compute_uv for _, compute_uv in svd_calls][3:] == [False]
+    # the public function takes the same SVDs and reads the residual before it returns
+    svd_calls.clear()
+    public = halmos_wallen.hw_decompose(v)
+    assert [compute_uv for _, compute_uv in svd_calls] == [True] * 3 + [False]
+    assert public.residual.hex() == hw.residual.hex()
+    assert [compute_uv for _, compute_uv in svd_calls][4:] == []
     svd_calls.clear()
     assert halmos_wallen.assert_no_shift_parts(v)
     assert not any(compute_uv for _, compute_uv in svd_calls)
 
 
-def test_decompose_tuple_takes_one_svd_outside_hw_decompose(monkeypatch, svd_calls):
+def test_decompose_tuple_takes_no_svd_outside_hw_decompose(monkeypatch, svd_calls):
     inside = []
-    original = twisted.hw_decompose
+    original = twisted._hw_decompose
 
     def counting(v, tol):
         before = len(svd_calls)
@@ -213,16 +223,50 @@ def test_decompose_tuple_takes_one_svd_outside_hw_decompose(monkeypatch, svd_cal
     def no_fit(*args, **kwargs):
         raise AssertionError("extract_twist_factor called")
 
-    monkeypatch.setattr(twisted, "hw_decompose", counting)
+    monkeypatch.setattr(twisted, "_hw_decompose", counting)
     monkeypatch.setattr(twisted, "extract_twist_factor", no_fit)
     t = build_twisted_shift_pair(3, np.exp(0.7j))
     t = conjugate_tuple(t, haar_unitary(t.dim, 3))
     svd_calls.clear()
-    decompose_tuple(t)
-    # the reconstruction residual of the operator with the larger Gram-power bound, which
-    # the other's bound cannot beat; every other gate is screened
+    tree = decompose_tuple(t)
+    # every gate, the reconstruction too, is decided by bounds
     assert t.n_ops == 2
-    assert len(svd_calls) - sum(inside) == 1
+    assert len(svd_calls) - sum(inside) == 0
+    # reading the residual takes the SVD of the operator with the larger Gram-power
+    # bound, which the other's bound cannot beat
+    svd_calls.clear()
+    assert tree.residual <= DEFAULT_TOL.eps
+    assert svd_calls == [((18, 18), False)]
+
+
+@pytest.mark.parametrize("seed", [None, 1, 11])
+@pytest.mark.parametrize("front_end", ["equivalence_check", "commutant_dimension"])
+def test_front_ends_take_no_svd_of_a_reconstruction_defect(monkeypatch, svd_calls, front_end, seed):
+    # example 4.3 at p = 3, or a scrambled model tuple with a unitary slot
+    trees, values_only = [], []
+    original = twisted.decompose_tuple
+
+    def recording(t, tol=DEFAULT_TOL):
+        before = len(svd_calls)
+        trees.append(original(t, tol))
+        values_only.extend(not uv for _, uv in svd_calls[before:])
+        return trees[-1]
+
+    monkeypatch.setattr(twisted, "decompose_tuple", recording)
+    if seed is None:
+        t = conjugate_tuple(build_twisted_shift_pair(3, np.exp(0.7j)), haar_unitary(18, 3))
+    else:
+        t, _ = random_scrambled_model(seed, n_ops=2)
+    if front_end == "equivalence_check":
+        other = conjugate_tuple(t, haar_unitary(t.dim, 4))
+        assert equivalence_check(t, other).verdict == "EQUIVALENT"
+        assert len(trees) == 2
+    else:
+        assert twisted.decompose_tuple(t).commutant_dimension() >= 1
+    # every gate of hw_decompose and of the reconstruction is decided by bounds,
+    # and neither front end reads a tree's residual
+    assert not any(values_only)
+    assert all("residual" not in tree.__dict__ for tree in trees)
 
 
 def test_equivalence_match_factorizes_only_square_operands(svd_calls):
@@ -474,7 +518,7 @@ def test_gram_count_certifies_exact_and_slightly_noisy_models(svd_calls, gram_ro
     ],
     ids=["hw_decompose", "check_projection_commutation", "assert_no_shift_parts"],
 )
-def test_p_and_q_take_one_power_walk_each(monkeypatch, run):
+def test_p_and_q_come_off_one_power_walk(monkeypatch, run):
     walked = []
     original = halmos_wallen._power_walk
 
@@ -486,9 +530,9 @@ def test_p_and_q_take_one_power_walk_each(monkeypatch, run):
     t = build_twisted_shift_pair(3, 1j)
     v, w = conjugate_tuple(t, haar_unitary(t.dim, 5)).ops
     run(v, w)
-    assert len(walked) == 2
+    # Q is the limit of the sources V*^n V^n of V's own ladder: V* is never walked
+    assert len(walked) == 1
     assert np.array_equal(walked[0], v)
-    assert np.array_equal(walked[1], v.conj().T)
 
 
 def _example43(p, scrambled):
