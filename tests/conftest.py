@@ -198,6 +198,28 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+def blas_env(threads: int) -> dict:
+    """This process's environment with the three BLAS thread counts pinned to ``threads``."""
+    return {**os.environ, **dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), str(threads))}
+
+
+def rerun_at_blas_threads(request, threads: int) -> bool:
+    """Run the calling test in a fresh pytest process with the BLAS thread counts pinned to
+    ``threads``, and assert that it passes there; False, running nothing, where this process
+    already has them. BLAS splits its sums by thread, so the last bits of an SVD, and with them
+    an SVD count that a bound decides by a hair, can change with the thread count."""
+    env = blas_env(threads)
+    if env.items() <= os.environ.items():
+        return False
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", request.node.nodeid],
+        cwd=request.config.rootpath, capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return True
+
+
 def resident_peak_growth(setup: str, call: str) -> int:
     """How far, in bytes, the peak resident size of a fresh interpreter grows over the statement
     ``call``, once the statements ``setup`` have run there. Unlike `traced_peak` it sees the
@@ -215,8 +237,7 @@ def resident_peak_growth(setup: str, call: str) -> int:
         "print(high_water() - before)",
     ])
     # one BLAS thread: each keeps buffers of its own, so the peak would grow with the core count
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=blas_env(1))
     assert proc.returncode == 0, proc.stderr
     # /proc reports kB, that is KiB
     return int(proc.stdout.split()[-1]) * 1024

@@ -54,6 +54,66 @@ class TestKron:
         assert op_norm_diff(lhs, rhs) <= 1e-12 * max(scale, 1.0)
 
 
+def _special_entries() -> np.ndarray:
+    """A 7 x 7 complex matrix whose real and imaginary parts run over every pair of
+    +-0.0, +-inf, nan, 1.0 and -1.5, signed zeros kept."""
+    parts = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.5])
+    z = np.empty((7, 7), dtype=complex)
+    z.real, z.imag = np.meshgrid(parts, parts, indexing="ij")
+    return z
+
+
+def _kron_operands():
+    rng = np.random.default_rng(2024)
+    z = crandn(rng, 5, 6)
+    special = _special_entries()
+    return [
+        ("complex", crandn(rng, 3, 2), crandn(rng, 2, 4)),
+        ("real", rng.standard_normal((2, 3)), rng.standard_normal((3, 3))),
+        ("integer", rng.integers(-5, 6, (3, 2)), rng.integers(-5, 6, (2, 2))),
+        ("bool", rng.integers(0, 2, (2, 3)).astype(bool), rng.integers(0, 2, (3, 2)).astype(bool)),
+        ("special-special", special, special.T),
+        ("special-complex", special[:3], crandn(rng, 2, 2)),
+        ("signed-zeros-identity", np.eye(2, dtype=complex), -special[:2, :2]),
+        ("signed-zeros-identity-1x1", np.eye(1), -special[:2, :2]),
+        ("empty-0x3", np.zeros((0, 3)), crandn(rng, 2, 2)),
+        ("empty-3x0", crandn(rng, 2, 2), np.zeros((3, 0))),
+        ("empty-both", np.zeros((0, 3)), np.zeros((3, 0))),
+        ("1x1-left", np.array([[-0.0 - 1j]]), z),
+        ("1x1-right", z, np.array([[1.0 + 0j]])),
+        ("1x1-both", np.array([[np.inf + 0j]]), np.array([[-0.0 + 2j]])),
+        ("transposes", z.T, z[:3, :2].T),
+        ("strided-slices", z[::2, 1::3], z[1::2, ::-2]),
+        ("special-strided", special[::3, ::2].T, special[1::2, ::3]),
+    ]
+
+
+class TestKronBitIdentity:
+    """`kron` is the broadcast multiply of `np.kron` on the complex operands, bit for bit."""
+
+    @pytest.mark.parametrize("a, b", [pytest.param(a, b, id=name) for name, a, b in _kron_operands()])
+    def test_every_bit_equals_numpy_kron(self, a, b):
+        # inf * 0 and inf - inf give nan, with numpy's invalid-value warning, on both sides
+        with np.errstate(all="ignore"):
+            got = kron(a, b)
+            want = np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+        assert got.dtype == want.dtype == np.complex128
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        # and the bits == does not see: the signs of zeros, infinities and nans in both parts
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(np.ones(3), np.eye(2)), (np.eye(2), np.ones(3)), (np.array(2.0), np.eye(2)),
+         (np.eye(2), np.array(1j)), (np.ones((2, 2, 2)), np.eye(2))],
+        ids=["1d-left", "1d-right", "0d-left", "0d-right", "3d-left"],
+    )
+    def test_non_matrix_operand_raises(self, a, b):
+        with pytest.raises(ValueError, match="kron takes matrices"):
+            kron(a, b)
+
+
 class TestOrthonormalRange:
     def test_identity(self):
         s = orthonormal_range(np.eye(3))
