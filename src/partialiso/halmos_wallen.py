@@ -59,7 +59,8 @@ class RangeSourceLadder:
     grows them one power at a time, so the functions that take a ladder
     share each product instead of walking the powers again. The powers
     come from `_power_walk`, so R_n has the bits of every other walk of V;
-    ``power`` is V^N, None while N = 0.
+    ``power`` is V^N, None while N = 0. ``range_complement``, the I - R_1 of
+    every multiplicity space, is formed once, on first read.
     """
 
     def __init__(self, v: np.ndarray) -> None:
@@ -76,6 +77,11 @@ class RangeSourceLadder:
             self.ranges.append(range_n)
             self.sources.append(adjoint(self.power) @ self.power)
         return self
+
+    @cached_property
+    def range_complement(self) -> np.ndarray:
+        """I - R_1, the projection onto ker V*, formed on first read and kept for every order."""
+        return self.ranges[0] - self.extend(1).ranges[1]
 
 
 def _stable_limit(ranges, tol: Tolerance) -> tuple[np.ndarray, int]:
@@ -170,8 +176,8 @@ def multiplicity_space(v: np.ndarray, p: int, ladder: RangeSourceLadder | None =
         raise ValueError("p must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
         ladder = (ladder or RangeSourceLadder(v)).extend(p)
-        ranges, sources = ladder.ranges, ladder.sources
-        return _projection_range((identity(v.shape[0]) - ranges[1]) @ (sources[p - 1] - sources[p]))
+        sources = ladder.sources
+        return _projection_range(ladder.range_complement @ (sources[p - 1] - sources[p]))
 
 
 def _check_no_shift_parts(p_mat: np.ndarray, q_mat: np.ndarray) -> None:
@@ -281,7 +287,8 @@ def _hw_decompose(v: np.ndarray, tol: Tolerance) -> HWDecomposition:
     eps = tol.eps
 
     p_mat, q_mat, ladder = _stable_projections(v, tol)
-    if not _norm_within(p_mat @ q_mat - q_mat @ p_mat, eps):
+    pq = p_mat @ q_mat
+    if not _norm_within(pq - q_mat @ p_mat, eps):
         raise DecompositionError(
             "stable range and source projections do not commute; "
             "the input is not a power partial isometry at this tolerance"
@@ -289,7 +296,7 @@ def _hw_decompose(v: np.ndarray, tol: Tolerance) -> HWDecomposition:
 
     _check_no_shift_parts(p_mat, q_mat)
 
-    unitary_basis = _projection_range(p_mat @ q_mat)
+    unitary_basis = _projection_range(pq)
     b_u = unitary_basis.basis
     t_op = adjoint(b_u) @ v @ b_u
 

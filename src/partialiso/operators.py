@@ -173,8 +173,8 @@ class _Growth:
         """a: a bound on the computed Frobenius norm of every power V^m, n <= m <= d + 1, from V^n.
 
         It is 0.0 when V^n is exactly zero, as every later power then is (the zero rule), and
-        inf otherwise while the guard fails. Norms are bounded from one BLAS dot, which costs
-        less than `_frobenius`.
+        inf otherwise while the guard fails. Norms are bounded from the squares of one BLAS dot,
+        the sum `_frobenius` starts from, with μ for its underflow in place of a rescale.
         """
         squares = np.vdot(vp, vp).real
         if squares == 0.0 and not vp.any():

@@ -25,7 +25,7 @@ from partialiso import (
     random_model_spec,
     truncated_shift,
 )
-from partialiso import twisted
+from partialiso import halmos_wallen, linalg, operators, twisted
 from partialiso.linalg import adjoint, identity
 from partialiso.operators import _relation_defects
 
@@ -34,6 +34,43 @@ from partialiso.operators import _relation_defects
 def gram_route(monkeypatch):
     """The star-closed count with its eigenbasis tier undecided: steps 1-5 on the full stack."""
     monkeypatch.setattr(twisted, "_eigenbasis_count", lambda mats, eps: None)
+
+
+@pytest.fixture
+def gate_log(monkeypatch):
+    """Every `_norm_within` gate ((matrix, eps, verdict)) and `_projection_range` ((matrix,
+    dimension)) decided while the test runs, the matrices copied."""
+    gates, ranges = [], []
+    norm_within, projection_range = linalg._norm_within, halmos_wallen._projection_range
+
+    def gate(a, eps):
+        gates.append((np.array(a), eps, norm_within(a, eps)))
+        return gates[-1][2]
+
+    def range_of(a):
+        ranges.append((np.array(a), projection_range(a)))
+        return ranges[-1][1]
+
+    for module in (halmos_wallen, operators, twisted):
+        monkeypatch.setattr(module, "_norm_within", gate)
+    monkeypatch.setattr(halmos_wallen, "_projection_range", range_of)
+    return gates, ranges
+
+
+def assert_gates_decide_as_the_svd(gates, ranges, monkeypatch):
+    """Each logged gate is ``op_norm(a) <= eps`` and each range has the dimension of an SVD
+    cut at 1/2, and both stay so with the Frobenius accept taken out (after the test's
+    patches, the log's among them, are undone): where that accept decided, it only spared
+    the SVD."""
+    for a, eps, verdict in gates:
+        assert verdict == (op_norm(a) <= eps)
+    for a, space in ranges:
+        assert space.dim == int(np.sum(np.linalg.svd(a, compute_uv=False) > 0.5))
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "_frobenius", lambda a: inf)
+    monkeypatch.setattr(halmos_wallen, "_frobenius", lambda a: inf)
+    assert [linalg._norm_within(a, eps) for a, eps, _ in gates] == [verdict for _, _, verdict in gates]
+    assert [halmos_wallen._projection_range(a).dim for a, _ in ranges] == [s.dim for _, s in ranges]
 
 
 def leaf_key(item):

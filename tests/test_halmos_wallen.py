@@ -28,8 +28,9 @@ from partialiso.halmos_wallen import (
     _projection_range,
     _stable_projections,
 )
+from partialiso import halmos_wallen, linalg
 from partialiso.linalg import DEFAULT_TOL, _norm_within, orthonormal_range
-from conftest import non_power_partial_isometry_3d, random_hw_instance
+from conftest import assert_gates_decide_as_the_svd, non_power_partial_isometry_3d, random_hw_instance
 
 
 class TestStableRangeProjection:
@@ -512,3 +513,30 @@ class TestReconstructionGateAtTheCutoff:
         assert texts and values
         assert all(text.startswith("reconstruction residual") for text in texts)
         assert sum(abs(r - eps) <= 1e-6 * eps for r in values) >= len(values) // 2
+
+    def test_every_gate_and_range_decides_as_the_svd(self, corpus, gate_log, monkeypatch):
+        for v in corpus:
+            try:
+                _hw_decompose(v, DEFAULT_TOL)
+            except DecompositionError:
+                pass
+        gates, ranges = gate_log
+        # the reconstruction gates sit at eps: half the corpus has one within a millionth of it
+        assert sum(abs(op_norm(a) - eps) <= 1e-6 * eps for a, eps, _ in gates) >= len(corpus) // 2
+        assert_gates_decide_as_the_svd(gates, ranges, monkeypatch)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_projection_range_at_the_half_cut_decides_as_the_svd(rank, monkeypatch):
+    # c P for a scrambled rank-k projection P, moved to within 1e-12 of the Frobenius accept
+    # (c sqrt(k) (1 + slack) = 1/2) and, for k = 1, of the SVD cut itself (c = 1/2)
+    basis = haar_unitary(7, rank)[:, :rank]
+    projection = basis @ basis.conj().T
+    slack = linalg._BOUND_SLACK
+    sizes = [0.5 / np.sqrt(rank) / (1.0 + slack), 0.5 / np.sqrt(rank), 0.5]
+    cases = [size * f * projection for size in sizes for f in (1 - 1e-12, 1.0, 1 + 1e-12)]
+    dims = [_projection_range(a).dim for a in cases]
+    assert dims == [int(np.sum(np.linalg.svd(a, compute_uv=False) > 0.5)) for a in cases]
+    assert dims[-1] == rank and dims[0] == 0
+    monkeypatch.setattr(halmos_wallen, "_frobenius", lambda a: np.inf)
+    assert [_projection_range(a).dim for a in cases] == dims

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,100 @@ class TestOpNorm:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             op_norm_diff(np.eye(2), np.eye(3))
+
+
+def _op_norm_operands():
+    rng = np.random.default_rng(2029)
+    z = crandn(rng, 9, 8)
+    x, y = crandn(rng, 6, 1), crandn(rng, 1, 6)
+    signed = np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 1.5], [-2.0, 0.0, -0.0]])
+    return [
+        ("complex", crandn(rng, 7, 5)),
+        ("real", rng.standard_normal((6, 6))),
+        ("integer", rng.integers(-5, 6, (4, 3))),
+        ("bool", rng.integers(0, 2, (5, 5)).astype(bool)),
+        ("transposed", z.T),
+        ("adjoint", z.conj().T),
+        ("strided", z[::2, 1::3]),
+        ("reversed", z[::-1, ::-2]),
+        ("1x1", np.array([[3.0 - 4.0j]])),
+        ("rank-one", x @ y),
+        ("rank-deficient", crandn(rng, 8, 3) @ crandn(rng, 3, 8)),
+        ("zero", np.zeros((3, 3), dtype=complex)),
+        ("signed-zeros", signed),
+        ("signed-zeros-complex", signed - 0.0j * signed),
+        ("negative-zero-only", np.full((2, 2), -0.0 - 0.0j)),
+        ("empty-0x4", np.zeros((0, 4), dtype=complex)),
+        ("empty-4x0", np.zeros((4, 0))),
+        ("vector", crandn(rng, 7)),
+        ("real-vector", rng.standard_normal(5)),
+    ]
+
+
+class TestOpNormBitIdentity:
+    """`op_norm` is ``np.linalg.norm(a, 2)`` bit for bit: the same SVD, its first value."""
+
+    @pytest.mark.parametrize("a", [pytest.param(a, id=name) for name, a in _op_norm_operands()])
+    def test_every_bit_equals_numpy_norm(self, a):
+        got, want = op_norm(a), np.linalg.norm(a, 2)
+        assert type(got) is float
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want, dtype=float).view(np.uint64))
+
+    def test_a_nan_entry_raises_the_same_error(self):
+        a = np.eye(3, dtype=complex)
+        a[1, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError) as numpy_error:
+            np.linalg.norm(a, 2)
+        with pytest.raises(np.linalg.LinAlgError) as ours:
+            op_norm(a)
+        assert str(ours.value) == str(numpy_error.value)
+
+
+def _frobenius_cases():
+    rng = np.random.default_rng(2031)
+    for d in (1, 3, 8, 16):
+        a = crandn(rng, d, d)
+        for scale in (0, -532, 532):
+            b = a * 2.0**scale
+            yield pytest.param(b, id=f"d={d}-2^{scale}")
+            yield pytest.param(b.T, id=f"d={d}-2^{scale}-transposed")
+    # entries of very different sizes, so that some squares underflow
+    yield pytest.param(np.diag([1e-200, 1.0, 3e-170]).astype(complex), id="mixed-underflow")
+    yield pytest.param(np.diag([1e-160, 2e-160, 0.0]), id="all-tiny")
+    yield pytest.param(np.diag([1e160, 3e159, 0.0]), id="all-huge")
+
+
+class TestFrobenius:
+    """`_frobenius` is within its documented relative (d² + 4)u of the exact norm."""
+
+    @pytest.mark.parametrize("a", list(_frobenius_cases()))
+    def test_within_the_documented_bound(self, a):
+        d = max(a.shape)
+        f = linalg._frobenius(a)
+        exact_squares = sum(Fraction(float(x)) ** 2 for x in np.concatenate([a.real.ravel(), a.imag.ravel()]))
+        # sqrt(exact_squares) lies in [f / (1 + r), f (1 + r)], compared in exact rationals
+        r = Fraction((d * d + 4)) * Fraction(2.0**-53)
+        assert Fraction(f) ** 2 / (1 + r) ** 2 <= exact_squares <= Fraction(f) ** 2 * (1 + r) ** 2
+
+    def test_zero_is_zero(self):
+        assert linalg._frobenius(np.zeros((4, 4), dtype=complex)) == 0.0
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_an_entry_that_is_not_finite_gives_the_largest_modulus(self, k):
+        # each entry of a row of `_special_entries` in a finite matrix: inf where its modulus is
+        # inf, NaN where it is NaN, as the rescaled branch returns that modulus
+        special = _special_entries()
+        rng = np.random.default_rng(k)
+        for z in special[k]:
+            for a in (crandn(rng, 4, 4), crandn(rng, 4, 4).T):
+                a[1, 2] = z
+                with np.errstate(all="ignore"):
+                    f = linalg._frobenius(a)
+                    largest = np.abs(a).max()
+                if np.isfinite(largest):
+                    assert f == pytest.approx(np.sqrt(np.sum(np.abs(a) ** 2)), rel=1e-14)
+                else:
+                    assert np.array_equal(np.array(f), np.array(largest), equal_nan=True)
 
 
 def _max_op_norm_terms():

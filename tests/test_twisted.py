@@ -54,6 +54,7 @@ from partialiso.linalg import (
 )
 from partialiso.operators import _Growth, _pair_lookup, unitarity_residual
 from conftest import (
+    assert_gates_decide_as_the_svd,
     commutant_instances,
     eager_residuals,
     leaf_key,
@@ -204,6 +205,14 @@ class TestVerdictAtTheCutoff:
         # both verdicts, and half the cases within a millionth of eps
         assert 0 < sum(w <= eps for w in worst) < len(corpus)
         assert sum(abs(w - eps) <= 1e-6 * eps for w in worst) >= len(corpus) // 2
+
+    def test_every_gate_decides_as_the_svd(self, corpus, gate_log, monkeypatch):
+        for t in corpus:
+            verify_twisted(t)
+        gates, ranges = gate_log
+        eps = DEFAULT_TOL.eps
+        assert sum(abs(op_norm(a) - eps) <= 1e-6 * eps for a, _, _ in gates) >= len(corpus) // 2
+        assert_gates_decide_as_the_svd(gates, ranges, monkeypatch)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", [

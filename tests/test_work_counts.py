@@ -6,6 +6,7 @@ and whether an SVD asks for singular vectors; a counter on
 `operators._power_walk` shows how many powers of V a check forms.
 """
 
+import functools
 import json
 from collections.abc import Sequence
 
@@ -176,12 +177,16 @@ def test_projection_check_forms_only_blocks_its_bound_cannot_drop(monkeypatch, p
     assert formed == list(range(1, 2 * p))
 
 
-def test_hw_decompose_factorizes_only_non_empty_projection_ranges(monkeypatch, svd_calls):
-    # a unitary part and blocks of orders 2 and 4: orders 1 and 3 are empty
+def _unitary_and_orders_2_and_4() -> np.ndarray:
+    """A scrambled 3-dimensional unitary part plus J_2 x I_2 and J_4: orders 1 and 3 are empty."""
     rng = np.random.default_rng(4)
     parts = [haar_unitary(3, rng), kron(truncated_shift(2), identity(2)), truncated_shift(4)]
     w = haar_unitary(11, rng)
-    v = w @ block_diag(*parts) @ w.conj().T
+    return w @ block_diag(*parts) @ w.conj().T
+
+
+def test_hw_decompose_factorizes_only_non_empty_projection_ranges(monkeypatch, svd_calls):
+    v = _unitary_and_orders_2_and_4()
     spaces = []
     original = halmos_wallen.multiplicity_space
 
@@ -210,6 +215,55 @@ def test_hw_decompose_factorizes_only_non_empty_projection_ranges(monkeypatch, s
     svd_calls.clear()
     assert halmos_wallen.assert_no_shift_parts(v)
     assert not any(compute_uv for _, compute_uv in svd_calls)
+
+
+def test_the_gates_never_call_numpy_norm(monkeypatch):
+    # Frobenius norms, column norms and spectral norms are all taken without np.linalg.norm
+    def no_norm(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called")
+
+    monkeypatch.setattr(np.linalg, "norm", no_norm)
+    monkeypatch.setattr(np_linalg_impl, "norm", no_norm)
+    for seed in range(6):
+        v, unitary_dim, blocks = random_hw_instance(seed)
+        assert is_power_partial_isometry(v) == (True, None)
+        hw = halmos_wallen.hw_decompose(v)
+        assert (hw.unitary_dim, hw.block_multiset()) == (unitary_dim, blocks)
+        t, spec = random_scrambled_model(seed)
+        report = verify_twisted(t)
+        assert report.passed and report.max_residual <= DEFAULT_TOL.eps
+        tree = decompose_tuple(t)
+        assert tree.residual <= DEFAULT_TOL.eps
+        assert sum(leaf.leaf_dim for leaf in tree.leaves) == t.dim
+
+
+def test_hw_decompose_forms_the_range_complement_once(monkeypatch):
+    # four multiplicity spaces off one ladder
+    v = _unitary_and_orders_2_and_4()
+    formed = []
+    original = halmos_wallen.RangeSourceLadder.range_complement
+
+    def counting(ladder):
+        formed.append(original.func(ladder))
+        return formed[-1]
+
+    complement = functools.cached_property(counting)
+    complement.__set_name__(halmos_wallen.RangeSourceLadder, "range_complement")
+    monkeypatch.setattr(halmos_wallen.RangeSourceLadder, "range_complement", complement)
+    read = []
+    original_space = halmos_wallen.multiplicity_space
+
+    def recording(v, p, ladder):
+        read.append(ladder.range_complement)
+        return original_space(v, p, ladder)
+
+    monkeypatch.setattr(halmos_wallen, "multiplicity_space", recording)
+    hw = halmos_wallen._hw_decompose(v, DEFAULT_TOL)
+    assert hw.block_multiset() == [(2, 2), (4, 1)]
+    assert len(formed) == 1 and len(read) == 4
+    assert all(a is formed[0] for a in read)
+    ladder = halmos_wallen.RangeSourceLadder(v).extend(1)
+    assert np.array_equal(formed[0], identity(11) - ladder.ranges[1])
 
 
 def test_decompose_tuple_takes_no_svd_outside_hw_decompose(monkeypatch, svd_calls):
