@@ -402,9 +402,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.started = time.perf_counter()
     try:
-        if not (np.isfinite(args.tol) and args.tol > 0):
-            raise SchemaError(f"--tol must be positive and finite, got {args.tol}")
-        return args.func(args, Tolerance(eps=args.tol))
+        try:
+            tol = Tolerance(eps=args.tol)
+        except ValueError:
+            raise SchemaError(f"--tol must be positive and finite, got {args.tol}") from None
+        return args.func(args, tol)
     except (SchemaError, CommutantTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

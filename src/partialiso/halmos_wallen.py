@@ -38,7 +38,6 @@ from .operators import _block_diag, _power_walk, truncated_shift
 __all__ = [
     "DecompositionError",
     "HWDecomposition",
-    "RangeSourceLadder",
     "TruncatedBlock",
     "assert_no_shift_parts",
     "hw_decompose",

@@ -6,12 +6,13 @@ numerical policy has one home: `eps` is an absolute bound on operator
 norm residuals (the operators in scope are partial isometries, so entries
 are O(1)) and `rank_eps` = eps / 10 the relative singular value cutoff of
 `orthonormal_range` and `nullspace`; `halmos_wallen` cuts projection ranks at 1/2.
+The rounding model that every certificate's bound rests on (`_rounding` and the
+constants beside it) has its one home here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import frexp, inf, isfinite, ldexp, sqrt
 
 import numpy as np
@@ -21,9 +22,6 @@ __all__ = [
     "DimensionMismatchError",
     "Subspace",
     "Tolerance",
-    "adjoint",
-    "as_matrix",
-    "identity",
     "kron",
     "nullspace",
     "op_norm",
@@ -45,6 +43,40 @@ _PHASE_TOL = 1e-8
 # gate the computed spectral norm would decide the same way.
 _BOUND_SLACK = 1e-8
 
+# The rounding model of Higham, "Accuracy and Stability of Numerical Algorithms", section 3.5,
+# which every certificate of the package reads from here: the unit roundoff of double
+# precision, the smallest subnormal, and a bound on the underflow of every Gram-count product
+# of the star-closed commutant (each is at most (m + n + k)^2 n 2^-1074 < 2^-980 at any size
+# its guard admits).
+_UNIT_ROUNDOFF = 2.0**-53
+_SUBNORMAL = 2.0**-1074
+_UNDERFLOW = 2.0**-900
+
+
+def _rounding(n: int) -> tuple[float, float, float]:
+    """(γ, μ, ρ) for products of inner dimension n and norms of n x n matrices.
+
+    A computed complex product of inner dimension n (a BLAS product, summed in any order,
+    fused multiply-adds or not) obeys ‖fl(AB) − AB‖ ≤ γ‖A‖‖B‖ + μ in the Frobenius norm,
+    with γ = 4(n + 2)u and μ = 16n²2^-1074, ten times its underflow, so the spare also covers
+    the underflow in evaluating a bound. With ρ = 2(n² + n + 8)u, a norm computed by
+    `_frobenius` is at most 1 + ρ times the exact one, and ‖A‖ ≤ (1 + ρ)² √(σ + μ), where
+    σ = Σ|a_ij|² is one BLAS dot: its rounding is within 1 + ρ, its underflow within μ, and
+    the other 1 + ρ covers evaluating the bound. u = 2^-53 is `_UNIT_ROUNDOFF`.
+    """
+    return 4 * (n + 2) * _UNIT_ROUNDOFF, 16 * n * n * _SUBNORMAL, 2 * (n * n + n + 8) * _UNIT_ROUNDOFF
+
+
+def _gamma(j: int) -> float:
+    """gamma_j = j u / (1 - j u): the relative rounding of j chained products and sums."""
+    return j * _UNIT_ROUNDOFF / (1.0 - j * _UNIT_ROUNDOFF)
+
+
+def _sum_of_squares(a: np.ndarray) -> float:
+    """An upper bound on the sum of the squared moduli of the entries of ``a``, from one BLAS dot."""
+    reals = 2 * a.size if np.iscomplexobj(a) else a.size
+    return float(np.vdot(a, a).real) * (1.0 + 2.0 * _gamma(reals + 1)) + _UNDERFLOW
+
 
 class DimensionMismatchError(ValueError):
     """Shapes of two operands do not agree."""
@@ -52,13 +84,16 @@ class DimensionMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical policy: absolute residual bound; the relative rank cutoff tracks it at 10:1."""
+    """Numerical policy: absolute residual bound, 0 < eps < inf; the relative rank cutoff tracks it at 10:1.
+
+    An infinite eps would pass every gate, whatever the residual.
+    """
 
     eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
     @property
     def rank_eps(self) -> float:
@@ -171,11 +206,9 @@ def _gram_power_bound(a: np.ndarray, f: float) -> float:
     example-4.3 and model tuples up to d = 96. Outside 2^-900 <= f < 2^900
     the bound is f.
 
-    Rounding, in the model and constants of `power_isometry_residual`
-    (n the larger side of ``a``; γ = 4(n + 2)u, μ = 16n²2^-1074,
-    ρ = 2(n² + n + 8)u, u = 2^-53; ‖·‖ the Frobenius norm):
-    ‖fl(XY) − XY‖ ≤ γ‖X‖‖Y‖ + μ, and `_frobenius` is within 1 + ρ and
-    half a subnormal step.
+    Rounding, in the model of `_rounding` (γ, μ and ρ of n, the larger
+    side of ``a``; ‖·‖ the Frobenius norm): ‖fl(XY) − XY‖ ≤ γ‖X‖‖Y‖ + μ,
+    and `_frobenius` is within 1 + ρ and half a subnormal step.
 
     1. Scaling. ‖a‖ ≤ (1 + ρ)f < 2^k (1 + ρ), so the exact A has
        ‖A‖ < 1 + ρ, and the computed Â differs from it by underflow
@@ -195,11 +228,7 @@ def _gram_power_bound(a: np.ndarray, f: float) -> float:
     if not -900 <= k < 900:
         return f
     rows, cols = a.shape
-    n = max(rows, cols)
-    u = 2.0**-53
-    gamma = 4 * (n + 2) * u
-    mu = 16 * n * n * 2.0**-1074
-    rho = 2 * (n * n + n + 8) * u
+    gamma, mu, rho = _rounding(max(rows, cols))
     scaled = a * ldexp(1.0, -k)
     gram = adjoint(scaled) @ scaled if rows >= cols else scaled @ adjoint(scaled)
     gram = gram @ gram
@@ -282,16 +311,10 @@ def _term_bound(term: list) -> float:
 def _max_op_norm(matrices) -> float:
     """``max(op_norm(a) for a in matrices)``, the same float, by `_ScreenedMax`; 0.0 for none.
 
-    A single term is its own maximum and takes its SVD unscreened. From the first term
-    with an entry that is not finite on, every term takes its `op_norm` as the
-    unscreened maximum would: NaN, or the LinAlgError of its SVD.
+    From the first term with an entry that is not finite on, every term takes its
+    `op_norm` as the unscreened maximum would: NaN, or the LinAlgError of its SVD.
     """
     terms = iter(matrices)
-    first = next(terms, None)
-    second = None if first is None else next(terms, None)
-    if second is None:
-        return 0.0 if first is None else op_norm(first)
-    terms = chain((first, second), terms)
     screened = _ScreenedMax()
     for k, a in enumerate(terms):
         if not screened.add(a):

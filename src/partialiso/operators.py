@@ -14,17 +14,19 @@ the residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations
 from math import inf, prod, sqrt
 
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
     _BOUND_SLACK,
+    _UNIT_ROUNDOFF,
+    DEFAULT_TOL,
     Tolerance,
     _norm_within,
     _require_square,
+    _rounding,
     _ScreenedMax,
     adjoint,
     as_matrix,
@@ -144,25 +146,24 @@ def _power_walk(v: np.ndarray):
 
 
 class _Growth:
-    """Steps 1, 2 and 5 of the proof in `power_isometry_residual`: a bound on later powers.
+    """Every bound on the later powers of one operator: steps 1, 2 and 5 of the proof in
+    `power_isometry_residual` (`later`), its step 3 (`residual_tail`), and the ladder steps
+    of `twisted.check_projection_commutation` (`step_tail`).
 
     Built from V and its computed power-1 residual VV*V - V (the products of `_power_walk`),
-    it holds the rounding constants γ, μ and ρ of that proof for d x d input, and the growth
-    per power c, which stays None unless the guard of step 5 holds.
+    it holds γ, μ and ρ of `linalg._rounding` for d x d input, and the growth per power c,
+    which stays None unless the guard of step 5 holds.
     """
 
     def __init__(self, v: np.ndarray, residual: np.ndarray) -> None:
         d = v.shape[0]
-        u = 2.0**-53
         self.d = d
-        self.gamma = 4 * (d + 2) * u
-        self.mu = 16 * d * d * 2.0**-1074
-        self.rho = 2 * (d * d + d + 8) * u
+        self.gamma, self.mu, self.rho = _rounding(d)
         self.c = None
         size = self.norm_bound(np.vdot(v, v).real)
         t = self.norm_bound(np.vdot(residual, residual).real)
         if t <= 2 * _BOUND_SLACK:
-            nu = 1 + (t * (1 + 2 * u) + 3 * self.gamma * size**3 + 2 * self.mu * (1 + size)) / 2
+            nu = 1 + (t * (1 + 2 * _UNIT_ROUNDOFF) + 3 * self.gamma * size**3 + 2 * self.mu * (1 + size)) / 2
             self.c = nu + self.gamma * size
 
     def norm_bound(self, squares: float) -> float:
@@ -183,6 +184,16 @@ class _Growth:
             return inf
         k = self.d + 1 - n
         return (self.norm_bound(squares) + k * self.mu) * self.c**k
+
+    def residual_tail(self, a: float) -> float:
+        """Step 3: a bound on the computed Frobenius norm of every later residual
+        V^m V^m* V^m - V^m, from ``a`` = `later` at the power the walk stands on."""
+        return (1 + self.rho) ** 2 * (1 + self.gamma) ** 2 * (a * (1 + a * a) + self.mu * (1 + a))
+
+    def step_tail(self, a: float) -> float:
+        """b, a bound on `_frobenius` of each computed R_m - R_{m+1} and S_m - S_{m+1} of a
+        ladder whose powers V^m, m >= N, are bounded by ``a`` (see `check_projection_commutation`)."""
+        return (1 + self.rho) ** 2 * (2 * ((1 + self.gamma) * a * a + self.mu) + self.mu)
 
 
 def _residual_walk(v: np.ndarray):
@@ -206,8 +217,7 @@ def _residual_walk(v: np.ndarray):
         if a == 0.0:
             yield residual, 0.0
             return
-        rho, gamma, mu = growth.rho, growth.gamma, growth.mu
-        yield residual, (1 + rho) ** 2 * (1 + gamma) ** 2 * (a * (1 + a * a) + mu * (1 + a))
+        yield residual, growth.residual_tail(a)
 
 
 def power_isometry_residual(v: np.ndarray) -> float:
@@ -221,15 +231,10 @@ def power_isometry_residual(v: np.ndarray) -> float:
     gives inf.
 
     The bound. Write u = 2^-53, ‖·‖ for the Frobenius norm, and hats for
-    computed matrices. A computed complex product of inner dimension d
-    (a BLAS product, summed in any order, fused multiply-adds or not)
-    obeys ‖fl(AB) − AB‖ ≤ γ‖A‖‖B‖ + μ with γ = 4(d + 2)u and
-    μ = 16 d² 2^-1074, ten times its underflow, so the spare also covers
-    the underflow in evaluating the bound. With ρ = 2(d² + d + 8)u, a
-    norm computed by `_frobenius` is at most 1 + ρ times the exact one,
-    and the walk bounds ‖A‖ ≤ (1 + ρ)² √(σ + μ), where σ = Σ|a_ij|² is
-    one BLAS dot: its rounding is within 1 + ρ, its underflow within μ,
-    and the other 1 + ρ covers evaluating the bound.
+    computed matrices. Rounding follows `linalg._rounding` at n = d: a
+    computed product obeys ‖fl(AB) − AB‖ ≤ γ‖A‖‖B‖ + μ, a norm computed
+    by `_frobenius` is at most 1 + ρ times the exact one, and the walk
+    bounds ‖A‖ ≤ (1 + ρ)² √(σ + μ), with σ = Σ|a_ij|² one BLAS dot.
 
     1. Norm of V. The singular values s of V give VV*V − V singular values
        |s³ − s|, and s³ − s ≥ 2(s − 1) for s ≥ 1, since their difference
@@ -259,8 +264,8 @@ def power_isometry_residual(v: np.ndarray) -> float:
        isometry), the walk is never cut. An operator with a unitary part
        of dimension k keeps ‖V̂^n‖ ≥ √k, so its walk runs in full anyway.
 
-    `_Growth` holds steps 1, 2 and 5 (ν, c and a); the stop of
-    `twisted.check_projection_commutation` reads the same a.
+    `_Growth` holds steps 1, 2, 3 and 5 (ν, c, a and the tail); the stop
+    of `twisted.check_projection_commutation` reads the same a.
     """
     v = _require_square(v)
     residuals = _ScreenedMax()
@@ -305,6 +310,22 @@ def _pair_lookup(half: dict[tuple[int, int], np.ndarray], i: int, j: int) -> np.
     return adjoint(half[(j, i)])
 
 
+def _twist_family(
+    twists: dict[tuple[int, int], np.ndarray], n: int, dim: int
+) -> dict[tuple[int, int], np.ndarray]:
+    """A twist family over N = ``n`` operators, stored for 1 <= i < j <= N: each given
+    U_ij coerced by `as_matrix` (shapes are left to the caller), the identity on C^dim
+    for each pair left out. A pair out of range is refused."""
+    family: dict[tuple[int, int], np.ndarray] = {}
+    for (i, j), u in twists.items():
+        if not (1 <= i < j <= n):
+            raise ValueError(f"twist index pair {(i, j)} out of range (need 1 <= i < j <= {n})")
+        family[(i, j)] = as_matrix(u)
+    for pair in combinations(range(1, n + 1), 2):
+        family.setdefault(pair, identity(dim))
+    return family
+
+
 @dataclass
 class TwistedTuple:
     """N operators on C^dim plus the commuting twist family.
@@ -328,19 +349,10 @@ class TwistedTuple:
         for k, v in enumerate(self.ops, 1):
             if v.shape != (self.dim, self.dim):
                 raise ValueError(f"operator {k} has shape {v.shape}, expected ({self.dim}, {self.dim})")
-        n = len(self.ops)
-        normalized: dict[tuple[int, int], np.ndarray] = {}
-        for (i, j), u in self.twists.items():
-            if not (1 <= i < j <= n):
-                raise ValueError(f"twist index pair {(i, j)} out of range (need 1 <= i < j <= {n})")
-            u = as_matrix(u)
+        self.twists = _twist_family(self.twists, len(self.ops), self.dim)
+        for key, u in self.twists.items():
             if u.shape != (self.dim, self.dim):
-                raise ValueError(f"twist {(i, j)} has shape {u.shape}, expected ({self.dim}, {self.dim})")
-            normalized[(i, j)] = u
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                normalized.setdefault((i, j), identity(self.dim))
-        self.twists = normalized
+                raise ValueError(f"twist {key} has shape {u.shape}, expected ({self.dim}, {self.dim})")
 
     @property
     def n_ops(self) -> int:
@@ -464,17 +476,10 @@ class ModelSpec:
             "u" if kind == "u" else _positive_int(kind, f"slot {k}: shift size")
             for k, kind in enumerate(self.slot_kinds, 1)
         ]
-        n = len(self.slot_kinds)
-        full: dict[tuple[int, int], np.ndarray] = {}
-        for (i, j), u in self.twist_data.items():
-            if not (1 <= i < j <= n):
-                raise ValueError(f"twist pair {(i, j)} out of range")
-            full[(i, j)] = as_matrix(u)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                full.setdefault((i, j), identity(self.aux_dim))
-        self.twist_data = full
-        self.slot_unitaries = {int(i): as_matrix(u) for i, u in self.slot_unitaries.items()}
+        self.twist_data = _twist_family(self.twist_data, len(self.slot_kinds), self.aux_dim)
+        self.slot_unitaries = {
+            _positive_int(i, "slot_unitaries key"): as_matrix(u) for i, u in self.slot_unitaries.items()
+        }
 
     @property
     def n_ops(self) -> int:

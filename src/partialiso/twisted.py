@@ -32,13 +32,17 @@ from .halmos_wallen import (
 )
 from .linalg import (
     _BOUND_SLACK,
+    _UNDERFLOW,
+    _UNIT_ROUNDOFF,
     DEFAULT_TOL,
     DimensionMismatchError,
     Tolerance,
     _frobenius,
+    _gamma,
     _max_op_norm,
     _norm_within,
     _require_square,
+    _sum_of_squares,
     _svd_rank,
     adjoint,
     as_matrix,
@@ -166,13 +170,6 @@ def verify_twisted(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> TwistReport
     return TwistReport(eps=tol.eps, passed=passed, _checked=checked)
 
 
-def _later_step_bound(growth: _Growth, a: float) -> float:
-    """b, a bound on `_frobenius` of each computed R_m - R_{m+1} and S_m - S_{m+1} of a
-    ladder whose powers V^m, m >= N, are bounded by ``a`` (see `check_projection_commutation`)."""
-    rho, gamma, mu = growth.rho, growth.gamma, growth.mu
-    return (1 + rho) ** 2 * (2 * ((1 + gamma) * a * a + mu) + mu)
-
-
 def check_projection_commutation(
     v: np.ndarray, w: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> dict[str, float]:
@@ -190,7 +187,7 @@ def check_projection_commutation(
     y_j = ||S_j - S_{j+1}||, give
     sum_n x_{n-1} y_{p-n} (1 + `_BOUND_SLACK`) <= 1/2: the computed block's
     Frobenius norm is at most that sum times (1 + ρ)²(1 + γ)(1 + u)^{2p}
-    plus pμ, in the constants of `power_isometry_residual`, which the slack
+    plus pμ, in the constants of `linalg._rounding`, which the slack
     covers with room for the SVD.
 
     The ladder of V stops as soon as the steps it has not formed cannot
@@ -201,16 +198,17 @@ def check_projection_commutation(
     at a time, up to p at most, where the steps are the walk's own. So the
     blocks formed, and the returned floats, are those of a ladder walked
     to d. The bound b, in the notation of that proof (‖·‖ Frobenius):
-    `operators._Growth` bounds every computed V̂^m, N <= m <= d + 1, by a
+    `operators._Growth.later` bounds every computed V̂^m, N <= m <= d + 1, by a
     (steps 1 and 2; inf where the guard of step 5 fails, so the ladder goes
     on as before, and 0.0 where V̂^N is exactly zero). A computed
     R̂_m = fl(V̂^m V̂^m*) then has ‖R̂_m‖ <= (1 + γ)a² + μ, and Ŝ_m alike;
     the difference of two, rounded entrywise, is at most 1 + u times
     2((1 + γ)a² + μ), and `_frobenius` adds 1 + ρ and half a subnormal
     step. So b = (1 + ρ)²(2((1 + γ)a² + μ) + μ), the second 1 + ρ covering
-    the 1 + u and the evaluation. At d = 50, scrambled example 4.3 stops
-    its ladder at power 9, not 50: order 9 is the last whose bound it
-    cannot drop, and its steps past order 5 are of rounding size.
+    the 1 + u and the evaluation; `_Growth.step_tail` forms it. At d = 50,
+    scrambled example 4.3 stops its ladder at power 9, not 50: order 9 is
+    the last whose bound it cannot drop, and its steps past order 5 are of
+    rounding size.
     """
     v = _require_square(v)
     w = as_matrix(w)
@@ -240,7 +238,7 @@ def check_projection_commutation(
         for j in range(len(x), top):
             x.append(_frobenius(ranges[j] - ranges[j + 1]))
             y.append(_frobenius(sources[j] - sources[j + 1]))
-        return _later_step_bound(growth, growth.later(top, ladder.power) if top < d else inf)
+        return growth.step_tail(growth.later(top, ladder.power) if top < d else inf)
 
     def dropped(p: int, b: float) -> bool:
         """Whether order p's bound, with b for each step not formed, drops its block."""
@@ -268,11 +266,6 @@ def check_projection_commutation(
 
 # Largest peak of a Sylvester system the package will build: its stack and the copies factorizing it makes.
 COMMUTANT_MAX_BYTES = 2 * 1024**3
-
-# The unit roundoff of double precision, and a bound on the underflow of every Gram-count
-# product: each is at most (m + n + k)^2 n 2^-1074 < 2^-980 at any size the guard admits.
-_UNIT_ROUNDOFF = 2.0**-53
-_UNDERFLOW = 2.0**-900
 
 
 class CommutantTooLargeError(ValueError):
@@ -337,17 +330,6 @@ def _hermitian_units(sizes: list[int]) -> tuple:
     b, p, q = (np.concatenate(x) for x in ((diag, sym, sym, anti, anti), (diag, j, k, j, k), (diag, k, j, k, j)))
     gamma = np.repeat([np.sqrt(2.0), 1.0, 1.0, 1j, -1j], [d] + 4 * [len(j)])[:, None]
     return b, p, q, gamma
-
-
-def _gamma(j: int) -> float:
-    """gamma_j = j u / (1 - j u): the relative rounding of j chained products and sums."""
-    return j * _UNIT_ROUNDOFF / (1.0 - j * _UNIT_ROUNDOFF)
-
-
-def _sum_of_squares(a: np.ndarray) -> float:
-    """An upper bound on the sum of the squared moduli of the entries of ``a``, from one BLAS dot."""
-    reals = 2 * a.size if np.iscomplexobj(a) else a.size
-    return float(np.vdot(a, a).real) * (1.0 + 2.0 * _gamma(reals + 1)) + _UNDERFLOW
 
 
 def _uniform(seed: int, *shape: int) -> np.ndarray:
@@ -883,6 +865,11 @@ def _restrict(op: np.ndarray, basis: np.ndarray, eps: float, what: str) -> np.nd
     return c
 
 
+def _path_step(kind) -> str:
+    """One step of the stage path that `DecompositionError` texts name: "/u" or "/p=<p>"."""
+    return "/u" if kind == "u" else f"/p={kind}"
+
+
 def _decompose_rec(
     remaining: list[int], carried: dict[int, np.ndarray], dim: int, tol: Tolerance, path: str
 ) -> list[DecompositionLeaf]:
@@ -912,7 +899,7 @@ def _decompose_rec(
     for label, p, mult, wp in parts[1:] + parts[:1]:
         if not mult:
             continue
-        here = f"{path}/u" if label == "u" else f"{path}/p={p}"
+        here = path + _path_step(label)
         sub = {}
         for n in rest:
             c = _restrict(carried[n], wp, eps, f"{here}: operator {n}")
@@ -941,7 +928,7 @@ def _read_leaf(t: TwistedTuple, leaf: DecompositionLeaf, eps: float) -> Decompos
     def compress(a: np.ndarray, what: str) -> np.ndarray:
         c = adjoint(g1) @ a @ g1
         if not _unitary_within(c, eps):
-            where = "".join("/u" if kind == "u" else f"/p={kind}" for kind in kinds)
+            where = "".join(map(_path_step, kinds))
             raise DecompositionError(
                 f"{where}: {what}: compression is not unitary (residual {unitarity_residual(c):.3e})"
             )

@@ -361,6 +361,32 @@ class TestMaxOpNorm:
     def test_no_terms_give_zero(self):
         assert linalg._max_op_norm([]) == 0.0
 
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            pytest.param([np.zeros((0, 0))], id="one-empty"),
+            pytest.param([np.zeros((4, 4))], id="one-zero"),
+            pytest.param([crandn(np.random.default_rng(5), 6, 6)], id="one"),
+            pytest.param([np.diag([2.0**-1074, 0.0])], id="one-subnormal"),
+            pytest.param([crandn(np.random.default_rng(5), 6, 3), crandn(np.random.default_rng(6), 3, 6)], id="two"),
+            pytest.param([np.array([[np.inf, 0.0], [0.0, 1.0]])], id="one-inf"),
+            pytest.param([np.full((3, 3), np.inf)], id="one-all-inf"),
+            pytest.param([np.array([[np.nan, 0.0], [0.0, 1.0]])], id="one-nan"),
+        ],
+    )
+    def test_few_terms_give_the_unscreened_maximum(self, terms):
+        # a lone term goes through the screen too: its float, NaN or LinAlgError is that of its op_norm
+        def outcome(f):
+            try:
+                value = f()
+            except np.linalg.LinAlgError:
+                return "LinAlgError"
+            return "nan" if np.isnan(value) else value.hex()
+
+        with np.errstate(invalid="ignore"):
+            expected = outcome(lambda: max(map(op_norm, terms)))
+            assert outcome(lambda: linalg._max_op_norm(iter(terms))) == expected
+
     def test_growing_terms_take_few_svds_and_hold_few_matrices(self, monkeypatch):
         rng = np.random.default_rng(3)
         base = crandn(rng, 16, 16)
@@ -391,6 +417,15 @@ class TestToleranceAndSubspace:
     def test_tolerance_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Tolerance(eps=0.0)
+
+    @pytest.mark.parametrize("eps", [np.inf, np.nan, -np.inf, -1e-9])
+    def test_tolerance_rejects_what_is_not_positive_and_finite(self, eps):
+        # an infinite eps would pass every gate: a tuple scaled by 1e100 would verify
+        with pytest.raises(ValueError, match="positive and finite"):
+            Tolerance(eps=eps)
+
+    def test_tolerance_accepts_the_largest_finite_eps(self):
+        assert Tolerance(eps=np.finfo(float).max).eps == np.finfo(float).max
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_norm_gate_rejects_non_finite_before_any_svd(self, bad, monkeypatch):

@@ -434,9 +434,37 @@ class TestModelSpec:
             ModelSpec(slot_kinds=kinds, aux_dim=aux_dim)
 
     def test_accepts_numpy_integer_slot_sizes(self):
-        spec = ModelSpec(slot_kinds=[np.int64(2), "u"], aux_dim=np.int32(1), slot_unitaries={2: [[1j]]})
-        assert spec.slot_kinds == [2, "u"] and spec.aux_dim == 1
-        assert all(type(k) is int for k in (spec.slot_kinds[0], spec.aux_dim))
+        spec = ModelSpec(slot_kinds=[np.int64(2), "u"], aux_dim=np.int32(1), slot_unitaries={np.int64(2): [[1j]]})
+        assert spec.slot_kinds == [2, "u"] and spec.aux_dim == 1 and list(spec.slot_unitaries) == [2]
+        assert all(type(k) is int for k in (spec.slot_kinds[0], spec.aux_dim, *spec.slot_unitaries))
+
+    @pytest.mark.parametrize("key", [2.7, np.float64(2.0), "2", True, 0])
+    def test_refuses_slot_unitary_keys_that_are_not_positive_integers(self, key):
+        # a float key was once truncated to its integer part, so slot 2.7 built as slot 2
+        u = np.array([[1j]])
+        with pytest.raises(ValueError, match="slot_unitaries key"):
+            ModelSpec([2, "u"], 1, slot_unitaries={key: u})
+
+    @pytest.mark.parametrize("pair", [(0, 1), (2, 1), (1, 3), (2, 2)])
+    def test_twist_pairs_out_of_range_raise_the_tuple_text(self, pair):
+        # one normaliser for both twist families, so one text
+        u = np.eye(1)
+        for build in (
+            lambda: ModelSpec([2, 2], 1, twist_data={pair: u}),
+            lambda: TwistedTuple(dim=1, ops=[u, u], twists={pair: u}),
+        ):
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert str(raised.value) == f"twist index pair {pair} out of range (need 1 <= i < j <= 2)"
+
+    def test_missing_twists_are_identities_in_both_families(self):
+        spec = ModelSpec([2, 2, 2], 2, twist_data={(1, 3): -np.eye(2)})
+        t = TwistedTuple(dim=2, ops=[np.eye(2)] * 3, twists={(1, 3): -np.eye(2)})
+        for family in (spec.twist_data, t.twists):
+            assert sorted(family) == [(1, 2), (1, 3), (2, 3)]
+            assert all(u.dtype == complex for u in family.values())
+            np.testing.assert_array_equal(family[(1, 2)], np.eye(2))
+            np.testing.assert_array_equal(family[(1, 3)], -np.eye(2))
 
     def test_rejects_noncommuting_twist_family(self):
         a = np.diag([1.0, -1.0]).astype(complex)

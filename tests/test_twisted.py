@@ -438,7 +438,7 @@ class TestProjectionCheckTail:
         growth = _Growth(np.zeros((d, d), dtype=complex), np.zeros((d, d), dtype=complex))
         u = 2.0**-53
         gamma, mu, rho = 4 * (d + 2) * u, 16 * d * d * 2.0**-1074, 2 * (d * d + d + 8) * u
-        b = twisted._later_step_bound(growth, a)
+        b = growth.step_tail(a)
         assert b == (1 + rho) ** 2 * (2 * ((1 + gamma) * a * a + mu) + mu)
         # and it covers the real bound: `_frobenius` within 1 + rho and half a subnormal step
         # of the difference, which is within 1 + u of 2((1 + gamma) a^2 + mu)
@@ -455,7 +455,7 @@ class TestProjectionCheckTail:
             walk = RangeSourceLadder(v)
             for top in range(2, d):
                 walk.extend(top)
-                b = twisted._later_step_bound(growth, growth.later(top, walk.power))
+                b = growth.step_tail(growth.later(top, walk.power))
                 later = [
                     _frobenius(e[j] - e[j + 1]) for e in (ladder.ranges, ladder.sources) for j in range(top, d)
                 ]
