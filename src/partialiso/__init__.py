@@ -6,6 +6,7 @@ certified residuals throughout. See the README for the CLI. The public
 names are those in the ``__all__`` of each module below.
 """
 
+from .commutant import *  # noqa: F403
 from .halmos_wallen import *  # noqa: F403
 from .linalg import *  # noqa: F403
 from .operators import *  # noqa: F403

@@ -16,6 +16,7 @@ from math import prod
 
 import numpy as np
 
+from .commutant import COMMUTANT_MAX_BYTES, CommutantTooLargeError
 from .documents import (
     SCHEMA_VERSION,
     SchemaError,
@@ -27,7 +28,7 @@ from .documents import (
     tuple_document,
 )
 from .halmos_wallen import DecompositionError, hw_decompose
-from .linalg import Tolerance
+from .linalg import DEFAULT_TOL, Tolerance
 from .operators import (
     _relation_rows,
     build_model_tuple,
@@ -36,13 +37,7 @@ from .operators import (
     haar_unitary,
     is_power_partial_isometry,
 )
-from .twisted import (
-    COMMUTANT_MAX_BYTES,
-    CommutantTooLargeError,
-    decompose_tuple,
-    equivalence_check,
-    verify_twisted,
-)
+from .twisted import decompose_tuple, equivalence_check, verify_twisted
 
 __all__ = ["entry", "main"]
 
@@ -298,7 +293,7 @@ def cmd_generate(args, tol: Tolerance) -> int:
     metadata.update(seed=args.seed, scrambled=bool(args.scramble))
     if args.scramble:
         t = conjugate_tuple(t, haar_unitary(t.dim, args.seed))
-    check = verify_twisted(t, Tolerance(eps=1e-9))
+    check = verify_twisted(t, DEFAULT_TOL)
     if not check.passed:
         raise SchemaError(
             f"generated tuple failed self-verification (max residual {check.max_residual:.3e})"
@@ -337,7 +332,7 @@ def cmd_equiv(args, tol: Tolerance) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, jobs: bool = False) -> None:
-    parser.add_argument("--tol", type=float, default=1e-9, help="residual tolerance (default 1e-9)")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL.eps, help="residual tolerance (default 1e-9)")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
     parser.add_argument("--timing", action="store_true", help="include wall-clock timing in the report")
     if jobs:
@@ -379,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--scramble", action="store_true",
                        help="conjugate by a seeded random unitary")
-    p_gen.add_argument("--tol", type=float, default=1e-9)
+    p_gen.add_argument("--tol", type=float, default=DEFAULT_TOL.eps)
     p_gen.add_argument("--output", default=None)
     p_gen.set_defaults(func=cmd_generate)
 

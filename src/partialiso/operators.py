@@ -332,10 +332,10 @@ class TwistedTuple:
 
     ``twists`` maps (i, j) with 1 <= i < j <= N to the twist U_ij; missing
     pairs default to the identity (an untwisted, star-commuting pair).
-    U_ji is implicitly U_ij*. Construction checks shapes only; the math
-    (unitarity, commutation, the twisted relations, the power-partial-
-    isometry property of each operator) is verified, not assumed, by
-    `partialiso.twisted.verify_twisted`.
+    U_ji is implicitly U_ij*. Construction checks ``dim`` (an integer
+    >= 1) and shapes only; the math (unitarity, commutation, the twisted
+    relations, the power-partial-isometry property of each operator) is
+    verified, not assumed, by `partialiso.twisted.verify_twisted`.
     """
 
     dim: int
@@ -343,6 +343,7 @@ class TwistedTuple:
     twists: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self.dim = _positive_int(self.dim, "dim")
         self.ops = [as_matrix(v) for v in self.ops]
         if not self.ops:
             raise ValueError("a tuple needs at least one operator")
@@ -480,6 +481,8 @@ class ModelSpec:
         self.slot_unitaries = {
             _positive_int(i, "slot_unitaries key"): as_matrix(u) for i, u in self.slot_unitaries.items()
         }
+        if stray := sorted(set(self.slot_unitaries).difference(self.unitary_slots())):
+            raise ValueError(f"slot_unitaries keys {stray} name no unitary slot")
 
     @property
     def n_ops(self) -> int:

@@ -25,7 +25,7 @@ from partialiso import (
     random_model_spec,
     truncated_shift,
 )
-from partialiso import halmos_wallen, linalg, operators, twisted
+from partialiso import commutant, halmos_wallen, linalg, operators, twisted
 from partialiso.linalg import adjoint, identity
 from partialiso.operators import _relation_defects
 
@@ -33,7 +33,7 @@ from partialiso.operators import _relation_defects
 @pytest.fixture
 def gram_route(monkeypatch):
     """The star-closed count with its eigenbasis tier undecided: steps 1-5 on the full stack."""
-    monkeypatch.setattr(twisted, "_eigenbasis_count", lambda mats, eps: None)
+    monkeypatch.setattr(commutant, "_eigenbasis_count", lambda mats, eps: None)
 
 
 @pytest.fixture
@@ -51,7 +51,7 @@ def gate_log(monkeypatch):
         ranges.append((np.array(a), projection_range(a)))
         return ranges[-1][1]
 
-    for module in (halmos_wallen, operators, twisted):
+    for module in (commutant, halmos_wallen, operators, twisted):
         monkeypatch.setattr(module, "_norm_within", gate)
     monkeypatch.setattr(halmos_wallen, "_projection_range", range_of)
     return gates, ranges

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -445,6 +446,16 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="slot_unitaries key"):
             ModelSpec([2, "u"], 1, slot_unitaries={key: u})
 
+    @pytest.mark.parametrize("slot_unitaries,stray", [
+        ({2: [[1j]], 5: [[1.0]], 1: [[-1.0]]}, [1, 5]),
+        ({2: [[1j]], 1: [[-1.0]]}, [1]),
+        ({2: [[1j]], 3: [[1.0]]}, [3]),
+    ])
+    def test_refuses_slot_unitary_keys_that_name_no_unitary_slot(self, slot_unitaries, stray):
+        # a key at a shift slot or past the last slot was once kept, and the model never read it
+        with pytest.raises(ValueError, match=re.escape(f"slot_unitaries keys {stray} name no unitary slot")):
+            ModelSpec([2, "u"], 1, slot_unitaries=slot_unitaries)
+
     @pytest.mark.parametrize("pair", [(0, 1), (2, 1), (1, 3), (2, 2)])
     def test_twist_pairs_out_of_range_raise_the_tuple_text(self, pair):
         # one normaliser for both twist families, so one text
@@ -581,6 +592,23 @@ class TestTupleHelpers:
     def test_missing_twists_default_to_identity(self):
         t = TwistedTuple(dim=2, ops=[np.eye(2), truncated_shift(2)])
         np.testing.assert_allclose(t.twists[(1, 2)], np.eye(2))
+
+    @pytest.mark.parametrize("n_ops", [1, 2])
+    @pytest.mark.parametrize("dim,text", [
+        (2.0, "dim must be an integer, got 2.0"),
+        (np.float64(2.0), "dim must be an integer, got np.float64(2.0)"),
+        (True, "dim must be an integer, got True"),
+        (0, "dim must be >= 1, got 0"),
+    ])
+    def test_refuses_a_dim_that_is_not_a_positive_integer(self, n_ops, dim, text):
+        # a float dim once built, and verify_twisted then raised a bare TypeError
+        with pytest.raises(ValueError) as raised:
+            TwistedTuple(dim=dim, ops=[np.zeros((int(dim), int(dim)))] * n_ops)
+        assert str(raised.value) == text
+
+    def test_accepts_a_numpy_integer_dim(self):
+        t = TwistedTuple(dim=np.int64(2), ops=[np.eye(2), truncated_shift(2)])
+        assert type(t.dim) is int and t.dim == 2
 
 
 def _both_sides(u):

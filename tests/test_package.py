@@ -1,6 +1,8 @@
-"""The package's single homes: its public names come from each module's ``__all__``, and
-the rounding model's constants are written in `linalg` alone."""
+"""The package's single homes: its public names come from each module's ``__all__``, the
+rounding model's constants and the default eps are written in `linalg` alone, and the Sylvester
+engine lives in `commutant` alone."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import partialiso
-from partialiso import halmos_wallen, linalg, operators, twisted
+from partialiso import commutant, halmos_wallen, linalg, operators, twisted
 
 PUBLIC_NAMES = {
     "CommutantTooLargeError", "DEFAULT_TOL", "DecompositionError", "DecompositionLeaf",
@@ -25,7 +27,25 @@ PUBLIC_NAMES = {
     "truncated_block_projection", "truncated_shift", "verify_twisted", "zero_subspace",
 }
 
-MODULES = (halmos_wallen, linalg, operators, twisted)
+MODULES = (commutant, halmos_wallen, linalg, operators, twisted)
+
+SOURCE = Path(partialiso.__file__).parent
+
+# The private names of the Sylvester engine: whatever builds, guards or solves such a system.
+ENGINE_NAMES = (
+    "_check_size", "_sylvester_rows", "_sylvester_stack", "_matrix_units", "_hermitian_units",
+    "_uniform", "_gram_split", "_gram_count", "_eigenbasis_count", "_eigenbasis_step",
+)
+
+
+def _names_in(path: Path) -> set[str]:
+    """Every name a module defines, imports, reads or reads as an attribute."""
+    return {
+        name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        if isinstance(name, str)
+    }
 
 
 def test_the_package_namespace_is_the_public_names():
@@ -46,6 +66,24 @@ def test_each_name_in_a_module_all_resolves_on_the_package(module):
 @pytest.mark.parametrize("power", ["53", "1074", "900"])
 def test_rounding_constants_are_written_in_linalg_only(power):
     literal = re.compile(rf"2\.0\s*\*\*\s*-{power}\b")
-    source = Path(partialiso.__file__).parent
-    holders = sorted(p.name for p in source.glob("*.py") if literal.search(p.read_text(encoding="utf-8")))
+    holders = sorted(p.name for p in SOURCE.glob("*.py") if literal.search(p.read_text(encoding="utf-8")))
     assert holders == ["linalg.py"]
+
+
+def test_the_default_eps_is_written_in_linalg_only():
+    def holds(path: Path) -> bool:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return any(isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-9
+                   for node in ast.walk(tree))
+
+    assert sorted(p.name for p in SOURCE.glob("*.py") if holds(p)) == ["linalg.py"]
+
+
+def test_the_sylvester_engine_is_private_to_commutant():
+    tree = ast.parse(inspect.getsource(commutant))
+    assert set(ENGINE_NAMES) <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    # the engine stands on the linear algebra alone
+    assert {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level} == {"linalg"}
+    for path in SOURCE.glob("*.py"):
+        if path.name != "commutant.py":
+            assert not _names_in(path) & set(ENGINE_NAMES), path.name

@@ -41,7 +41,7 @@ from partialiso import (
     truncated_shift,
     verify_twisted,
 )
-from partialiso import twisted
+from partialiso import commutant, twisted
 from partialiso.halmos_wallen import RangeSourceLadder, _stable_projections, truncated_block_projection
 from partialiso.linalg import (
     _BOUND_SLACK,
@@ -548,15 +548,19 @@ class TestCommutant:
 
     _D32_SETUP = """
         import numpy as np
-        from partialiso import build_twisted_shift_pair, commutant_dimension, conjugate_tuple, haar_unitary, twisted
+        from partialiso import build_twisted_shift_pair, commutant, commutant_dimension, conjugate_tuple, haar_unitary
         t = build_twisted_shift_pair(4, np.exp(0.7j))
         ops = conjugate_tuple(t, haar_unitary(t.dim, 4)).ops
     """
 
     def test_star_closed_count_at_d32_stays_under_two_blocks_of_resident_memory(self):
         # example 4.3 at d = 32: a complex d^2 x d^2 block is 16.8 MB. The Gram route peaks at
-        # G, the copy Cholesky makes and its factor, 1.5 blocks, plus BLAS buffers
-        setup = textwrap.dedent(self._D32_SETUP) + "twisted._eigenbasis_count = lambda mats, eps: None\n"
+        # G, the copy Cholesky makes and its factor, 1.5 blocks, plus BLAS buffers. The eigenbasis
+        # tier is switched off by assignment, which would patch nothing were the name gone
+        setup = textwrap.dedent(self._D32_SETUP) + textwrap.dedent("""
+            assert callable(vars(commutant)["_eigenbasis_count"])
+            commutant._eigenbasis_count = lambda mats, eps: None
+        """)
         growth = resident_peak_growth(setup, "assert commutant_dimension(ops, include_adjoints=True) == 2")
         assert growth < 2 * 32**4 * np.dtype(complex).itemsize
 
@@ -565,9 +569,9 @@ class TestCommutant:
         # 64 x 64 Gram matrices. A first count at d = 8 loads what any count loads, about 3 MB
         setup = self._D32_SETUP + """
         small = conjugate_tuple(build_twisted_shift_pair(2, np.exp(0.7j)), haar_unitary(8, 2)).ops
-        assert twisted._eigenbasis_count(list(small), 1e-9) == 2
+        assert commutant._eigenbasis_count(list(small), 1e-9) == 2
         """
-        growth = resident_peak_growth(setup, "assert twisted._eigenbasis_count(list(ops), 1e-9) == 2")
+        growth = resident_peak_growth(setup, "assert commutant._eigenbasis_count(list(ops), 1e-9) == 2")
         assert growth < 32**4 * np.dtype(complex).itemsize / 8
 
     def test_one_star_closed_operator_is_refused_at_its_gram_peak(self):
@@ -615,13 +619,13 @@ class TestCommutant:
     @staticmethod
     def _tier_decisions(monkeypatch) -> list:
         """What each call of the eigenbasis tier returns while the test runs, None where it declines."""
-        decisions, original = [], twisted._eigenbasis_count
+        decisions, original = [], commutant._eigenbasis_count
 
         def recording(mats, eps):
             decisions.append(original(mats, eps))
             return decisions[-1]
 
-        monkeypatch.setattr(twisted, "_eigenbasis_count", recording)
+        monkeypatch.setattr(commutant, "_eigenbasis_count", recording)
         return decisions
 
     @pytest.mark.parametrize("p", [4, 5])
@@ -654,8 +658,8 @@ class TestCommutant:
         t = conjugate_tuple(build_twisted_shift_pair(2, np.exp(0.7j)), haar_unitary(8, 2))
         assert commutant_dimension(t.ops, Tolerance(1e300), include_adjoints=True) == 64
         # the tier cannot hold its off-block directions down at that level, and declines
-        assert twisted._eigenbasis_count(list(t.ops), 1e300) is None
-        monkeypatch.setattr(twisted, "_eigenbasis_count", lambda mats, eps: None)
+        assert commutant._eigenbasis_count(list(t.ops), 1e300) is None
+        monkeypatch.setattr(commutant, "_eigenbasis_count", lambda mats, eps: None)
         assert commutant_dimension(t.ops, Tolerance(1e300), include_adjoints=True) == 64
 
     @pytest.mark.parametrize(
@@ -700,8 +704,20 @@ class TestCommutant:
             # sigma z0 and the level of step 3)
             "mixed": lambda lam, q: (lam, q @ np.linalg.qr(np.eye(8) + 1e-5 * noise)[0]),
         }[mislead])
-        assert twisted._eigenbasis_count(list(t.ops), DEFAULT_TOL.eps) is None
+        assert commutant._eigenbasis_count(list(t.ops), DEFAULT_TOL.eps) is None
         assert commutant_dimension(t.ops, include_adjoints=True) == 2
+
+    def test_the_eigenbasis_step_returns_the_blocks_and_bounds_the_count_reads(self):
+        # example 4.3 at d = 8: A has four double eigenvalues, so four blocks of two; the
+        # identity has one eigenvalue, one block that is all of C^d, and the step declines
+        t = conjugate_tuple(build_twisted_shift_pair(2, np.exp(0.7j)), haar_unitary(8, 2))
+        c, sizes, conjugated, v_bar, e, g, epsilon, sigma = commutant._eigenbasis_step(list(t.ops))
+        assert list(sizes) == [2, 2, 2, 2] and len(c) == len(conjugated) == 2
+        assert v_bar == pytest.approx(sum(np.linalg.norm(v) ** 2 for v in t.ops))
+        # A leaves its blocks by rounding only, the blocks' spectra lie far apart, and the
+        # eigenbasis is unitary to rounding
+        assert 0.0 < e < 1e-12 < g and 0.0 < epsilon < 1e-11 < sigma
+        assert commutant._eigenbasis_step([identity(4)]) is None
 
     @pytest.mark.parametrize("include_adjoints", [False, True])
     def test_non_square_operand_is_refused(self, include_adjoints):

@@ -34,7 +34,7 @@ from partialiso import (
     truncated_shift,
     verify_twisted,
 )
-from partialiso import cli, halmos_wallen, linalg, operators, twisted
+from partialiso import cli, commutant, halmos_wallen, linalg, operators, twisted
 from partialiso.documents import dumps_canonical, tuple_document
 from partialiso.linalg import DEFAULT_TOL, identity, op_norm
 from conftest import (
@@ -344,15 +344,18 @@ def test_each_match_attempt_factors_its_candidate_once(svd_calls, monkeypatch, m
     s = conjugate_tuple(t, haar_unitary(m, m + 1))
     (leaf1,), (leaf2,) = decompose_tuple(t).leaves, decompose_tuple(s).leaves
     attempts = []
-    original = twisted._uniform
+    original = commutant._uniform
 
     def counting(seed, *shape):
         attempts.append(seed)
         return original(seed, *shape)
 
-    monkeypatch.setattr(twisted, "_uniform", counting)
+    monkeypatch.setattr(commutant, "_uniform", counting)
+    # one all-"u" leaf: its unit ops are all its data
+    assert not leaf1.slot_twists
+    pairs = [(leaf1.unit_ops[n], leaf2.unit_ops[n]) for n in sorted(leaf1.unit_ops)]
     svd_calls.clear()
-    assert twisted._match_leaf_unitary(leaf1, leaf2, DEFAULT_TOL) is not None
+    assert commutant._match_unitary(pairs, m, DEFAULT_TOL) is not None
     candidates = [call for call in svd_calls if call[0] == (m, m)]
     assert attempts and len(candidates) == len(attempts)
     assert all(compute_uv for _, compute_uv in candidates)
@@ -490,7 +493,7 @@ def test_exact_example43_count_factorizes_nothing_above_its_eigenbasis_blocks(fa
 def test_star_closed_commutant_at_the_cutoff_takes_one_svd_of_its_stack(svd_calls, monkeypatch, gram_route, f, expected):
     # two singular values at f eps: the certificate on the full stack cannot decide, so the SVD does
     stacks, operands = [], []
-    original, counting = twisted._sylvester_stack, np.linalg.svd
+    original, counting = commutant._sylvester_stack, np.linalg.svd
 
     def recording(pairs, basis):
         stacks.append(original(pairs, basis))
@@ -500,7 +503,7 @@ def test_star_closed_commutant_at_the_cutoff_takes_one_svd_of_its_stack(svd_call
         operands.append(a)
         return counting(a, *args, **kwargs)
 
-    monkeypatch.setattr(twisted, "_sylvester_stack", recording)
+    monkeypatch.setattr(commutant, "_sylvester_stack", recording)
     monkeypatch.setattr(np.linalg, "svd", factorizing)
     lam = np.array([0.3, 0.3 + f * DEFAULT_TOL.eps / np.sqrt(2), -0.7, 0.9, 1.4, -1.2])
     w = haar_unitary(6, 11)
@@ -653,7 +656,7 @@ def test_d324_model_tuple_verifies_forming_few_powers(power_draws):
 
 def test_cli_commutant_builds_only_leaf_sized_sylvester_stacks(monkeypatch, tmp_path, capsys):
     widths = []
-    original = twisted._sylvester_rows
+    original = commutant._sylvester_rows
 
     def recording(pairs, basis, lo, hi):
         stack = original(pairs, basis, lo, hi)
@@ -661,7 +664,7 @@ def test_cli_commutant_builds_only_leaf_sized_sylvester_stacks(monkeypatch, tmp_
         widths.append(stack.shape[0])
         return stack
 
-    monkeypatch.setattr(twisted, "_sylvester_rows", recording)
+    monkeypatch.setattr(commutant, "_sylvester_rows", recording)
     t = build_twisted_shift_pair(3, np.exp(0.7j))
     path = tmp_path / "d18.json"
     path.write_text(dumps_canonical(tuple_document(conjugate_tuple(t, haar_unitary(t.dim, 3)))))
