@@ -84,10 +84,7 @@ def _emit(obj, parts: list[str]) -> None:
 
 def matrix_to_json(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
-    return [
-        [[float(entry.real), float(entry.imag)] for entry in row]
-        for row in m
-    ]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def matrix_from_json(obj, rows: int, cols: int, where: str) -> np.ndarray:

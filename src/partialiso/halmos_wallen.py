@@ -24,6 +24,7 @@ from .linalg import (
     Subspace,
     Tolerance,
     _frobenius,
+    _max_op_norm,
     _norm_within,
     _phase_fixed,
     _require_square,
@@ -33,7 +34,7 @@ from .linalg import (
     op_norm,
     zero_subspace,
 )
-from .operators import _block_diag, _power_walk, truncated_shift
+from .operators import _block_diag, _positive_int, _power_walk, truncated_shift
 
 __all__ = [
     "DecompositionError",
@@ -49,6 +50,20 @@ __all__ = [
 
 class DecompositionError(RuntimeError):
     """A decomposition step failed its certificate at tolerance."""
+
+
+def _certify(defects, eps: float, message) -> list[np.ndarray]:
+    """The certificate of one decomposition stage: each defect within eps, or a `DecompositionError`.
+
+    Each defect is decided by `_norm_within`, up to the first that fails, so
+    no spectral norm is taken where exact bounds decide. On a failure the
+    text is ``message(r)``, r = `_max_op_norm` of the defects, formed only
+    then. Otherwise the defects come back as a list, for the caller to keep.
+    """
+    defects = list(defects)
+    if not all(_norm_within(a, eps) for a in defects):
+        raise DecompositionError(message(_max_op_norm(defects)))
+    return defects
 
 
 class RangeSourceLadder:
@@ -141,8 +156,7 @@ def truncated_block_projection(
     Pass the ``ladder`` of V to reuse its projections across calls.
     """
     v = _require_square(v)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    p = _positive_int(p, "p")
     d = v.shape[0]
     out = np.zeros((d, d), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,8 +185,7 @@ def multiplicity_space(v: np.ndarray, p: int, ladder: RangeSourceLadder | None =
     at the tolerance. Pass the ``ladder`` of V to reuse its projections.
     """
     v = _require_square(v)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    p = _positive_int(p, "p")
     with np.errstate(over="ignore", invalid="ignore"):
         ladder = (ladder or RangeSourceLadder(v)).extend(p)
         sources = ladder.sources
@@ -220,10 +233,11 @@ class HWDecomposition:
     The model operator is T oplus (oplus_p J_p x I_mult) on
     C^{unitary_dim} oplus (oplus_p C^p x C^mult), blocks in ascending p;
     ``intertwiner`` maps the model space onto C^d and satisfies
-    ||W model W* - V|| <= residual. `_hw_decompose` keeps that defect and
-    ``residual``, its spectral norm, is formed on first read (0.0 for a
-    decomposition built without one); `hw_decompose` reads it before it
-    returns. Its columns follow the same order [u | blocks]: the unitary part is the first column block, a part with
+    ||W model W* - V|| <= residual. `_hw_decompose` keeps the defect that
+    `_certify` returned and ``residual``, its spectral norm, is formed on
+    first read (0.0 for a decomposition built without one); `hw_decompose`
+    reads it before it returns. Its columns follow the same order
+    [u | blocks]: the unitary part is the first column block, a part with
     grading 1 (T is 0 x 0 when it is empty), and a block's columns are
     V^j m_k (j slow), so each summand reduces V on its column range.
     Shift parts are not stored: `hw_decompose` certifies they vanish.
@@ -275,11 +289,9 @@ def hw_decompose(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> HWDecomposition
 def _hw_decompose(v: np.ndarray, tol: Tolerance) -> HWDecomposition:
     """`hw_decompose` with its reconstruction kept as a gated defect.
 
-    P and Q come off one ladder of V (see `_stable_projections`). Each gate
-    is decided by `_norm_within`, which is ``op_norm(defect) <= eps`` from
-    exact bounds, so no spectral norm is taken where they decide; the value
-    goes into the error text only on a failure, and ``residual`` is formed
-    only when it is read.
+    P and Q come off one ladder of V (see `_stable_projections`). The
+    orthonormality of the columns and the reconstruction are certified by
+    `_certify`, and ``residual`` is formed only when it is read.
     """
     v = _require_square(v)
     d = v.shape[0]
@@ -319,12 +331,10 @@ def _hw_decompose(v: np.ndarray, tol: Tolerance) -> HWDecomposition:
         )
 
     w = np.hstack(columns)
-    gram_defect = adjoint(w) @ w - identity(d)
-    if not _norm_within(gram_defect, eps):
-        raise DecompositionError(
-            f"intertwiner columns are not orthonormal (residual {op_norm(gram_defect):.3e}); "
-            "the block map failed to be isometric"
-        )
+    _certify([adjoint(w) @ w - identity(d)], eps, lambda r: (
+        f"intertwiner columns are not orthonormal (residual {r:.3e}); "
+        "the block map failed to be isometric"
+    ))
 
     decomposition = HWDecomposition(
         ambient_dim=d,
@@ -333,11 +343,9 @@ def _hw_decompose(v: np.ndarray, tol: Tolerance) -> HWDecomposition:
         truncated_blocks=blocks,
         intertwiner=w,
     )
-    defect = w @ decomposition.model_operator() @ adjoint(w) - v
-    if not _norm_within(defect, eps):
-        raise DecompositionError(
-            f"reconstruction residual {op_norm(defect):.3e} exceeds eps {eps:.1e}; "
-            "the input is certified not to be a power partial isometry"
-        )
-    decomposition._defect = defect
+    reconstruction = w @ decomposition.model_operator() @ adjoint(w)
+    [decomposition._defect] = _certify([reconstruction - v], eps, lambda r: (
+        f"reconstruction residual {r:.3e} exceeds eps {eps:.1e}; "
+        "the input is certified not to be a power partial isometry"
+    ))
     return decomposition

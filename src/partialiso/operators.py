@@ -60,8 +60,7 @@ def truncated_shift(p: int) -> np.ndarray:
 
     For p = 1 this is the 1 x 1 zero matrix.
     """
-    if p < 1:
-        raise ValueError("truncated shift needs p >= 1")
+    p = _positive_int(p, "p")
     j = np.zeros((p, p), dtype=complex)
     for n in range(p - 1):
         j[n + 1, n] = 1.0
@@ -430,10 +429,9 @@ def build_twisted_shift_pair(
     U = diag(lam I, conj(lam) I). The relation residuals vanish up to
     rounding; for p = 1 all four blocks are zero.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    p = _positive_int(p, "p")
     lam = complex(lam)
-    if abs(abs(lam) - 1.0) > tol.eps:
+    if not abs(abs(lam) - 1.0) <= tol.eps:
         raise ValueError(f"lambda must be unimodular, got |lambda| = {abs(lam)}")
     j_p = truncated_shift(p)
     d_lam = np.diag(lam ** np.arange(p)).astype(complex)
@@ -607,8 +605,7 @@ def random_commuting_unitaries(dim: int, how_many: int, seed: int) -> list[np.nd
     All matrices share one random eigenbasis with independent random
     unimodular spectra, so commutators vanish up to rounding.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    dim = _positive_int(dim, "dim")
     rng = np.random.default_rng(seed)
     q = haar_unitary(dim, rng)
     out = []
@@ -624,6 +621,7 @@ def clock_shift_unitaries(q: int) -> tuple[np.ndarray, np.ndarray, complex]:
     Returns (C, S, omega) with C = diag(1, w, ..., w^{q-1}), S e_k = e_{k+1 mod q}
     and w = exp(2 pi i / q); they satisfy C* S = conj(w) S C*.
     """
+    q = _positive_int(q, "q")
     omega = np.exp(2j * np.pi / q)
     clock = np.diag(omega ** np.arange(q)).astype(complex)
     shift = np.zeros((q, q), dtype=complex)

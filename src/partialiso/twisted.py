@@ -34,6 +34,7 @@ import numpy as np
 from .commutant import _match_unitary, commutant_dimension
 from .halmos_wallen import (
     DecompositionError,
+    _certify,
     _hw_decompose,
     _stable_projections,
     truncated_block_projection,
@@ -65,7 +66,6 @@ from .operators import (
     diag_twist,
     is_power_partial_isometry,
     power_isometry_residual,
-    unitarity_residual,
 )
 
 __all__ = [
@@ -281,11 +281,9 @@ def is_irreducible(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> bool:
 def _grading_blocks(v: np.ndarray, p: int, m: int, eps: float, what: str) -> list[np.ndarray]:
     """The p diagonal m x m blocks of ``v``, which must be block diagonal over C^p within eps."""
     blocks = [v[a * m : (a + 1) * m, a * m : (a + 1) * m] for a in range(p)]
-    off_block = v - _block_diag(blocks)
-    if not _norm_within(off_block, eps):
-        raise DecompositionError(
-            f"{what} not block diagonal over the shift grading (off-block mass {op_norm(off_block):.3e})"
-        )
+    _certify([v - _block_diag(blocks)], eps, lambda r: (
+        f"{what} not block diagonal over the shift grading (off-block mass {r:.3e})"
+    ))
     return blocks
 
 
@@ -415,9 +413,9 @@ class PartitionReport:
 class DecompositionTree:
     """All leaves, the assembled global intertwiner, and the certificate.
 
-    ``_defects`` holds G model_n G* - V_n for each operator, formed when
-    `decompose_tuple` decided them within eps; ``residual``, the largest of
-    their spectral norms, is formed on its first read and kept.
+    ``_defects`` holds G model_n G* - V_n for each operator, as `_certify`
+    returned them in `decompose_tuple`; ``residual``, the largest of their
+    spectral norms, is formed on its first read and kept.
     """
 
     ambient_dim: int
@@ -463,11 +461,9 @@ def _restrict(op: np.ndarray, basis: np.ndarray, eps: float, what: str) -> np.nd
     """
     left = adjoint(basis) @ op
     c = left @ basis
-    off_out = op @ basis - basis @ c
-    off_in = left - c @ adjoint(basis)
-    if not (_norm_within(off_out, eps) and _norm_within(off_in, eps)):
-        worst = _max_op_norm((off_out, off_in))
-        raise DecompositionError(f"{what}: subspace is not reducing (off-block norm {worst:.3e})")
+    _certify([op @ basis - basis @ c, left - c @ adjoint(basis)], eps, lambda r: (
+        f"{what}: subspace is not reducing (off-block norm {r:.3e})"
+    ))
     return c
 
 
@@ -530,14 +526,14 @@ def _read_leaf(t: TwistedTuple, leaf: DecompositionLeaf, eps: float) -> Decompos
     g1 = leaf.intertwiner[:, : leaf.mult_dim]
     kinds = leaf.multiindex
     slots = [m for m, kind in enumerate(kinds, 1) if kind != "u" and kind >= 2]
+    where = "".join(map(_path_step, kinds))
 
     def compress(a: np.ndarray, what: str) -> np.ndarray:
         c = adjoint(g1) @ a @ g1
-        if not _unitary_within(c, eps):
-            where = "".join(map(_path_step, kinds))
-            raise DecompositionError(
-                f"{where}: {what}: compression is not unitary (residual {unitarity_residual(c):.3e})"
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            _certify([adjoint(c) @ c - identity(leaf.mult_dim)], eps, lambda r: (
+                f"{where}: {what}: compression is not unitary (residual {r:.3e})"
+            ))
         return c
 
     unit_ops, slot_twists = {}, {}
@@ -570,10 +566,10 @@ def decompose_tuple(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> Decomposit
     failures (non-reducing subspaces, leaf data that is not unitary on the
     first cell) raise `DecompositionError` naming the leaf path and stage.
     On success, conjugating the block-diagonal leaf models by the global
-    intertwiner reproduces every operator within eps. Each operator's
-    defect is decided by `_norm_within`; the largest spectral norm goes into
-    the error text on a failure, and into the tree's ``residual`` only when
-    that is read.
+    intertwiner reproduces every operator within eps. Every stage (each
+    restriction, grading, leaf datum, the global intertwiner and the
+    reconstruction) is certified by `_certify`; the tree's ``residual`` is
+    formed from the kept defects only when it is read.
     """
     leaves = _decompose_rec(
         remaining=list(range(1, t.n_ops + 1)),
@@ -588,18 +584,13 @@ def decompose_tuple(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> Decomposit
         raise DecompositionError(f"leaf dimensions sum to {total}, ambient is {t.dim}")
     g = np.hstack([leaf.intertwiner for leaf in leaves])
     g_defect = adjoint(g) @ g - identity(t.dim)
-    if not _norm_within(g_defect, tol.eps):
-        raise DecompositionError(f"global intertwiner is not unitary (residual {op_norm(g_defect):.3e})")
+    _certify([g_defect], tol.eps, lambda r: f"global intertwiner is not unitary (residual {r:.3e})")
     leaves = [_read_leaf(t, leaf, tol.eps) for leaf in leaves]
 
-    defects = [
+    defects = _certify([
         g @ _block_diag([leaf_model_operator(leaf, n, tol) for leaf in leaves]) @ adjoint(g) - t.ops[n - 1]
         for n in range(1, t.n_ops + 1)
-    ]
-    if not all(_norm_within(a, tol.eps) for a in defects):
-        raise DecompositionError(
-            f"reconstruction residual {_max_op_norm(defects):.3e} exceeds eps {tol.eps:.1e}"
-        )
+    ], tol.eps, lambda r: f"reconstruction residual {r:.3e} exceeds eps {tol.eps:.1e}")
 
     return DecompositionTree(
         ambient_dim=t.dim,

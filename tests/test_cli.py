@@ -129,9 +129,11 @@ class TestGenerate:
         assert proc.returncode == 2
         assert "relation" in proc.stderr
 
-    def test_non_unimodular_lambda_exits_2(self):
-        proc = run_cli("generate", "--preset", "example43", "--lambda", "0.5,0")
+    @pytest.mark.parametrize("lam, modulus", [("0.5,0", "0.5"), ("nan,0", "nan"), ("1,nan", "nan")])
+    def test_non_unimodular_lambda_exits_2(self, lam, modulus):
+        proc = run_cli("generate", "--preset", "example43", "--lambda", lam)
         assert proc.returncode == 2
+        assert proc.stderr == f"error: lambda must be unimodular, got |lambda| = {modulus}\n"
 
     def test_unknown_preset_exits_2(self):
         proc = run_cli("generate", "--preset", "nope")

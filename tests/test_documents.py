@@ -45,6 +45,19 @@ class TestMatrixCodec:
         back = matrix_from_json(matrix_to_json(m), 3, 3, "m")
         assert op_norm_diff(m, back) == 0.0
 
+    @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (3, 3), (50, 50), (3, 0), (2, 5)])
+    def test_emits_the_entry_loop_floats(self, shape):
+        # the reference is the entry-by-entry loop the array form replaced; signed zeros and
+        # subnormals must come out as that loop wrote them
+        rng = np.random.default_rng(1)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if m.size:
+            m.flat[0], m.flat[-1] = complex(-0.0, 5e-324), complex(2.0**-1070, -0.0)
+        loop = [[[float(entry.real), float(entry.imag)] for entry in row] for row in m]
+        emitted = matrix_to_json(m)
+        assert dumps_canonical(emitted) == dumps_canonical(loop)
+        assert all(type(x) is float for row in emitted for entry in row for x in entry)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(SchemaError):
             matrix_from_json([[[1, 0]]], 2, 2, "m")

@@ -23,6 +23,7 @@ from partialiso import (
 )
 from partialiso.halmos_wallen import (
     RangeSourceLadder,
+    _certify,
     _check_no_shift_parts,
     _hw_decompose,
     _projection_range,
@@ -475,6 +476,26 @@ def _hw_moved_to_the_cutoff(seed):
         mid = (lo + hi) / 2
         lo, hi = (mid, hi) if passes(mid) else (lo, mid)
     return [v + size * f * direction for size in (lo, hi) for f in (1 - 1e-12, 1 + 1e-12, 0.99, 1.01)]
+
+
+class TestCertify:
+    """`_certify`, the one gate of every decomposition stage."""
+
+    def test_passing_defects_come_back_without_a_spectral_norm(self, monkeypatch):
+        monkeypatch.setattr(halmos_wallen, "_max_op_norm", lambda defects: pytest.fail("a norm was formed"))
+        defects = (np.zeros((2, 2)), 1e-12 * np.eye(3))
+        kept = _certify(iter(defects), 1e-9, str)
+        assert len(kept) == 2 and all(a is b for a, b in zip(kept, defects))
+
+    def test_a_failure_stops_the_gates_and_names_the_largest_norm(self, monkeypatch):
+        gated = []
+        monkeypatch.setattr(halmos_wallen, "_norm_within", lambda a, eps: gated.append(a) or _norm_within(a, eps))
+        defects = [np.zeros((2, 2)), np.diag([2.0, 0.0]), np.diag([0.0, 3.0])]
+        with pytest.raises(DecompositionError) as raised:
+            _certify(defects, 1e-9, lambda r: f"{{stage}}: residual {r!r}")
+        assert [a is b for a, b in zip(gated, defects)] == [True, True]
+        # the message is called, not formatted, so a brace in it stays as written
+        assert str(raised.value) == "{stage}: residual 3.0"
 
 
 class TestReconstructionGateAtTheCutoff:

@@ -17,12 +17,14 @@ from partialiso import (
     is_partial_isometry,
     is_power_partial_isometry,
     kron,
+    multiplicity_space,
     op_norm,
     op_norm_diff,
     permute_tuple,
     power_isometry_residual,
     random_commuting_unitaries,
     random_model_spec,
+    truncated_block_projection,
     truncated_shift,
     verify_twisted,
 )
@@ -359,9 +361,14 @@ class TestTwistedShiftPair:
         assert op_norm(v1.conj().T @ v2 - v2 @ v1.conj().T) <= 1e-12
         np.testing.assert_allclose(t.twists[(1, 2)], np.eye(8))
 
-    def test_rejects_non_unimodular_lambda(self):
-        with pytest.raises(ValueError):
-            build_twisted_shift_pair(2, 0.5)
+    @pytest.mark.parametrize("lam, modulus", [
+        (0.5, "0.5"), (complex(np.nan, 0.0), "nan"), (complex(1.0, np.nan), "nan"),
+    ])
+    def test_rejects_non_unimodular_lambda(self, lam, modulus):
+        # a NaN modulus once passed the test and failed later as a matrix with non-finite entries
+        with pytest.raises(ValueError) as raised:
+            build_twisted_shift_pair(2, lam)
+        assert str(raised.value) == f"lambda must be unimodular, got |lambda| = {modulus}"
 
 
 class TestModelSpec:
@@ -493,6 +500,38 @@ class TestModelSpec:
         spec = random_model_spec(seed)
         t = build_model_tuple(spec)
         assert verify_twisted(t).max_residual <= 1e-12
+
+
+@pytest.mark.parametrize("build, name", [
+    (truncated_shift, "p"),
+    (lambda p: build_twisted_shift_pair(p, 1.0), "p"),
+    (lambda p: multiplicity_space(np.zeros((2, 2)), p), "p"),
+    (lambda p: truncated_block_projection(np.zeros((2, 2)), p), "p"),
+    (clock_shift_unitaries, "q"),
+    (lambda dim: random_commuting_unitaries(dim, 1, 0), "dim"),
+])
+@pytest.mark.parametrize("value, text", [
+    (0, "must be >= 1, got 0"),
+    (2.0, "must be an integer, got 2.0"),
+    (1.5, "must be an integer, got 1.5"),
+    (True, "must be an integer, got True"),
+])
+def test_builders_read_sizes_as_positive_integers(build, name, value, text):
+    # clock_shift_unitaries(0) once divided by zero, and a float size raised a bare TypeError
+    with pytest.raises(ValueError) as raised:
+        build(value)
+    assert str(raised.value) == f"{name} {text}"
+
+
+@pytest.mark.parametrize("build", [
+    truncated_shift,
+    lambda p: build_twisted_shift_pair(p, 1.0).ops[0],
+    lambda p: truncated_block_projection(np.zeros((2, 2)), p),
+    lambda q: clock_shift_unitaries(q)[1],
+    lambda dim: random_commuting_unitaries(dim, 1, 0)[0],
+])
+def test_builders_accept_numpy_integer_sizes(build):
+    np.testing.assert_array_equal(build(np.int64(2)), build(2))
 
 
 class TestRandomCommutingUnitaries:

@@ -87,3 +87,27 @@ def test_the_sylvester_engine_is_private_to_commutant():
     for path in SOURCE.glob("*.py"):
         if path.name != "commutant.py":
             assert not _names_in(path) & set(ENGINE_NAMES), path.name
+
+
+
+# What a stage reads its residual with: only `_certify` may form one for a `DecompositionError`.
+RESIDUAL_NAMES = {"op_norm", "_max_op_norm", "unitarity_residual"}
+
+
+def _measured_refusals(module) -> list[int]:
+    """The line of each ``raise DecompositionError(...)`` outside `_certify` whose text forms a residual."""
+    tree = ast.parse(inspect.getsource(module))
+    return [
+        node.lineno
+        for top in tree.body if getattr(top, "name", None) != "_certify"
+        for node in ast.walk(top)
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "DecompositionError"
+        and any(getattr(getattr(call, "func", None), "id", None) in RESIDUAL_NAMES for call in ast.walk(node.exc))
+    ]
+
+
+@pytest.mark.parametrize("module", [halmos_wallen, twisted], ids=lambda m: m.__name__)
+def test_every_measured_refusal_is_raised_by_the_one_gate(module):
+    assert _measured_refusals(module) == []
+    assert module._certify is halmos_wallen._certify

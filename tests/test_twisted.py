@@ -1141,6 +1141,41 @@ class TestEquivalence:
         assert equivalent >= 15 and partners >= 5
 
 
+# (certified, EQUIVALENT) of instances 0-59 at each noise level, as measured: a change that lowers
+# either count must say so
+_LADDER_FLOORS = {0.0: (60, 60), 1e-11: (60, 60), 1e-10: (56, 56), 3e-10: (26, 24), 6e-10: (13, 8),
+                  1e-9: (4, 2)}
+
+
+class TestNoiseLadder:
+    """Noise of norm 1e-11 to 1e-9 on each operator moves a tuple towards and past eps. Each
+    verified input gets a tree with the ground-truth leaves or a `DecompositionError`, never a
+    wrong multiset, and `equiv` against a rescramble is never NOT_EQUIVALENT."""
+
+    @pytest.mark.parametrize("noise", list(_LADDER_FLOORS))
+    def test_decompose_and_equiv_are_never_wrong(self, noise):
+        certified = equivalent = 0
+        for seed in range(60):
+            t, expected = random_decomposition_instance(seed)
+            t = perturbed_tuple(t, noise, seed) if noise else t
+            if not verify_twisted(t).passed:
+                continue
+            try:
+                tree = decompose_tuple(t)
+            except DecompositionError:
+                continue
+            certified += 1
+            assert sorted(((leaf.multiindex, leaf.mult_dim) for leaf in tree.leaves), key=leaf_key) == expected
+            try:
+                result = equivalence_check(t, conjugate_tuple(t, haar_unitary(t.dim, seed + 999)))
+            except DecompositionError:
+                continue
+            assert result.verdict != "NOT_EQUIVALENT", seed
+            equivalent += result.verdict == "EQUIVALENT"
+        floor_certified, floor_equivalent = _LADDER_FLOORS[noise]
+        assert certified >= floor_certified and equivalent >= floor_equivalent
+
+
 class TestPermutationInvariance:
     @pytest.mark.parametrize("seed", range(5))
     def test_leaf_invariants_survive_permutation(self, seed):
