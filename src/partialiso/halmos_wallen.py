@@ -58,11 +58,14 @@ def _certify(defects, eps: float, message) -> list[np.ndarray]:
     Each defect is decided by `_norm_within`, up to the first that fails, so
     no spectral norm is taken where exact bounds decide. On a failure the
     text is ``message(r)``, r = `_max_op_norm` of the defects, formed only
-    then. Otherwise the defects come back as a list, for the caller to keep.
+    then: inf where a defect has an entry that is not finite (an overflowed
+    product), so the text never reports a value below eps. Otherwise the
+    defects come back as a list, for the caller to keep.
     """
     defects = list(defects)
-    if not all(_norm_within(a, eps) for a in defects):
-        raise DecompositionError(message(_max_op_norm(defects)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not all(_norm_within(a, eps) for a in defects):
+            raise DecompositionError(message(_max_op_norm(defects)))
     return defects
 
 
@@ -168,9 +171,13 @@ def truncated_block_projection(
 
 
 def _projection_range(a: np.ndarray) -> Subspace:
-    """Range of ``a``, a projection or a product of commuting ones for valid input, so its
-    singular values near 0 or 1 are cut at 1/2; a Frobenius norm <= 1/2 is empty with no SVD."""
-    a = _require_square(a)
+    """Range of the square ``a``, a projection or a product of commuting ones for valid input,
+    so its singular values near 0 or 1 are cut at 1/2; a Frobenius norm <= 1/2 is empty with
+    no SVD. An entry that is not finite (a ladder whose powers overflowed) raises a
+    `DecompositionError` before any SVD."""
+    if not np.isfinite(a).all():
+        raise DecompositionError("a projection of the power ladder has non-finite entries; "
+                                 "the input overflowed, far outside the norm-O(1) scope")
     if _frobenius(a) * (1.0 + _BOUND_SLACK) <= 0.5:
         return zero_subspace(a.shape[0])
     u, s, _ = np.linalg.svd(a, full_matrices=False)
@@ -182,7 +189,8 @@ def multiplicity_space(v: np.ndarray, p: int, ladder: RangeSourceLadder | None =
 
     Its dimension m satisfies p * m = dim of the order-p part; for p = 1 the
     formula reduces to ker(V) intersect ker(V*). Its rank is cut at 1/2, not
-    at the tolerance. Pass the ``ladder`` of V to reuse its projections.
+    at the tolerance. Pass the ``ladder`` of V to reuse its projections. A
+    ladder that overflowed raises `DecompositionError` (see `_projection_range`).
     """
     v = _require_square(v)
     p = _positive_int(p, "p")

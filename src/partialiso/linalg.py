@@ -150,17 +150,22 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def op_norm(a: np.ndarray) -> float:
-    """Operator (spectral) norm; zero for empty matrices.
+    """Operator (spectral) norm; zero for empty matrices, inf for one with an entry that is not finite.
 
-    A matrix gives the first value of its values-only SVD. LAPACK returns the
-    values in descending order, so that is the maximum `np.linalg.norm(a, 2)`
-    takes over the same SVD, bit for bit, without its axis bookkeeping, which
-    costs as much as the SVD of a small matrix. Any other input (a vector)
-    keeps `np.linalg.norm(a, 2)`.
+    The package's one rule for a residual that is not finite: an inf or NaN
+    entry (an overflowed product, inf - inf) reads inf, decided by one
+    `np.isfinite` scan before any SVD, on which LAPACK would return NaN or
+    fail. A finite matrix gives the first value of its values-only SVD. LAPACK
+    returns the values in descending order, so that is the maximum
+    `np.linalg.norm(a, 2)` takes over the same SVD, bit for bit, without its
+    axis bookkeeping, which costs as much as the SVD of a small matrix. Any
+    other finite input (a vector) keeps `np.linalg.norm(a, 2)`.
     """
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
+    if not np.isfinite(a).all():
+        return inf
     if a.ndim != 2:
         return float(np.linalg.norm(a, 2))
     return float(np.linalg.svd(a, compute_uv=False)[0])
@@ -274,7 +279,7 @@ class _ScreenedMax:
         return h * (1.0 + _BOUND_SLACK) <= self.worst
 
     def add(self, a: np.ndarray) -> bool:
-        """Screen ``a`` in; False, recording nothing, if it has an entry that is not finite."""
+        """Screen ``a`` in; False, recording nothing, if its Frobenius norm is not finite."""
         a = np.asarray(a)
         if a.size == 0:
             return True
@@ -311,15 +316,16 @@ def _term_bound(term: list) -> float:
 def _max_op_norm(matrices) -> float:
     """``max(op_norm(a) for a in matrices)``, the same float, by `_ScreenedMax`; 0.0 for none.
 
-    From the first term with an entry that is not finite on, every term takes its
-    `op_norm` as the unscreened maximum would: NaN, or the LinAlgError of its SVD.
+    A term whose Frobenius norm is not finite leaves it and the rest to the
+    unscreened maximum: inf for an entry that is not finite, by the rule of
+    `op_norm`, and the spectral norm, which may still be finite, for a finite
+    term past the largest float.
     """
     terms = iter(matrices)
     screened = _ScreenedMax()
-    for k, a in enumerate(terms):
+    for a in terms:
         if not screened.add(a):
-            rest = [op_norm(b) for b in (a, *terms)]
-            return max([screened.settle(), *rest]) if k else max(rest)
+            return max([screened.settle(), *map(op_norm, (a, *terms))])
     return screened.settle()
 
 

@@ -131,8 +131,7 @@ def is_partial_isometry(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bo
     """Test ||V V* V - V|| <= eps; the residual is always returned, inf if it overflows."""
     v = _require_square(v)
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = v @ adjoint(v) @ v - v
-    residual = op_norm(defect) if np.isfinite(defect).all() else inf
+        residual = op_norm(v @ adjoint(v) @ v - v)
     return residual <= tol.eps, residual
 
 
@@ -404,17 +403,12 @@ def _relation_defects(t: TwistedTuple):
 def _first_failing_relation(t: TwistedTuple, eps: float, skip=lambda key: False) -> tuple | None:
     """The key of the first `_relation_defects` row whose defect is not within eps, or None.
 
-    Each row is decided by `_norm_within`; a row whose SVD fails fails, as its NaN residual
-    would. Rows that ``skip`` names form nothing.
+    Each row is decided by `_norm_within`, which fails a defect with an entry that is not
+    finite before any SVD, as its inf residual would. Rows that ``skip`` names form nothing.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for key, defect in _relation_defects(t):
-            if skip(key):
-                continue
-            try:
-                if not _norm_within(defect(), eps):
-                    return key
-            except np.linalg.LinAlgError:
+            if not skip(key) and not _norm_within(defect(), eps):
                 return key
     return None
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from math import fsum, inf, isfinite, nan, prod
+from math import fsum, inf, prod
 
 import numpy as np
 
@@ -96,7 +96,8 @@ class TwistReport:
     ``eps`` and ``passed`` are set when `verify_twisted` returns. ``residuals``
     is formed on its first read, from the copy of the tuple the verdict was
     taken on, and kept; ``max_residual``, `worst` and `by_kind` read it.
-    ``passed`` equals ``max_residual <= eps``.
+    ``passed`` equals ``max_residual <= eps``. A defect with an entry that is
+    not finite (an overflowed product) reads inf, by the rule of `op_norm`.
 
     Keys are tuples (kind, indices...) with kind in {"star-cross",
     "plain-cross", "twist-commute", "twist-unitary",
@@ -114,24 +115,19 @@ class TwistReport:
         residuals: dict[tuple, float] = {}
         with np.errstate(over="ignore", invalid="ignore"):
             for key, defect in _relation_defects(self._checked):
-                try:
-                    residuals[key] = op_norm(defect())
-                except np.linalg.LinAlgError:
-                    # an overflowed product (inf - inf) leaves NaN entries, on which the SVD fails
-                    residuals[key] = nan
+                residuals[key] = op_norm(defect())
         for i, v in enumerate(self._checked.ops, 1):
             residuals[("ppi", i)] = power_isometry_residual(v)
         return residuals
 
     @property
     def max_residual(self) -> float:
-        """The largest residual; inf when one is not finite, as max() cannot rank NaN."""
-        values = self.residuals.values()
-        return float(max(values)) if all(map(isfinite, values)) else inf
+        """The largest residual, inf when one is not finite."""
+        return float(max(self.residuals.values()))
 
     def worst(self) -> tuple[tuple, float]:
-        """The largest residual, or the first that is not finite."""
-        key = max(self.residuals, key=lambda k: (not isfinite(r := self.residuals[k]), r))
+        """The largest residual, the first of them on a tie, so the first inf."""
+        key = max(self.residuals, key=self.residuals.get)
         return key, self.residuals[key]
 
     def by_kind(self, kind: str) -> dict[tuple, float]:

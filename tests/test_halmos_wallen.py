@@ -102,7 +102,7 @@ class TestMultiplicitySpace:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_ladder_is_refused_as_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(DecompositionError, match="non-finite"):
             multiplicity_space(np.diag([1e200, 0.0]), 2)
 
 
@@ -166,6 +166,11 @@ class TestHwDecompose:
     def test_overflowing_powers_fail_without_a_numpy_warning(self, run):
         with pytest.raises(DecompositionError, match="did not stabilize by power 3"):
             run(np.diag([1e200, 0.0]))
+
+    def test_an_overflowing_ladder_is_refused_as_non_finite(self):
+        # V^2 V*^2 overflows to inf - inf in the multiplicity space of order 2
+        with pytest.raises(DecompositionError, match="non-finite"):
+            hw_decompose(1e160 * kron(truncated_shift(2), np.eye(2)))
 
     @pytest.mark.parametrize("seed", range(300))
     def test_noise_below_eps_keeps_the_blocks(self, seed):
@@ -496,6 +501,15 @@ class TestCertify:
         assert [a is b for a, b in zip(gated, defects)] == [True, True]
         # the message is called, not formatted, so a brace in it stays as written
         assert str(raised.value) == "{stage}: residual 3.0"
+
+    @pytest.mark.parametrize(
+        "bad", [pytest.param(np.inf, id="small-and-inf"), pytest.param(np.nan, id="nan")]
+    )
+    def test_a_defect_that_is_not_finite_reports_inf(self, bad):
+        # an overflowed defect beside one below eps: the text never names a value below eps
+        defects = [1e-12 * truncated_shift(2), np.where(truncated_shift(2) == 0, 0.0, bad)]
+        with pytest.raises(DecompositionError, match=r"^residual inf$"):
+            _certify(defects, 1e-9, lambda r: f"residual {r}")
 
 
 class TestReconstructionGateAtTheCutoff:

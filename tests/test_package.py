@@ -111,3 +111,16 @@ def _measured_refusals(module) -> list[int]:
 def test_every_measured_refusal_is_raised_by_the_one_gate(module):
     assert _measured_refusals(module) == []
     assert module._certify is halmos_wallen._certify
+
+
+def test_a_residual_that_is_not_finite_is_decided_by_op_norm_alone():
+    # `op_norm` reads inf before any SVD, so no module catches an SVD's failure or forms a NaN;
+    # `commutant` alone catches the LinAlgError of its eigensolvers and Cholesky test
+    handlers, nan_imports = set(), set()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type and "LinAlgError" in ast.unparse(node.type):
+                handlers.add(path.name)
+            if isinstance(node, ast.ImportFrom) and "nan" in {alias.name for alias in node.names}:
+                nan_imports.add(path.name)
+    assert (handlers, nan_imports) == ({"commutant.py"}, set())

@@ -115,21 +115,22 @@ class TestVerifyTwisted:
 
     @pytest.mark.filterwarnings("error")
     def test_residual_that_is_not_finite_fails(self):
-        # U_13 U_13* overflows, so its unitarity residual is NaN, which max() steps past
+        # U_13* U_13 overflows to inf, on which an SVD would give NaN: the residual reads inf
         zero = np.zeros((2, 2))
         t = TwistedTuple(dim=2, ops=[zero, zero, zero], twists={(1, 3): np.diag([1e200, 1.0])})
         report = verify_twisted(t)
-        assert np.isnan(report.residuals[("twist-unitary", 1, 3)])
+        assert report.residuals[("twist-unitary", 1, 3)] == np.inf
         assert not report.passed
         assert report.max_residual == np.inf
         assert report.worst()[0] == ("twist-unitary", 1, 3)
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_relation_product_is_nan_not_an_svd_error(self):
-        # V_1* V_2 and V_2 V_1* overflow to inf, so the star defect holds inf - inf = NaN
+    def test_overflowing_relation_product_is_inf_not_an_svd_error(self):
+        # V_1* V_2 and V_2 V_1* overflow to inf, so the star defect holds inf - inf = NaN,
+        # on which an SVD fails: the residual reads inf
         v = np.diag([1e200, 0.0])
         report = verify_twisted(TwistedTuple(dim=2, ops=[v, v]))
-        assert np.isnan(report.residuals[("star-cross", 1, 2)])
+        assert report.residuals[("star-cross", 1, 2)] == np.inf
         assert not report.passed
         assert report.max_residual == np.inf
         assert report.worst()[0] == ("star-cross", 1, 2)
@@ -333,6 +334,21 @@ class TestProjectionCommutation:
         w = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         residuals = check_projection_commutation(v, w)
         assert all(np.isfinite(list(residuals.values())))
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_an_overflowing_pair_raises_only_a_decomposition_error(self, slot):
+        # example 4.3 with one operator scaled by 1e100 ... 1e308: whatever overflows reads
+        # inf, so the projection check reports floats and a decomposition refuses by name
+        base = build_twisted_shift_pair(2, 1j)
+        for k in range(100, 309, 4):
+            ops = list(base.ops)
+            ops[slot] = float(f"1e{k}") * ops[slot]
+            residuals = check_projection_commutation(ops[slot], ops[1 - slot])
+            assert all(type(r) is float for r in residuals.values()), k
+            with pytest.raises(DecompositionError):
+                hw_decompose(ops[slot])
+            with pytest.raises(DecompositionError):
+                decompose_tuple(TwistedTuple(dim=base.dim, ops=ops, twists=base.twists))
 
     def test_non_square_v_is_refused(self):
         with pytest.raises(ValueError, match="expected a square matrix"):
@@ -905,6 +921,14 @@ class TestDecomposeTuple:
             decompose_tuple(bad)
         assert str(err.value) == "/p=2/p=2: twist (1, 2): compression is not unitary (residual 2.100e-01)"
 
+    def test_a_leaf_datum_that_overflows_is_refused_by_path(self):
+        # U*U of the twist scaled by 1e160 overflows: the unitarity defect reads inf
+        t = build_twisted_shift_pair(2, np.exp(0.7j))
+        bad = TwistedTuple(dim=t.dim, ops=t.ops, twists={k: 1e160 * u for k, u in t.twists.items()})
+        with pytest.raises(DecompositionError) as err:
+            decompose_tuple(bad)
+        assert str(err.value) == "/p=2/p=2: twist (1, 2): compression is not unitary (residual inf)"
+
     def test_leaf_data_carry_the_whole_commutant(self):
         # the star-closed commutant is block diagonal over the leaf cells, one
         # copy per leaf of the commutant of its unit ops and visible symbols
@@ -1146,17 +1170,33 @@ class TestEquivalence:
 _LADDER_FLOORS = {0.0: (60, 60), 1e-11: (60, 60), 1e-10: (56, 56), 3e-10: (26, 24), 6e-10: (13, 8),
                   1e-9: (4, 2)}
 
+# the same for the 100 unitary-slot models of `_unitary_slot_models`
+_UNITARY_SLOT_FLOORS = {0.0: (100, 100), 1e-11: (100, 100), 1e-10: (88, 88), 3e-10: (17, 17),
+                        6e-10: (1, 1), 1e-9: (1, 1)}
+
+
+def _unitary_slot_models(count: int = 100, max_dim: int = 32):
+    """(seed, tuple, leaves) for the first ``count`` `random_model_spec` draws with a unitary slot
+    and d <= ``max_dim``, scrambled: each is one leaf, its slot kinds with multiplicity aux_dim."""
+    out, seed = [], 0
+    while len(out) < count:
+        spec = random_model_spec(seed, max_p=3, max_aux=3)
+        if "u" in spec.slot_kinds and (t := build_model_tuple(spec)).dim <= max_dim:
+            scrambled = conjugate_tuple(t, haar_unitary(t.dim, seed + 777))
+            out.append((seed, scrambled, [(tuple(spec.slot_kinds), spec.aux_dim)]))
+        seed += 1
+    return out
+
 
 class TestNoiseLadder:
     """Noise of norm 1e-11 to 1e-9 on each operator moves a tuple towards and past eps. Each
     verified input gets a tree with the ground-truth leaves or a `DecompositionError`, never a
     wrong multiset, and `equiv` against a rescramble is never NOT_EQUIVALENT."""
 
-    @pytest.mark.parametrize("noise", list(_LADDER_FLOORS))
-    def test_decompose_and_equiv_are_never_wrong(self, noise):
+    @staticmethod
+    def _certified_and_equivalent(instances, noise: float) -> tuple[int, int]:
         certified = equivalent = 0
-        for seed in range(60):
-            t, expected = random_decomposition_instance(seed)
+        for seed, t, expected in instances:
             t = perturbed_tuple(t, noise, seed) if noise else t
             if not verify_twisted(t).passed:
                 continue
@@ -1172,7 +1212,19 @@ class TestNoiseLadder:
                 continue
             assert result.verdict != "NOT_EQUIVALENT", seed
             equivalent += result.verdict == "EQUIVALENT"
+        return certified, equivalent
+
+    @pytest.mark.parametrize("noise", list(_LADDER_FLOORS))
+    def test_decompose_and_equiv_are_never_wrong(self, noise):
+        instances = [(seed, *random_decomposition_instance(seed)) for seed in range(60)]
+        certified, equivalent = self._certified_and_equivalent(instances, noise)
         floor_certified, floor_equivalent = _LADDER_FLOORS[noise]
+        assert certified >= floor_certified and equivalent >= floor_equivalent
+
+    @pytest.mark.parametrize("noise", list(_UNITARY_SLOT_FLOORS))
+    def test_unitary_slot_models_are_never_wrong(self, noise):
+        certified, equivalent = self._certified_and_equivalent(_unitary_slot_models(), noise)
+        floor_certified, floor_equivalent = _UNITARY_SLOT_FLOORS[noise]
         assert certified >= floor_certified and equivalent >= floor_equivalent
 
 
