@@ -13,7 +13,7 @@ runs first on the eigenbasis blocks of one random Hermitian element of the famil
 from __future__ import annotations
 
 import random
-from math import frexp, fsum, isfinite, ldexp, prod, sqrt
+from math import frexp, isfinite, ldexp, prod, sqrt
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
     Tolerance,
+    _bound_sum,
     _gamma,
     _norm_within,
     _require_square,
@@ -174,7 +175,7 @@ def _spans_small_values(chunks, q_k: np.ndarray | None, q_bar: float, f_bar: flo
         gram_k = q_k.T @ q_k
         gram_k.flat[:: k + 1] -= 1.0
         phi = sqrt(_sum_of_squares(gram_k)) * (1.0 + 2.0 * _UNIT_ROUNDOFF) + _gamma(n) * q_bar + _UNDERFLOW
-        image = fsum(_sum_of_squares(q_k.T @ chunk) for chunk in chunks)
+        image = _bound_sum(_sum_of_squares(q_k.T @ chunk) for chunk in chunks)
         eta = sqrt(image) + _gamma(n) * sqrt(f_bar * q_bar) + _UNDERFLOW
     return phi <= 0.5 and limit > 0.0 and eta * eta * (1.0 + _BOUND_SLACK) <= limit * limit * (1.0 - phi)
 
@@ -200,9 +201,9 @@ def _gram_count(pairs: list[tuple[np.ndarray, np.ndarray]], basis: tuple, eps: f
         for chunk in _stack_chunks(pairs, basis):
             gram += np.matmul(chunk, chunk.T, out=product)
             del chunk  # before the next one is built
-    del product
-    # the stack has Re and Im rows of every entry of each map, over n unknowns
-    split = _gram_split(gram, 2 * len(pairs) * pairs[0][0].size, eps, floor, raised)
+        del product
+        # the stack has Re and Im rows of every entry of each map, over n unknowns
+        split = _gram_split(gram, 2 * len(pairs) * pairs[0][0].size, eps, floor, raised)
     del gram
     if split is None:
         return None
@@ -244,7 +245,7 @@ def _eigenbasis_step(mats: list[np.ndarray]) -> tuple | None:
         a_conj.flat[:: d + 1] -= lam
         block = np.repeat(np.arange(len(sizes)), sizes)
         inside = block[:, None] == block
-        norms = fsum(abs(ck) * sqrt(_sum_of_squares(v)) for ck, v in zip(c, conjugated))
+        norms = _bound_sum(abs(ck) * sqrt(_sum_of_squares(v)) for ck, v in zip(c, conjugated))
         rounding = 2.0 * _gamma(2 * len(mats) + 8) * norms
         e = sqrt(_sum_of_squares(a_conj[~inside])) * (1.0 + _BOUND_SLACK) + rounding
         rho = sqrt(_sum_of_squares(a_conj[inside])) * (1.0 + _BOUND_SLACK) + rounding
@@ -254,7 +255,7 @@ def _eigenbasis_step(mats: list[np.ndarray]) -> tuple | None:
         gram_q.flat[:: d + 1] -= 1.0
         theta = sqrt(_sum_of_squares(gram_q)) * (1.0 + 2.0 * _UNIT_ROUNDOFF)
         theta += _gamma(2 * d + 4) * q_bar + _UNDERFLOW
-        v_bar = fsum(_sum_of_squares(v) for v in mats)
+        v_bar = _bound_sum(_sum_of_squares(v) for v in mats)
     if not (g > 0.0 and theta < 1.0 and isfinite(e + v_bar + q_bar)):
         return None
     scale = 2.0 * sqrt(2.0) * sqrt(v_bar) * (1.0 + _BOUND_SLACK)
@@ -272,7 +273,7 @@ def _eigenbasis_count(mats: list[np.ndarray], eps: float) -> int | None:
     d = mats[0].shape[0]
     m = 2 * len(mats) * d * d
     band = d * d * _UNIT_ROUNDOFF * sqrt(4.0 * d * v_bar * (1.0 + 4.0 * _gamma(m + d * d + 2)) + _UNDERFLOW)
-    c_norm = sqrt(fsum(abs(ck) ** 2 for ck in c)) * (1.0 + _BOUND_SLACK)
+    c_norm = sqrt(_bound_sum(abs(ck) ** 2 for ck in c)) * (1.0 + _BOUND_SLACK)
 
     def raised(level: float) -> float | None:
         z = (sqrt(2.0) * c_norm * level + 2.0 * e) / g * (1.0 + _BOUND_SLACK)

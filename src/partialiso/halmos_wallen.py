@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
+from math import inf
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _bound_sum,
     _frobenius,
     _max_op_norm,
     _norm_within,
@@ -34,7 +36,7 @@ from .linalg import (
     op_norm,
     zero_subspace,
 )
-from .operators import _block_diag, _positive_int, _power_walk, truncated_shift
+from .operators import _block_diag, _Growth, _positive_int, _power_walk, truncated_shift
 
 __all__ = [
     "DecompositionError",
@@ -168,6 +170,85 @@ def truncated_block_projection(
         for n in range(1, p + 1):
             out += (ranges[n - 1] - ranges[n]) @ (sources[p - n] - sources[p - n + 1])
     return out
+
+
+def _block_projections(v: np.ndarray, tol: Tolerance):
+    """(name, projection) for each projection of V that a twisted partner commutes with.
+
+    First the five stable projections P, Q, PQ, (I - P)Q and (I - Q)P of
+    `_stable_projections`, then each block pi_p of `truncated_block_projection`,
+    p = 1..d, in ascending p, whose spectral norm passes 1/2. ``v`` is square.
+
+    A block pi_p = sum_n (R_{n-1} - R_n)(S_{p-n} - S_{p-n+1}) of spectral
+    norm at most 1/2 is left out. It is not even formed when the Frobenius
+    norms of its factors, the steps x_j = ||R_j - R_{j+1}|| and
+    y_j = ||S_j - S_{j+1}||, give
+    sum_n x_{n-1} y_{p-n} (1 + `_BOUND_SLACK`) <= 1/2: the computed block's
+    Frobenius norm is at most that sum times (1 + ρ)²(1 + γ)(1 + u)^{2p}
+    plus pμ, in the constants of `linalg._rounding`, which the slack
+    covers with room for the SVD. A sum past the float range reads inf
+    (`linalg._bound_sum`), so it drops nothing.
+
+    The ladder of V stops as soon as the steps it has not formed cannot
+    matter. Past its top N, every step is bounded by one number b, so a
+    test that reads b for each step above N has a sum no smaller than the
+    one on the formed steps; where it drops order p, the walk to d would
+    drop it too, and an order it cannot drop walks the ladder on, one power
+    at a time, up to p at most, where the steps are the walk's own. So the
+    blocks formed, and the projections yielded, are those of a ladder walked
+    to d. The bound b, in the notation of that proof (‖·‖ Frobenius):
+    `operators._Growth.later` bounds every computed V̂^m, N <= m <= d + 1, by a
+    (steps 1 and 2; inf where the guard of step 5 fails, so the ladder goes
+    on one power at a time, and 0.0 where V̂^N is exactly zero). A computed
+    R̂_m = fl(V̂^m V̂^m*) then has ‖R̂_m‖ <= (1 + γ)a² + μ, and Ŝ_m alike;
+    the difference of two, rounded entrywise, is at most 1 + u times
+    2((1 + γ)a² + μ), and `_frobenius` adds 1 + ρ and half a subnormal
+    step. So b = (1 + ρ)²(2((1 + γ)a² + μ) + μ), the second 1 + ρ covering
+    the 1 + u and the evaluation; `_Growth.step_tail` forms it. At d = 50,
+    scrambled example 4.3 stops its ladder at power 9, not 50: order 9 is
+    the last whose bound it cannot drop, and its steps past order 5 are of
+    rounding size. The blocks are formed, and yielded, under the
+    `np.errstate` that lets an overflowed ladder read inf.
+    """
+    d = v.shape[0]
+    p_mat, q_mat, ladder = _stable_projections(v, tol)
+    eye = identity(d)
+    yield "stable_range", p_mat
+    yield "stable_source", q_mat
+    yield "unitary_part", p_mat @ q_mat
+    yield "shift_part", (eye - p_mat) @ q_mat
+    yield "backshift_part", (eye - q_mat) @ p_mat
+
+    ranges, sources = ladder.ranges, ladder.sources
+    x: list[float] = []
+    y: list[float] = []
+
+    def climb() -> float:
+        """Form the steps x_j, y_j up to the ladder's top N; return b, the bound on every later step."""
+        top = len(ranges) - 1
+        for j in range(len(x), top):
+            x.append(_frobenius(ranges[j] - ranges[j + 1]))
+            y.append(_frobenius(sources[j] - sources[j + 1]))
+        return growth.step_tail(growth.later(top, ladder.power) if top < d else inf)
+
+    def dropped(p: int, b: float) -> bool:
+        """Whether order p's bound, with b for each step not formed, drops its block."""
+        pad = [b] * (p - len(x))
+        xs, ys = x + pad, y + pad
+        return _bound_sum(xs[n - 1] * ys[p - n] for n in range(1, p + 1)) * (1.0 + _BOUND_SLACK) <= 0.5
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = _Growth(v, ranges[1] @ v - v)
+        b = climb()
+        for p in range(1, d + 1):
+            while not (drop := dropped(p, b)) and len(x) < p:
+                ladder.extend(len(ranges))
+                b = climb()
+            if drop:
+                continue
+            pi_p = truncated_block_projection(v, p, ladder)
+            if not _norm_within(pi_p, 0.5):
+                yield f"block_p={p}", pi_p
 
 
 def _projection_range(a: np.ndarray) -> Subspace:
@@ -357,3 +438,18 @@ def _hw_decompose(v: np.ndarray, tol: Tolerance) -> HWDecomposition:
         "the input is certified not to be a power partial isometry"
     ))
     return decomposition
+
+
+def _summands(decomposition: HWDecomposition) -> list[tuple[object, int, int, np.ndarray]]:
+    """(label, grading p, mult, column block) of each non-empty summand, read off the
+    intertwiner's layout [u | blocks]: the blocks in ascending p, labelled p and graded over
+    C^p, then the unitary part, labelled "u" and graded over C^1. Each column block spans a
+    reducing subspace of V."""
+    w, at = decomposition.intertwiner, decomposition.unitary_dim
+    summands = []
+    for b in decomposition.truncated_blocks:
+        summands.append((b.p, b.p, b.mult, w[:, at : at + b.p * b.mult]))
+        at += b.p * b.mult
+    if decomposition.unitary_dim:
+        summands.append(("u", 1, decomposition.unitary_dim, w[:, : decomposition.unitary_dim]))
+    return summands

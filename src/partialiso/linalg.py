@@ -13,7 +13,7 @@ constants beside it) has its one home here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import frexp, inf, isfinite, ldexp, sqrt
+from math import frexp, fsum, inf, isfinite, ldexp, sqrt
 
 import numpy as np
 
@@ -76,6 +76,15 @@ def _sum_of_squares(a: np.ndarray) -> float:
     """An upper bound on the sum of the squared moduli of the entries of ``a``, from one BLAS dot."""
     reals = 2 * a.size if np.iscomplexobj(a) else a.size
     return float(np.vdot(a, a).real) * (1.0 + 2.0 * _gamma(reals + 1)) + _UNDERFLOW
+
+
+def _bound_sum(terms) -> float:
+    """The `math.fsum` of the non-negative ``terms`` of a bound, inf where finite terms sum past
+    the float range (there fsum raises `OverflowError`). A finite sum keeps fsum's bits."""
+    try:
+        return fsum(terms)
+    except OverflowError:
+        return inf
 
 
 class DimensionMismatchError(ValueError):

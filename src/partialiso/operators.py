@@ -146,7 +146,7 @@ def _power_walk(v: np.ndarray):
 class _Growth:
     """Every bound on the later powers of one operator: steps 1, 2 and 5 of the proof in
     `power_isometry_residual` (`later`), its step 3 (`residual_tail`), and the ladder steps
-    of `twisted.check_projection_commutation` (`step_tail`).
+    of `halmos_wallen._block_projections` (`step_tail`).
 
     Built from V and its computed power-1 residual VV*V - V (the products of `_power_walk`),
     it holds γ, μ and ρ of `linalg._rounding` for d x d input, and the growth per power c,
@@ -190,7 +190,7 @@ class _Growth:
 
     def step_tail(self, a: float) -> float:
         """b, a bound on `_frobenius` of each computed R_m - R_{m+1} and S_m - S_{m+1} of a
-        ladder whose powers V^m, m >= N, are bounded by ``a`` (see `check_projection_commutation`)."""
+        ladder whose powers V^m, m >= N, are bounded by ``a`` (see `halmos_wallen._block_projections`)."""
         return (1 + self.rho) ** 2 * (2 * ((1 + self.gamma) * a * a + self.mu) + self.mu)
 
 
@@ -263,7 +263,7 @@ def power_isometry_residual(v: np.ndarray) -> float:
        of dimension k keeps ‖V̂^n‖ ≥ √k, so its walk runs in full anyway.
 
     `_Growth` holds steps 1, 2, 3 and 5 (ν, c, a and the tail); the stop
-    of `twisted.check_projection_commutation` reads the same a.
+    of `halmos_wallen._block_projections` reads the same a.
     """
     v = _require_square(v)
     residuals = _ScreenedMax()
@@ -379,25 +379,26 @@ def _relation_defects(t: TwistedTuple):
     """(key, defect) for every relation of ``t`` but the power checks, in report order.
 
     A relation holds when the matrix ``defect()`` returns vanishes. It is formed only
-    when it is called, so a caller that skips a key forms nothing for it; call it before
-    drawing the next key. A twist is unitary when U*U - I vanishes: UU* - I has the same
-    singular values (see `unitarity_residual`).
+    when it is called, so a caller that skips a key forms nothing for it; each ``defect``
+    holds its own operands, so the rows may be drawn in any order. A twist is unitary when
+    U*U - I vanishes: UU* - I has the same singular values (see `unitarity_residual`).
     """
     pairs = t.pair_keys()
     eye = identity(t.dim)
     for p in pairs:
         u = t.twists[p]
-        yield ("twist-unitary", *p), lambda: adjoint(u) @ u - eye
+        yield ("twist-unitary", *p), lambda u=u: adjoint(u) @ u - eye
     for a, p in enumerate(pairs):
         for q in pairs[a + 1 :]:
-            yield ("twist-commuting-family", *p, *q), lambda: t.twists[p] @ t.twists[q] - t.twists[q] @ t.twists[p]
+            yield ("twist-commuting-family", *p, *q), lambda x=t.twists[p], y=t.twists[q]: x @ y - y @ x
     for k, v in enumerate(t.ops, 1):
         for p in pairs:
-            yield ("twist-commute", k, *p), lambda: v @ t.twists[p] - t.twists[p] @ v
+            yield ("twist-commute", k, *p), lambda v=v, u=t.twists[p]: v @ u - u @ v
     for i, j in permutations(range(1, t.n_ops + 1), 2):
         vi, vj = t.ops[i - 1], t.ops[j - 1]
-        yield ("star-cross", i, j), lambda: adjoint(vi) @ vj - t.twist(i, j) @ vj @ adjoint(vi)
-        yield ("plain-cross", i, j), lambda: vi @ vj - t.twist(j, i) @ vj @ vi
+        yield ("star-cross", i, j), lambda vi=vi, vj=vj, i=i, j=j: (
+            adjoint(vi) @ vj - t.twist(i, j) @ vj @ adjoint(vi))
+        yield ("plain-cross", i, j), lambda vi=vi, vj=vj, i=i, j=j: vi @ vj - t.twist(j, i) @ vj @ vi
 
 
 def _first_failing_relation(t: TwistedTuple, eps: float, skip=lambda key: False) -> tuple | None:
@@ -681,10 +682,12 @@ def random_model_spec(
     random eigenbasis) mixed with random scalar phases; pairs of unitary
     slots stay untwisted, since realizing a nonscalar twist between two
     unitary slots needs special spectra (see `clock_shift_unitaries` for
-    the genuinely twisted case used in the tests).
+    the genuinely twisted case used in the tests). ``n_ops``, ``max_p`` and
+    ``max_aux`` are positive integers.
     """
+    max_p, max_aux = _positive_int(max_p, "max_p"), _positive_int(max_aux, "max_aux")
     rng = np.random.default_rng(seed)
-    n = int(n_ops) if n_ops is not None else int(rng.integers(1, 5))
+    n = _positive_int(n_ops, "n_ops") if n_ops is not None else int(rng.integers(1, 5))
     kinds: list[object] = []
     for _ in range(n):
         if rng.random() < 0.3:

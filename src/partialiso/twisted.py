@@ -27,24 +27,16 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from math import fsum, inf, prod
+from math import prod
 
 import numpy as np
 
 from .commutant import _match_unitary, commutant_dimension
-from .halmos_wallen import (
-    DecompositionError,
-    _certify,
-    _hw_decompose,
-    _stable_projections,
-    truncated_block_projection,
-)
+from .halmos_wallen import DecompositionError, _block_projections, _certify, _hw_decompose, _summands
 from .linalg import (
-    _BOUND_SLACK,
     DEFAULT_TOL,
     DimensionMismatchError,
     Tolerance,
-    _frobenius,
     _max_op_norm,
     _norm_within,
     _require_square,
@@ -57,7 +49,6 @@ from .linalg import (
 )
 from .operators import (
     TwistedTuple,
-    _Growth,
     _block_diag,
     _first_failing_relation,
     _model_operator,
@@ -176,87 +167,23 @@ def check_projection_commutation(
     For a twisted pair (V, W) the stabilized range and source projections
     of V, their products, and every truncated block projection commute
     with W; the residuals are returned keyed by projection name. Nothing
-    is assumed about the input pair, so a random pair simply reports large
-    values; V must be square and W of the same shape.
+    is assumed about the input pair: a random W simply reports large
+    values, but a V whose range projections never stabilize raises
+    `DecompositionError`. V must be square and W of the same shape.
 
-    A block pi_p = sum_n (R_{n-1} - R_n)(S_{p-n} - S_{p-n+1}) of spectral
-    norm at most 1/2 is left out. It is not even formed when the Frobenius
-    norms of its factors, the steps x_j = ||R_j - R_{j+1}|| and
-    y_j = ||S_j - S_{j+1}||, give
-    sum_n x_{n-1} y_{p-n} (1 + `_BOUND_SLACK`) <= 1/2: the computed block's
-    Frobenius norm is at most that sum times (1 + ρ)²(1 + γ)(1 + u)^{2p}
-    plus pμ, in the constants of `linalg._rounding`, which the slack
-    covers with room for the SVD.
-
-    The ladder of V stops as soon as the steps it has not formed cannot
-    matter. Past its top N, every step is bounded by one number b, so a
-    test that reads b for each step above N has a sum no smaller than the
-    one on the formed steps; where it drops order p, the walk to d would
-    drop it too, and an order it cannot drop walks the ladder on, one power
-    at a time, up to p at most, where the steps are the walk's own. So the
-    blocks formed, and the returned floats, are those of a ladder walked
-    to d. The bound b, in the notation of that proof (‖·‖ Frobenius):
-    `operators._Growth.later` bounds every computed V̂^m, N <= m <= d + 1, by a
-    (steps 1 and 2; inf where the guard of step 5 fails, so the ladder goes
-    on as before, and 0.0 where V̂^N is exactly zero). A computed
-    R̂_m = fl(V̂^m V̂^m*) then has ‖R̂_m‖ <= (1 + γ)a² + μ, and Ŝ_m alike;
-    the difference of two, rounded entrywise, is at most 1 + u times
-    2((1 + γ)a² + μ), and `_frobenius` adds 1 + ρ and half a subnormal
-    step. So b = (1 + ρ)²(2((1 + γ)a² + μ) + μ), the second 1 + ρ covering
-    the 1 + u and the evaluation; `_Growth.step_tail` forms it. At d = 50,
-    scrambled example 4.3 stops its ladder at power 9, not 50: order 9 is
-    the last whose bound it cannot drop, and its steps past order 5 are of
-    rounding size.
+    A block of spectral norm at most 1/2 is left out, and the ladder of V
+    stops as soon as the steps it has not formed cannot matter, so the
+    blocks, and the returned floats, are those of a ladder walked to d.
+    The projections, that rule and its proof live with the ladder, in
+    `halmos_wallen._block_projections`; this function measures
+    ||aW - Wa|| for each projection a it yields. At d = 50, scrambled
+    example 4.3 stops its ladder at power 9, not 50.
     """
     v = _require_square(v)
     w = as_matrix(w)
     if w.shape != v.shape:
         raise DimensionMismatchError(f"W has shape {w.shape}, V has shape {v.shape}")
-    d = v.shape[0]
-    p_mat, q_mat, ladder = _stable_projections(v, tol)
-    eye = identity(d)
-
-    def comm(a):
-        return op_norm(a @ w - w @ a)
-
-    out = {
-        "stable_range": comm(p_mat),
-        "stable_source": comm(q_mat),
-        "unitary_part": comm(p_mat @ q_mat),
-        "shift_part": comm((eye - p_mat) @ q_mat),
-        "backshift_part": comm((eye - q_mat) @ p_mat),
-    }
-    ranges, sources = ladder.ranges, ladder.sources
-    x: list[float] = []
-    y: list[float] = []
-
-    def climb() -> float:
-        """Form the steps x_j, y_j up to the ladder's top N; return b, the bound on every later step."""
-        top = len(ranges) - 1
-        for j in range(len(x), top):
-            x.append(_frobenius(ranges[j] - ranges[j + 1]))
-            y.append(_frobenius(sources[j] - sources[j + 1]))
-        return growth.step_tail(growth.later(top, ladder.power) if top < d else inf)
-
-    def dropped(p: int, b: float) -> bool:
-        """Whether order p's bound, with b for each step not formed, drops its block."""
-        pad = [b] * (p - len(x))
-        xs, ys = x + pad, y + pad
-        return fsum(xs[n - 1] * ys[p - n] for n in range(1, p + 1)) * (1.0 + _BOUND_SLACK) <= 0.5
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        growth = _Growth(v, ranges[1] @ v - v)
-        b = climb()
-        for p in range(1, d + 1):
-            while not (drop := dropped(p, b)) and len(x) < p:
-                ladder.extend(len(ranges))
-                b = climb()
-            if drop:
-                continue
-            pi_p = truncated_block_projection(v, p, ladder)
-            if not _norm_within(pi_p, 0.5):
-                out[f"block_p={p}"] = comm(pi_p)
-    return out
+    return {name: op_norm(a @ w - w @ a) for name, a in _block_projections(v, tol)}
 
 
 # ---------------------------------------------------------------------------
@@ -485,18 +412,8 @@ def _decompose_rec(
 
     eps = tol.eps
     first, rest = remaining[0], remaining[1:]
-    hw = _hw_decompose(carried[first], tol)
-    # (label, grading p, mult, columns), read off the intertwiner's layout [u | blocks]
-    layout = [("u", 1, hw.unitary_dim)] + [(b.p, b.p, b.mult) for b in hw.truncated_blocks]
-    parts, at = [], 0
-    for label, p, mult in layout:
-        parts.append((label, p, mult, hw.intertwiner[:, at : at + p * mult]))
-        at += p * mult
-
     leaves: list[DecompositionLeaf] = []
-    for label, p, mult, wp in parts[1:] + parts[:1]:
-        if not mult:
-            continue
+    for label, p, mult, wp in _summands(_hw_decompose(carried[first], tol)):
         here = path + _path_step(label)
         sub = {}
         for n in rest:
@@ -555,8 +472,8 @@ def decompose_tuple(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> Decomposit
     """Recursive decomposition of a twisted tuple into multiindexed leaves.
 
     Each level peels one operator's parts in canonical order, its blocks in
-    ascending p and then its unitary part (the first column block of its
-    intertwiner, with grading 1), so the leaves come out sorted.
+    ascending p and then its unitary part (with grading 1), as
+    `halmos_wallen._summands` reads them, so the leaves come out sorted.
 
     The caller is expected to have run `verify_twisted` first; structural
     failures (non-reducing subspaces, leaf data that is not unitary on the
@@ -575,9 +492,6 @@ def decompose_tuple(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> Decomposit
         path="",
     )
 
-    total = sum(leaf.leaf_dim for leaf in leaves)
-    if total != t.dim:
-        raise DecompositionError(f"leaf dimensions sum to {total}, ambient is {t.dim}")
     g = np.hstack([leaf.intertwiner for leaf in leaves])
     g_defect = adjoint(g) @ g - identity(t.dim)
     _certify([g_defect], tol.eps, lambda r: f"global intertwiner is not unitary (residual {r:.3e})")

@@ -29,7 +29,7 @@ from partialiso import (
     verify_twisted,
 )
 from partialiso.linalg import _norm_within, adjoint
-from partialiso.operators import _Growth, _relation_rows, _unitary_within, unitarity_residual
+from partialiso.operators import _Growth, _relation_defects, _relation_rows, _unitary_within, unitarity_residual
 from conftest import (
     non_power_partial_isometry_3d,
     perturbed_tuple,
@@ -509,11 +509,16 @@ class TestModelSpec:
     (lambda p: truncated_block_projection(np.zeros((2, 2)), p), "p"),
     (clock_shift_unitaries, "q"),
     (lambda dim: random_commuting_unitaries(dim, 1, 0), "dim"),
+    (lambda n: random_model_spec(0, n_ops=n), "n_ops"),
+    (lambda p: random_model_spec(0, max_p=p), "max_p"),
+    (lambda m: random_model_spec(0, max_aux=m), "max_aux"),
 ])
 @pytest.mark.parametrize("value, text", [
     (0, "must be >= 1, got 0"),
+    (-2, "must be >= 1, got -2"),
     (2.0, "must be an integer, got 2.0"),
     (1.5, "must be an integer, got 1.5"),
+    (2.7, "must be an integer, got 2.7"),
     (True, "must be an integer, got True"),
 ])
 def test_builders_read_sizes_as_positive_integers(build, name, value, text):
@@ -838,6 +843,17 @@ class TestOneRelationList:
     def test_relation_rows_counts_every_row_of_verify(self, n_ops):
         t = TwistedTuple(dim=1, ops=[np.zeros((1, 1))] * n_ops)
         assert _relation_rows(n_ops) == len(verify_twisted(t).residuals)
+
+    def test_each_defect_holds_its_own_operands(self):
+        # every row drawn before any is called forms the matrix it forms when called at once
+        t = build_model_tuple(random_model_spec(9, n_ops=3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            at_once = [(key, defect()) for key, defect in _relation_defects(t)]
+            drained = [(key, defect()) for key, defect in list(_relation_defects(t))]
+        assert len(drained) == 27
+        for (key, a), (key_drained, b) in zip(at_once, drained):
+            assert key == key_drained
+            np.testing.assert_array_equal(a, b, err_msg=str(key))
 
     def test_a_failing_relation_is_named_as_verify_reports_it(self):
         u12 = np.diag([1.0, -1.0])

@@ -1,6 +1,6 @@
 """The package's single homes: its public names come from each module's ``__all__``, the
-rounding model's constants and the default eps are written in `linalg` alone, and the Sylvester
-engine lives in `commutant` alone."""
+rounding model's constants and the default eps are written in `linalg` alone, the Sylvester
+engine lives in `commutant` alone, and the power ladder in `operators` and `halmos_wallen`."""
 
 import ast
 import inspect
@@ -88,6 +88,18 @@ def test_the_sylvester_engine_is_private_to_commutant():
         if path.name != "commutant.py":
             assert not _names_in(path) & set(ENGINE_NAMES), path.name
 
+
+# The power ladder of one operator, its stop rule and the bounds on its later powers.
+LADDER_NAMES = (
+    "RangeSourceLadder", "_stable_projections", "_stable_limit", "_Growth", "_power_walk", "_residual_walk",
+)
+
+
+def test_the_power_ladder_is_private_to_operators_and_halmos_wallen():
+    assert set(LADDER_NAMES) <= _names_in(SOURCE / "operators.py") | _names_in(SOURCE / "halmos_wallen.py")
+    for path in SOURCE.glob("*.py"):
+        if path.name not in {"operators.py", "halmos_wallen.py"}:
+            assert not _names_in(path) & set(LADDER_NAMES), path.name
 
 
 # What a stage reads its residual with: only `_certify` may form one for a `DecompositionError`.

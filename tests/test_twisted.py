@@ -335,6 +335,12 @@ class TestProjectionCommutation:
         residuals = check_projection_commutation(v, w)
         assert all(np.isfinite(list(residuals.values())))
 
+    def test_a_v_whose_ranges_never_stabilize_is_refused(self):
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        with pytest.raises(DecompositionError, match="did not stabilize by power 7"):
+            check_projection_commutation(v, np.eye(6))
+
     @pytest.mark.parametrize("slot", [0, 1])
     def test_an_overflowing_pair_raises_only_a_decomposition_error(self, slot):
         # example 4.3 with one operator scaled by 1e100 ... 1e308: whatever overflows reads
@@ -349,6 +355,18 @@ class TestProjectionCommutation:
                 hw_decompose(ops[slot])
             with pytest.raises(DecompositionError):
                 decompose_tuple(TwistedTuple(dim=base.dim, ops=ops, twists=base.twists))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_a_scaled_shift_reports_floats_or_refuses_by_name(self, p):
+        # s J_p for s = 10^60 ... 10^308 in quarter steps of the exponent: a drop bound whose
+        # terms sum past the float range reads inf and drops nothing (at p = 2 from s = 10^77)
+        for k in range(240, 1233):
+            try:
+                residuals = check_projection_commutation(10.0 ** (k / 4) * truncated_shift(p), np.eye(p))
+            except DecompositionError:
+                continue
+            assert all(type(r) is float for r in residuals.values()), k / 4
 
     def test_non_square_v_is_refused(self):
         with pytest.raises(ValueError, match="expected a square matrix"):
@@ -689,6 +707,19 @@ class TestCommutant:
     def test_an_overflowing_gram_sum_falls_through_without_a_warning(self, ops):
         # every RuntimeWarning is an error under this suite's settings
         assert commutant_dimension(ops, include_adjoints=True) == self._complex_stack_dimension(ops)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_scaled_unitaries_near_the_float_range_count_quietly(self, count):
+        # 10^150 ... 10^160 in quarter steps of the exponent: the Gram trace and the bound sums
+        # of both tiers overflow there, read inf, and the tier declines without a warning
+        us = [haar_unitary(8, seed) for seed in range(count)]
+        for q in range(600, 641):
+            try:
+                dimension = commutant_dimension([10.0 ** (q / 4) * u for u in us], include_adjoints=True)
+            except DecompositionError:
+                continue
+            assert type(dimension) is int, q / 4
 
     @staticmethod
     def _misleading_eigh(monkeypatch, mislead):

@@ -161,13 +161,13 @@ def test_projection_check_builds_one_range_source_ladder(monkeypatch):
 @pytest.mark.parametrize("p", [3, 5])
 def test_projection_check_forms_only_blocks_its_bound_cannot_drop(monkeypatch, p):
     formed = []
-    original = twisted.truncated_block_projection
+    original = halmos_wallen.truncated_block_projection
 
     def counting(v, order, ladder=None):
         formed.append(order)
         return original(v, order, ladder)
 
-    monkeypatch.setattr(twisted, "truncated_block_projection", counting)
+    monkeypatch.setattr(halmos_wallen, "truncated_block_projection", counting)
     t = build_twisted_shift_pair(p, np.exp(0.7j))
     v, w = conjugate_tuple(t, haar_unitary(t.dim, p)).ops
     residuals = check_projection_commutation(v, w)
