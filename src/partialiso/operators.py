@@ -14,6 +14,7 @@ the residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, islice, permutations
 from math import inf, prod, sqrt
 
@@ -145,28 +146,84 @@ def _power_walk(v: np.ndarray):
 
 class _Growth:
     """Every bound on the later powers of one operator: steps 1, 2 and 5 of the proof in
-    `power_isometry_residual` (`later`), its step 3 (`residual_tail`), and the ladder steps
-    of `halmos_wallen._block_projections` (`step_tail`).
+    `power_isometry_residual` (`later`), its step 3 (`residual_tail`), the ladder steps
+    of `halmos_wallen._block_projections` (`step_tail`), and the unitary tail below
+    (`unitary_tail`).
 
     Built from V and its computed power-1 residual VV*V - V (the products of `_power_walk`),
-    it holds γ, μ and ρ of `linalg._rounding` for d x d input, and the growth per power c,
-    which stays None unless the guard of step 5 holds.
+    it holds γ, μ and ρ of `linalg._rounding` for d x d input, f, the bound on ‖V‖, and ν,
+    the bound on ‖V‖₂, and the growth per power c, which stay None unless the guard of step 5
+    holds.
+
+    The unitary tail. A power partial isometry is, up to a unitary change of basis,
+    V = U ⊕ (⊕_p J_p ⊗ I) (Halmos and Wallen), so once n passes the largest shift order
+    V^n = U^n ⊕ 0: range(V^n*V^n) reduces V, V is unitary on it, and every later power is
+    a partial isometry, while ‖V^n‖ does not fall. `unitary_tail` bounds the computed
+    residual of every later power from defects of W = V̂^n, the computed power at n, with
+    K = d + 1 − n powers left. Notation as in `power_isometry_residual` (‖·‖ Frobenius,
+    hats computed), with ‖·‖₂ spectral, G = W*W, r(Y) = YY*Y − Y, ‖XYZ‖ ≤ ‖X‖₂‖Y‖‖Z‖₂
+    throughout, and a = `later`(n, W), which bounds ‖V̂^m‖ for n ≤ m ≤ d + 1, W included.
+
+    1. Exact part. As WG = WW*W, for k ≥ 1
+       r(WV^k) = WV^k(V^k*GV^k − G) + W(V^kG − GV^k) + r(W)V^k,
+       and, telescoping, V^kG − GV^k = Σ_{j<k} V^j(VG − GV)V^{k−1−j} and
+       V^k*GV^k − G = Σ_{j<k} V^j*(V*GV − G)V^j, where V*GV − G = V*(GV − VG) + (V*VG − G).
+       So with ‖V‖₂ ≤ ν, ‖W‖₂ ≤ ω, ‖r(W)‖ ≤ t, ‖VG − GV‖ ≤ β and ‖V*VG − G‖ ≤ κ, every
+       k ≤ K has ‖r(WV^k)‖ ≤ ν^{3K}(Kω((1 + ν)β + κ) + t).
+    2. t and ω. t is step 1 of `power_isometry_residual` on W: the walk's bound on its
+       computed residual, times 1 + 2u, plus 3γa³ + 2μ(1 + a). The singular values s of W
+       have |s³ − s| ≤ t, so ‖W‖₂ ≤ ω = 1 + t/2, as there.
+    3. β and κ. P̂ = fl(W*W) has ‖P̂ − G‖ ≤ e = γa² + μ, ‖P̂‖ ≤ p = ωa + e and
+       ‖P̂‖₂ ≤ ω² + e. Q̂ = fl(V*V), formed once per walk, has ‖Q̂ − V*V‖ ≤ γf² + μ and
+       ‖Q̂‖ ≤ q = νf + γf² + μ. A computed difference is within 1 + 2u of the exact one, so
+       from D̂ = fl(fl(VP̂) − fl(P̂V)) and Ĉ = fl(fl(Q̂P̂) − P̂)
+         β = (1 + 2u)‖D̂‖ + 2(γfp + μ) + 2νe,
+         κ = (1 + 2u)‖Ĉ‖ + γqp + μ + (γf² + μ)(ω² + e) + (ν² + 1)e,
+       as VG − GV = (VP̂ − P̂V) + V(G − P̂) − (G − P̂)V and
+       V*VG − G = (Q̂P̂ − P̂) + (V*V − Q̂)P̂ + V*V(G − P̂) − (G − P̂).
+    4. Chain. Each V̂^{m+1} = fl(V̂^m V), n ≤ m ≤ d, errs by at most γaf + μ, so
+       V̂^{n+k} = WV^k + E_k with ‖E_k‖ ≤ ε = Kν^K(γaf + μ).
+    5. Perturbation. With ‖WV^k‖₂ ≤ x = ων^K, r(WV^k + E_k) − r(WV^k) is −E_k plus seven
+       products with one to three factors E_k, so it is at most ε(3x² + 3xε + ε² + 1).
+    6. Formation. As in step 1 of `power_isometry_residual`, the computed residual of
+       Y = V̂^{n+k}, ‖Y‖ ≤ a, is at most 1 + u times ‖r(Y)‖ + 3γa³ + 2μ(1 + a).
+    7. Bound. (1 + ρ)²(1 + u) times the sum of steps 1, 5 and 6 bounds the Frobenius
+       norm, and so the spectral norm, of the computed residual of every later power; the
+       (1 + ρ)² covers the some 20 roundings of evaluating it. Where it times
+       1 + `_BOUND_SLACK` is at most eps, every later power passes `_norm_within`.
+    8. Cost. Declining is sound whatever decides it, as the walk goes on. The walk offers
+       the tail only at a power n where the rank did not fall, ‖V̂^{n−1}‖² − ‖V̂^n‖² < 1/2
+       with ‖V̂^0‖² = d: for a power partial isometry ‖V^m‖² = rank V^m, and
+       rank V^{n−1} − rank V^n counts the chains J_p with p ≥ n, so a shift part alive at n
+       costs no attempt. It offers it at the first such power, one past the largest shift
+       order (1 for a unitary), and at each such n = 1, 2, 4, ... after it, where K is
+       smaller, should rounding fail the first attempt. All terms but ‖D̂‖ and ‖Ĉ‖ need no
+       product, so an attempt whose bound without them fails forms nothing: at d = 96 the
+       chain term of a unitary alone is about 1.6e-9 at n = 1. D̂ and Ĉ follow, each
+       checked. With K < 2 nothing is tried: the one power left costs fewer products than
+       an attempt.
     """
 
     def __init__(self, v: np.ndarray, residual: np.ndarray) -> None:
         d = v.shape[0]
         self.d = d
+        self.v = v
         self.gamma, self.mu, self.rho = _rounding(d)
-        self.c = None
-        size = self.norm_bound(np.vdot(v, v).real)
+        self.c = self.nu = self._gram = None
+        self.size = self.norm_bound(np.vdot(v, v).real)
         t = self.norm_bound(np.vdot(residual, residual).real)
         if t <= 2 * _BOUND_SLACK:
-            nu = 1 + (t * (1 + 2 * _UNIT_ROUNDOFF) + 3 * self.gamma * size**3 + 2 * self.mu * (1 + size)) / 2
-            self.c = nu + self.gamma * size
+            self.nu = 1 + self.exact_residual(t, self.size) / 2
+            self.c = self.nu + self.gamma * self.size
 
     def norm_bound(self, squares: float) -> float:
         """A bound on a Frobenius norm from ``squares``, the sum of squared moduli in one BLAS dot."""
         return (1 + self.rho) ** 2 * sqrt(squares + self.mu)
+
+    def exact_residual(self, t: float, size: float) -> float:
+        """A bound on the exact ‖YY*Y − Y‖ from ``t``, the bound on the computed one, and ``size``
+        on ‖Y‖ (step 1 of `power_isometry_residual`)."""
+        return t * (1 + 2 * _UNIT_ROUNDOFF) + 3 * self.gamma * size**3 + 2 * self.mu * (1 + size)
 
     def later(self, n: int, vp: np.ndarray) -> float:
         """a: a bound on the computed Frobenius norm of every power V^m, n <= m <= d + 1, from V^n.
@@ -193,29 +250,83 @@ class _Growth:
         ladder whose powers V^m, m >= N, are bounded by ``a`` (see `halmos_wallen._block_projections`)."""
         return (1 + self.rho) ** 2 * (2 * ((1 + self.gamma) * a * a + self.mu) + self.mu)
 
+    def unitary_tail(self, n: int, w: np.ndarray, residual: np.ndarray, a: float, eps: float) -> float:
+        """The unitary tail: a bound on the computed Frobenius norm of the residual of every
+        power V^m, n < m <= d + 1, from ``w`` = V̂^n, its computed ``residual`` and
+        ``a`` = `later`(n, w); inf where it declines, which it does once the bound, times
+        1 + `_BOUND_SLACK`, cannot be at most ``eps``. The proof and the order of its steps
+        are in the class docstring."""
+        k = self.d + 1 - n
+        if k < 2 or self.c is None:
+            return inf
+        gamma, mu, nu, f, u = self.gamma, self.mu, self.nu, self.size, _UNIT_ROUNDOFF
+        t = self.exact_residual(self.norm_bound(np.vdot(residual, residual).real), a)
+        omega = 1 + t / 2
+        growth = nu**k
+        e = gamma * a * a + mu
+        p = omega * a + e
+        q = nu * f + gamma * f * f + mu
+        chain = k * growth * (gamma * a * f + mu)
+        x = omega * growth
+        drift = chain * (3 * x * x + 3 * x * chain + chain * chain + 1) + 3 * gamma * a**3 + 2 * mu * (1 + a)
+        beta = 2 * (gamma * f * p + mu) + 2 * nu * e
+        kappa = gamma * q * p + mu + (gamma * f * f + mu) * (omega * omega + e) + (nu * nu + 1) * e
+
+        def bound() -> float:
+            exact = growth**3 * (k * omega * ((1 + nu) * beta + kappa) + t)
+            return (1 + self.rho) ** 2 * (1 + u) * (exact + drift)
+
+        def fails() -> bool:
+            return not bound() * (1.0 + _BOUND_SLACK) <= eps
+
+        if fails():
+            return inf
+        v = self.v
+        p_hat = adjoint(w) @ w
+        defect = v @ p_hat - p_hat @ v
+        beta += (1 + 2 * u) * self.norm_bound(np.vdot(defect, defect).real)
+        if fails():
+            return inf
+        if self._gram is None:
+            self._gram = adjoint(v) @ v
+        defect = self._gram @ p_hat - p_hat
+        kappa += (1 + 2 * u) * self.norm_bound(np.vdot(defect, defect).real)
+        return bound()
+
 
 def _residual_walk(v: np.ndarray):
-    """(V^n V^n* V^n - V^n, tail) for n = 1..d+1, in the products of `_power_walk`.
+    """(V^n V^n* V^n - V^n, tail, unitary) for n = 1..d+1, in the products of `_power_walk`.
 
     ``tail`` bounds the computed Frobenius norm of every later residual; the
     proof is in `power_isometry_residual`. It is inf except at n = 1, 2,
     4, 8, ..., where the walk also ends if V^n is exactly zero, since every
-    later power and residual is then exactly zero too.
+    later power and residual is then exactly zero too. ``unitary`` is
+    `_Growth.unitary_tail` on the walk's V^n, a function of eps that forms its
+    products only when called, at the powers step 8 of `_Growth` names: the
+    first power at which the rank did not fall, and each power of two after
+    it at which it did not; elsewhere it is None.
     """
     d = v.shape[0]
-    growth = None
+    squares = float(d)  # the sum of squares of V^0 = I
+    fell = True
     for n, (vp, r) in enumerate(islice(_power_walk(v), d + 1), 1):
         residual = r @ vp - vp
-        if n & (n - 1):
-            yield residual, inf
-            continue
         if n == 1:
             growth = _Growth(vp, residual)
+        before, squares = squares, np.vdot(vp, vp).real
+        stable = before - squares < 0.5
+        checkpoint = not n & (n - 1)
+        offered = stable and (fell or checkpoint)
+        fell = not stable
+        if not (checkpoint or offered):
+            yield residual, inf, None
+            continue
         a = growth.later(n, vp)
-        if a == 0.0:
-            yield residual, 0.0
+        if checkpoint and a == 0.0:
+            yield residual, 0.0, None
             return
-        yield residual, growth.residual_tail(a)
+        unitary = partial(growth.unitary_tail, n, vp, residual, a) if offered else None
+        yield residual, growth.residual_tail(a) if checkpoint else inf, unitary
 
 
 def power_isometry_residual(v: np.ndarray) -> float:
@@ -260,7 +371,10 @@ def power_isometry_residual(v: np.ndarray) -> float:
        Testing at powers of two keeps the cost off walks that never stop.
     5. Guard. Unless t ≤ 2 `_BOUND_SLACK` (V numerically a partial
        isometry), the walk is never cut. An operator with a unitary part
-       of dimension k keeps ‖V̂^n‖ ≥ √k, so its walk runs in full anyway.
+       of dimension k keeps ‖V̂^n‖ ≥ √k, so this bound never ends its
+       walk. The gate `is_power_partial_isometry` ends such a walk by the
+       unitary tail of `_Growth` once every later residual is within eps;
+       the value here walks on to d + 1.
 
     `_Growth` holds steps 1, 2, 3 and 5 (ν, c, a and the tail); the stop
     of `halmos_wallen._block_projections` reads the same a.
@@ -268,7 +382,7 @@ def power_isometry_residual(v: np.ndarray) -> float:
     v = _require_square(v)
     residuals = _ScreenedMax()
     with np.errstate(over="ignore", invalid="ignore"):
-        for residual, tail in _residual_walk(v):
+        for residual, tail, _ in _residual_walk(v):
             if not residuals.add(residual):
                 return inf
             stop = tail * (1.0 + _BOUND_SLACK)
@@ -285,18 +399,24 @@ def is_power_partial_isometry(
     Returns (True, None) when every power passes, else (False, n) with the
     first failing power. Each power is decided by exact norm bounds and
     takes an SVD only when they cannot, so a valid operator usually costs
-    no SVD at all; the verdict is the spectral one. The walk ends once the
-    bound of `power_isometry_residual` on every later residual, times
-    1 + `_BOUND_SLACK`, is at most eps, or by its zero rule.
+    no SVD at all; the verdict is the spectral one. The walk ends once a
+    bound on every later computed residual, times 1 + `_BOUND_SLACK`, is
+    at most eps: at n = 1, 2, 4, ... the tail bound of
+    `power_isometry_residual` (or its zero rule), for a V^n that falls
+    towards zero, and where the rank of V^n has stopped falling the
+    unitary tail of `_Growth`, which ends the walk of a unitary part.
+    Each covers the powers it skips, so neither moves the verdict.
     Passing this finite check is a heuristic; the decomposition round-trip
     in `partialiso.halmos_wallen` turns it into a certificate.
     """
     v = _require_square(v)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, (residual, tail) in enumerate(_residual_walk(v), 1):
+        for n, (residual, tail, unitary) in enumerate(_residual_walk(v), 1):
             if not _norm_within(residual, tol.eps):
                 return False, n
             if tail * (1.0 + _BOUND_SLACK) <= tol.eps:
+                break
+            if unitary is not None and unitary(tol.eps) * (1.0 + _BOUND_SLACK) <= tol.eps:
                 break
     return True, None
 
@@ -438,12 +558,12 @@ def build_twisted_shift_pair(
     return TwistedTuple(dim=2 * p * p, ops=[v1, v2], twists={(1, 2): u})
 
 
-def _positive_int(value, what: str) -> int:
-    """``value`` as an int; bools, other non-integers and values below 1 are refused."""
+def _positive_int(value, what: str, least: int = 1) -> int:
+    """``value`` as an int; bools, other non-integers and values below ``least`` are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{what} must be >= 1, got {value}")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
     return int(value)
 
 
@@ -585,7 +705,8 @@ def build_model_tuple(spec: ModelSpec, tol: Tolerance = DEFAULT_TOL) -> TwistedT
 
 
 def haar_unitary(dim: int, rng: np.random.Generator | int) -> np.ndarray:
-    """Haar-distributed random unitary (QR of a complex Gaussian)."""
+    """Haar-distributed random unitary (QR of a complex Gaussian); ``dim`` is a positive integer."""
+    dim = _positive_int(dim, "dim")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -598,9 +719,11 @@ def random_commuting_unitaries(dim: int, how_many: int, seed: int) -> list[np.nd
     """Pairwise commuting unitaries, deterministic per seed.
 
     All matrices share one random eigenbasis with independent random
-    unimodular spectra, so commutators vanish up to rounding.
+    unimodular spectra, so commutators vanish up to rounding. ``how_many``
+    may be 0, for a family with no member.
     """
     dim = _positive_int(dim, "dim")
+    how_many = _positive_int(how_many, "how_many", least=0)
     rng = np.random.default_rng(seed)
     q = haar_unitary(dim, rng)
     out = []

@@ -144,9 +144,9 @@ def verify_twisted(t: TwistedTuple, tol: Tolerance = DEFAULT_TOL) -> TwistReport
     row is decided by `_norm_within`, then each operator by
     `is_power_partial_isometry`, up to the first that fails; no SVD is
     taken where exact bounds decide. That verdict is ``max_residual <= eps``:
-    `_norm_within(a, eps)` is ``op_norm(a) <= eps``, both power walks end by
-    the tail bound of `power_isometry_residual`, and an entry that is not
-    finite fails either way. The residual values are formed only when the
+    `_norm_within(a, eps)` is ``op_norm(a) <= eps``, the power check ends
+    its walk only where a bound shows every later residual within eps,
+    and an entry that is not finite fails either way. The residual values are formed only when the
     report's ``residuals`` is first read.
     """
     checked = copy(t)

@@ -1,8 +1,11 @@
+import importlib
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from partialiso import (
     ModelSpec,
@@ -286,33 +289,204 @@ class TestGrowthBound:
             vp = vp @ v
 
 
-class TestScreenedPowerLadder:
-    """The norm-bound screening must not change any value or verdict.
+def _walk(v, n):
+    """(V̂^n, its computed residual) in the products of `operators._power_walk`."""
+    w = v.copy()
+    for _ in range(n - 1):
+        w = w @ v
+    r = w @ w.conj().T
+    return w, r @ w - w
 
-    The oracle is the unscreened loop: one spectral norm per power.
-    """
+
+def _stated_unitary_tail(v, n):
+    """The unitary tail of the `_Growth` proof, steps 1-7, as its docstring states them, at
+    power n of V's walk; inf with K < 2 powers left or where the guard fails."""
+    d = v.shape[0]
+    u = 2.0**-53
+    gamma, mu, rho = 4 * (d + 2) * u, 16 * d * d * 2.0**-1074, 2 * (d * d + d + 8) * u
+
+    def norm(a):
+        return (1 + rho) ** 2 * np.sqrt(np.vdot(a, a).real + mu)
+
+    def exact(t, size):
+        return t * (1 + 2 * u) + 3 * gamma * size**3 + 2 * mu * (1 + size)
+
+    k = d + 1 - n
+    f = norm(v)
+    nu = 1 + exact(norm(_walk(v, 1)[1]), f) / 2
+    w, residual = _walk(v, n)
+    c, a = _stated_growth(v, n, w)
+    if k < 2 or c is None:
+        return np.inf
+    t = exact(norm(residual), a)
+    omega = 1 + t / 2
+    growth = nu**k
+    e = gamma * a * a + mu
+    p = omega * a + e
+    q = nu * f + gamma * f * f + mu
+    chain = k * growth * (gamma * a * f + mu)
+    x = omega * growth
+    drift = chain * (3 * x * x + 3 * x * chain + chain * chain + 1) + 3 * gamma * a**3 + 2 * mu * (1 + a)
+    p_hat = w.conj().T @ w
+    beta = 2 * (gamma * f * p + mu) + 2 * nu * e + (1 + 2 * u) * norm(v @ p_hat - p_hat @ v)
+    kappa = (gamma * q * p + mu + (gamma * f * f + mu) * (omega * omega + e) + (nu * nu + 1) * e
+             + (1 + 2 * u) * norm((v.conj().T @ v) @ p_hat - p_hat))
+    return (1 + rho) ** 2 * (1 + u) * (growth**3 * (k * omega * ((1 + nu) * beta + kappa) + t) + drift)
+
+
+def _unitary_and_shift(k, p, m, seed):
+    """A Haar unitary on C^k plus J_p x I_m, conjugated by a Haar unitary."""
+    rng = np.random.default_rng(seed)
+    v = block_diag(haar_unitary(k, rng), kron(truncated_shift(p), np.eye(m))).astype(complex)
+    w = haar_unitary(v.shape[0], rng)
+    return w @ v @ w.conj().T
+
+
+class _Counted(np.ndarray):
+    """An array whose matrix products are counted, as are those of their results."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _Counted.products += 1
+        return (np.asarray(self) @ np.asarray(other)).view(_Counted)
+
+    def __rmatmul__(self, other):
+        _Counted.products += 1
+        return (np.asarray(other) @ np.asarray(self)).view(_Counted)
+
+
+class TestUnitaryTail:
+    """`_Growth.unitary_tail` is the bound its proof states, term for term; it covers every
+    later computed residual; and its declines cost what the proof's step 8 says."""
+
+    @pytest.mark.parametrize("name, n", [
+        ("haar-12", 1), ("haar-12", 4), ("scaled-haar-12", 1), ("unitary-and-shift", 4),
+        ("unitary-and-shift", 8), ("shift-alive", 2), ("one-power-left", 12), ("guard-fails", 1),
+    ])
+    def test_unitary_tail_is_the_stated_bound(self, name, n):
+        v = {
+            "haar-12": lambda: haar_unitary(12, 4),
+            # ‖V‖₂ = 1 + 1e-12, so ν^K moves the bound
+            "scaled-haar-12": lambda: haar_unitary(12, 4) * (1 + 1e-12),
+            "unitary-and-shift": lambda: _unitary_and_shift(5, 3, 2, 1),
+            "shift-alive": lambda: _unitary_and_shift(5, 3, 2, 1),
+            "one-power-left": lambda: haar_unitary(11, 4),
+            "guard-fails": lambda: haar_unitary(12, 4) * (1 + 1e-6),
+        }[name]()
+        growth = _Growth(v, _walk(v, 1)[1])
+        w, residual = _walk(v, n)
+        bound = growth.unitary_tail(n, w, residual, growth.later(n, w), np.inf)
+        assert bound == _stated_unitary_tail(v, n)
+        if name in ("one-power-left", "guard-fails"):
+            assert bound == np.inf
+            return
+        if name == "shift-alive":
+            # J_3 is alive at power 2: V does not commute with W*W
+            assert 0.1 < bound < np.inf
+            return
+        # every later residual, rounded as the walk rounds it, is within the bound
+        assert 0.0 < bound < 1e-9
+        for _ in range(v.shape[0] + 1 - n):
+            w = w @ v
+            later = w @ w.conj().T @ w - w
+            assert np.linalg.norm(later) <= bound
+
+    def test_an_attempt_forms_four_products_and_v_star_v_once_per_walk(self):
+        v = _unitary_and_shift(5, 3, 2, 1).view(_Counted)
+        growth = _Growth(v, _walk(np.asarray(v), 1)[1])
+        w, residual = (a.view(_Counted) for a in _walk(np.asarray(v), 4))
+        for products in (5, 4):
+            _Counted.products = 0
+            # P̂, VP̂, P̂V and (V*V)P̂, and V*V the first time
+            assert growth.unitary_tail(4, w, residual, growth.later(4, w), 1e-9) < 1e-9
+            assert _Counted.products == products
+
+    def test_an_attempt_whose_rounding_alone_fails_forms_nothing(self):
+        v = haar_unitary(96, 1).view(_Counted)
+        growth = _Growth(v, _walk(np.asarray(v), 1)[1])
+        for n in (1, 2, 4, 8, 16, 32, 64):
+            w, residual = (a.view(_Counted) for a in _walk(np.asarray(v), n))
+            _Counted.products = 0
+            assert growth.unitary_tail(n, w, residual, growth.later(n, w), 1e-9) == np.inf
+            assert _Counted.products == 0
+
+
+def _coupled(p, size, seed):
+    """A Haar unitary on C^6 plus J_p, coupled by a block of norm ``size`` from the shift's
+    coordinates to the unitary's and scrambled: its residuals are of order ``size`` below
+    power p and of order size² from p on, so the first failing power moves with ``size``."""
+    rng = np.random.default_rng(seed)
+    v = block_diag(haar_unitary(6, rng), truncated_shift(p)).astype(complex)
+    g = rng.standard_normal((6, p)) + 1j * rng.standard_normal((6, p))
+    v[:6, 6:] += size * g / np.linalg.norm(g, 2)
+    w = haar_unitary(6 + p, rng)
+    return w @ v @ w.conj().T
+
+
+def _unitary_slot_operators(count):
+    """The operators at the unitary slots of scrambled `random_model_spec` tuples with d <= 64."""
+    seed = 0
+    while count > 0:
+        spec = random_model_spec(seed)
+        t = build_model_tuple(spec)
+        if spec.unitary_slots() and t.dim <= 64:
+            hidden = conjugate_tuple(t, haar_unitary(t.dim, seed))
+            for i in spec.unitary_slots():
+                yield f"spec-{seed}-op{i}", hidden.ops[i - 1]
+                count -= 1
+        seed += 1
+
+
+def _single_stream_operators():
+    """Every item of the benchmark's single-stream workload at seeds 1-3."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        inputs = importlib.import_module("inputs")
+    for seed in (1, 2, 3):
+        for k, item in enumerate(inputs.single_stream(seed)):
+            yield f"single-{seed}-{k}", item.matrix
+
+
+def _unitary_tail_inputs():
+    for p in (3, 5, 9):
+        for size in (1e-14, 1e-12, 1e-11, 1e-10, 3e-10, 5e-10, 5.5e-10, 6e-10, 8e-10, 1e-9):
+            yield f"coupled-{p}-{size}", _coupled(p, size, p)
+    for d in (8, 16, 24, 32):
+        for size in (1e-11, 1e-10, 3e-10, 1e-9):
+            yield f"haar-{d}-{size}", _perturbed_haar(d, size)
+    yield from _unitary_slot_operators(40)
+    yield from _single_stream_operators()
+
+
+class TestUnitaryTailVerdicts:
+    """The unitary tail ends walks but moves no verdict: on operators with a unitary part,
+    the gate agrees with one spectral norm per power."""
 
     @pytest.fixture(scope="class")
     def cases(self):
-        return [(name, v, unscreened_power_residuals(v)) for name, v in _screening_inputs()]
+        return [(name, v, unscreened_power_residuals(v)) for name, v in _unitary_tail_inputs()]
 
-    def test_worst_residual_is_bit_identical(self, cases):
-        for name, v, residuals in cases:
-            assert power_isometry_residual(v) == max([0.0, *residuals]), name
+    def test_verdict_and_first_failing_power_agree(self, cases, monkeypatch):
+        decided = []
+        tail = _Growth.unitary_tail
 
-    def test_verdict_and_first_failing_power_agree(self, cases):
+        def recording(self, *args):
+            bound = tail(self, *args)
+            decided.append(bound * (1 + 1e-8) <= 1e-9)
+            return bound
+
+        monkeypatch.setattr(_Growth, "unitary_tail", recording)
+        ended = set()
         for name, v, residuals in cases:
             failing = [n for n, r in enumerate(residuals, 1) if r > 1e-9]
             expected = (False, failing[0]) if failing else (True, None)
+            decided.clear()
             assert is_power_partial_isometry(v) == expected, name
-
-    def test_slow_drift_fails_late_not_early(self):
-        # residuals of a perturbed unitary grow with the power, so these
-        # cross eps far beyond the point where the ranks have settled
-        for d in (64, 128):
-            ok, failing = is_power_partial_isometry(_perturbed_haar(d, 1e-10))
-            assert not ok and failing >= 30
-        assert is_power_partial_isometry(_perturbed_haar(64, 1e-11)) == (True, None)
+            if any(decided):
+                ended.add(name.split("-")[0])
+        # the tail ends walks in every group of the corpus
+        assert ended == {"coupled", "haar", "spec", "single"}
 
 
 @pytest.mark.filterwarnings("error")
@@ -509,6 +683,7 @@ class TestModelSpec:
     (lambda p: truncated_block_projection(np.zeros((2, 2)), p), "p"),
     (clock_shift_unitaries, "q"),
     (lambda dim: random_commuting_unitaries(dim, 1, 0), "dim"),
+    (lambda dim: haar_unitary(dim, 0), "dim"),
     (lambda n: random_model_spec(0, n_ops=n), "n_ops"),
     (lambda p: random_model_spec(0, max_p=p), "max_p"),
     (lambda m: random_model_spec(0, max_aux=m), "max_aux"),
@@ -534,9 +709,29 @@ def test_builders_read_sizes_as_positive_integers(build, name, value, text):
     lambda p: truncated_block_projection(np.zeros((2, 2)), p),
     lambda q: clock_shift_unitaries(q)[1],
     lambda dim: random_commuting_unitaries(dim, 1, 0)[0],
+    lambda dim: haar_unitary(dim, 0),
+    lambda how_many: np.array(random_commuting_unitaries(2, how_many, 0)),
 ])
 def test_builders_accept_numpy_integer_sizes(build):
     np.testing.assert_array_equal(build(np.int64(2)), build(2))
+
+
+@pytest.mark.parametrize("how_many, text", [
+    (-1, "how_many must be >= 0, got -1"),
+    (2.5, "must be an integer, got 2.5"),
+    (True, "must be an integer, got True"),
+])
+def test_a_commuting_family_counts_its_members_as_an_integer(how_many, text):
+    # -1 returned [] and 2.5 raised a bare TypeError
+    with pytest.raises(ValueError) as raised:
+        random_commuting_unitaries(3, how_many, 0)
+    assert str(raised.value).endswith(text)
+
+
+def test_a_commuting_family_may_have_no_member():
+    # random_model_spec asks for none when N = 1 with a shift slot
+    assert random_commuting_unitaries(3, 0, 0) == []
+    assert random_model_spec(0, n_ops=1, max_p=1).slot_kinds == [1]
 
 
 class TestRandomCommutingUnitaries:

@@ -36,7 +36,7 @@ from partialiso import (
 )
 from partialiso import cli, commutant, halmos_wallen, linalg, operators, twisted
 from partialiso.documents import dumps_canonical, tuple_document
-from partialiso.linalg import DEFAULT_TOL, identity, op_norm
+from partialiso.linalg import DEFAULT_TOL, Tolerance, identity, op_norm
 from conftest import (
     eager_residuals,
     perturbed_tuple,
@@ -599,6 +599,25 @@ def _example43(p, scrambled):
     return conjugate_tuple(t, haar_unitary(t.dim, p)).ops if scrambled else t.ops
 
 
+def _unitary_and_shift(k):
+    """A Haar unitary on C^k plus J_3 x I_2, conjugated by a Haar unitary."""
+    rng = np.random.default_rng(k)
+    v = block_diag(haar_unitary(k, rng), kron(truncated_shift(3), np.eye(2))).astype(complex)
+    w = haar_unitary(k + 6, rng)
+    return w @ v @ w.conj().T
+
+
+def _scrambled(v, seed):
+    w = haar_unitary(v.shape[0], seed)
+    return w @ v @ w.conj().T
+
+
+def _unitary_slot_d96():
+    """The unitary-slot operator of the d = 96 model tuple of the benchmark ladder, scrambled."""
+    t = build_model_tuple(random_model_spec(49, n_ops=4))
+    return conjugate_tuple(t, haar_unitary(t.dim, 49)).ops[3]
+
+
 @pytest.mark.parametrize(
     "ops, expected, svds, blas_threads",
     [
@@ -611,8 +630,12 @@ def _example43(p, scrambled):
         pytest.param(_example43(4, True), [4, 4, 4, 4], [2, 1], None, id="example43-p4-scrambled"),
         # the zero rule: J_8 x I_8 and d[lambda] x J_8 vanish exactly at power 8
         pytest.param(_example43(8, False), [8, 8, 8, 8], [3, 3], None, id="example43-p8"),
-        # a unitary keeps its norm, so no bound ends its walk
+        # a unitary keeps its norm, so the tail bound never ends its walk, and at
+        # d = 64 the unitary tail's rounding terms alone pass eps
         pytest.param([haar_unitary(64, 11)], [65, 65], [6], None, id="haar-d64"),
+        # past the shift order 3, the unitary tail ends the gate's walk at power 4,
+        # not d + 1 = 11; the value walks on, as its worst residual may come late
+        pytest.param([_unitary_and_shift(4)], [11, 4], [1], None, id="unitary-and-shift-scrambled"),
     ],
 )
 def test_power_walk_ends_where_no_later_power_can_matter(
@@ -630,6 +653,48 @@ def test_power_walk_ends_where_no_later_power_can_matter(
         assert len(norm_calls) == calls
         assert is_power_partial_isometry(v) == ((False, failing[0]) if failing else (True, None))
     assert power_draws == expected
+
+
+@pytest.mark.parametrize("v, draws", [
+    pytest.param(_unitary_slot_d96(), 97, id="unitary-slot-d96"),
+    pytest.param(_example43(8, True)[0], 8, id="example43-p8-scrambled"),
+    pytest.param(_example43(8, False)[0], 8, id="example43-p8"),
+])
+def test_the_unitary_tail_forms_no_product_where_its_rounding_alone_fails(monkeypatch, power_draws, v, draws):
+    adjoints = []
+    monkeypatch.setattr(operators, "adjoint", lambda a: adjoints.append(1) or a.conj().T)
+    assert is_power_partial_isometry(v) == (True, None)
+    # the walk takes one adjoint per power, and every product of `_Growth.unitary_tail`
+    # follows its W*: at d = 96 and 128 the gate forms its walk's products and no others
+    assert power_draws == [draws]
+    assert len(adjoints) == draws
+
+
+@pytest.mark.parametrize("v, draws, adjoints", [
+    # one adjoint per power drawn, then W* for P̂ and V* for V*V in the one attempt: the
+    # rank falls at powers 1 to 5 and not at 6, where the attempt on a V^6 of rounding
+    # size ends the walk (the tail bound would at 8) ...
+    pytest.param(_scrambled(kron(truncated_shift(5), np.eye(2)), 5), 6, 8, id="nilpotent-5"),
+    # ... and at powers 1, 2 and 3 and not at 4
+    pytest.param(_unitary_and_shift(4), 4, 6, id="unitary-and-shift"),
+])
+def test_a_live_shift_part_costs_the_gate_no_attempt(monkeypatch, power_draws, v, draws, adjoints):
+    taken = []
+    monkeypatch.setattr(operators, "adjoint", lambda a: taken.append(1) or a.conj().T)
+    assert is_power_partial_isometry(v) == (True, None)
+    assert power_draws == [draws]
+    assert len(taken) == adjoints
+
+
+def test_a_unitary_tail_within_its_slack_of_eps_does_not_end_the_walk(power_draws):
+    v = haar_unitary(12, 4)
+    residual = v @ v.conj().T @ v - v
+    growth = operators._Growth(v, residual)
+    bound = growth.unitary_tail(1, v, residual, growth.later(1, v), np.inf)
+    for slack in (linalg._BOUND_SLACK, linalg._BOUND_SLACK / 2):
+        assert is_power_partial_isometry(v, Tolerance(bound * (1 + slack))) == (True, None)
+    # the bound at power 1, within its slack of eps, leaves the stop to power 2
+    assert power_draws == [1, 2]
 
 
 def test_unitary_slot_walk_takes_few_svds(svd_calls):
