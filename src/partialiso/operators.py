@@ -193,15 +193,15 @@ class _Growth:
        1 + `_BOUND_SLACK` is at most eps, every later power passes `_norm_within`.
     8. Cost. Declining is sound whatever decides it, as the walk goes on. The walk offers
        the tail only at a power n where the rank did not fall, ‖V̂^{n−1}‖² − ‖V̂^n‖² < 1/2
-       with ‖V̂^0‖² = d: for a power partial isometry ‖V^m‖² = rank V^m, and
-       rank V^{n−1} − rank V^n counts the chains J_p with p ≥ n, so a shift part alive at n
-       costs no attempt. It offers it at the first such power, one past the largest shift
-       order (1 for a unitary), and at each such n = 1, 2, 4, ... after it, where K is
-       smaller, should rounding fail the first attempt. All terms but ‖D̂‖ and ‖Ĉ‖ need no
-       product, so an attempt whose bound without them fails forms nothing: at d = 96 the
-       chain term of a unitary alone is about 1.6e-9 at n = 1. D̂ and Ĉ follow, each
-       checked. With K < 2 nothing is tried: the one power left costs fewer products than
-       an attempt.
+       with ‖V̂^0‖² = d, from the one dot per power that `later` also reads: for a power
+       partial isometry ‖V^m‖² = rank V^m, and rank V^{n−1} − rank V^n counts the chains
+       J_p with p ≥ n, so a shift part alive at n costs no attempt. It offers it at the
+       first such power, one past the largest shift order (1 for a unitary), and at each
+       such n = 1, 2, 4, ... after it, where K is smaller, should rounding fail the first
+       attempt. All terms but ‖D̂‖ and ‖Ĉ‖ need no product, so an attempt whose bound
+       without them fails forms nothing: at d = 96 the chain term of a unitary alone is
+       about 1.6e-9 at n = 1. D̂ and Ĉ follow, each checked. With K < 2 nothing is tried:
+       the one power left costs fewer products than an attempt.
     """
 
     def __init__(self, v: np.ndarray, residual: np.ndarray) -> None:
@@ -225,14 +225,16 @@ class _Growth:
         on ‖Y‖ (step 1 of `power_isometry_residual`)."""
         return t * (1 + 2 * _UNIT_ROUNDOFF) + 3 * self.gamma * size**3 + 2 * self.mu * (1 + size)
 
-    def later(self, n: int, vp: np.ndarray) -> float:
+    def later(self, n: int, vp: np.ndarray, squares: float | None = None) -> float:
         """a: a bound on the computed Frobenius norm of every power V^m, n <= m <= d + 1, from V^n.
 
         It is 0.0 when V^n is exactly zero, as every later power then is (the zero rule), and
         inf otherwise while the guard fails. Norms are bounded from the squares of one BLAS dot,
-        the sum `_frobenius` starts from, with μ for its underflow in place of a rescale.
+        the sum `_frobenius` starts from, with μ for its underflow in place of a rescale;
+        ``squares`` is that dot where the caller has taken it.
         """
-        squares = np.vdot(vp, vp).real
+        if squares is None:
+            squares = np.vdot(vp, vp).real
         if squares == 0.0 and not vp.any():
             return 0.0
         if self.c is None:
@@ -321,7 +323,7 @@ def _residual_walk(v: np.ndarray):
         if not (checkpoint or offered):
             yield residual, inf, None
             continue
-        a = growth.later(n, vp)
+        a = growth.later(n, vp, squares)
         if checkpoint and a == 0.0:
             yield residual, 0.0, None
             return
